@@ -193,9 +193,9 @@ void CampaignProgress::recover() {
     return;
   }
   const std::string cp_path =
-      BatchedCampaignExecutor::checkpoint_path(config.checkpoint_dir);
+      CampaignExecutor::checkpoint_path(config.checkpoint_dir);
   const std::string jn_path =
-      BatchedCampaignExecutor::journal_path(config.checkpoint_dir);
+      CampaignExecutor::journal_path(config.checkpoint_dir);
   const CampaignCheckpoint checkpoint = CampaignCheckpoint::load(cp_path);
   if (checkpoint.fingerprint != fingerprint_ ||
       checkpoint.task_kind != task_.task_kind() ||
@@ -235,7 +235,7 @@ void CampaignProgress::open(const WaterMarks& marks) {
   header.unit_count = units_;
   header.task_kind = task_.task_kind();
   journal_ = std::make_unique<io::JournalWriter>(
-      BatchedCampaignExecutor::journal_path(config.checkpoint_dir), header,
+      CampaignExecutor::journal_path(config.checkpoint_dir), header,
       config.resume);
   if (!config.resume) write_checkpoint(marks);
 }
@@ -324,9 +324,9 @@ void CampaignProgress::write_checkpoint(const WaterMarks& marks) {
   cp.completed_units = done_;
   cp.rnd_seed = task_.task_scenario().rnd_seed;
   cp.journal_valid_bytes = std::filesystem::file_size(
-      BatchedCampaignExecutor::journal_path(config.checkpoint_dir));
+      CampaignExecutor::journal_path(config.checkpoint_dir));
   cp.shards = marks();
-  cp.save(BatchedCampaignExecutor::checkpoint_path(config.checkpoint_dir));
+  cp.save(CampaignExecutor::checkpoint_path(config.checkpoint_dir));
   if (checkpoint_writes_ != nullptr) checkpoint_writes_->add();
   if (checkpoint_write_ms_ != nullptr) {
     checkpoint_write_ms_->record(cp_watch.elapsed_ms());
@@ -355,19 +355,19 @@ void CampaignProgress::merge() {
 
 // ---- executor ---------------------------------------------------------------
 
-BatchedCampaignExecutor::BatchedCampaignExecutor(CampaignTask& task,
-                                                 util::MetricsRegistry* metrics)
+CampaignExecutor::CampaignExecutor(CampaignTask& task,
+                                   util::MetricsRegistry* metrics)
     : task_(task), metrics_(metrics) {}
 
-std::string BatchedCampaignExecutor::journal_path(const std::string& checkpoint_dir) {
+std::string CampaignExecutor::journal_path(const std::string& checkpoint_dir) {
   return checkpoint_dir + "/journal.bin";
 }
 
-std::string BatchedCampaignExecutor::checkpoint_path(const std::string& checkpoint_dir) {
+std::string CampaignExecutor::checkpoint_path(const std::string& checkpoint_dir) {
   return checkpoint_dir + "/checkpoint.bin";
 }
 
-void BatchedCampaignExecutor::execute() {
+void CampaignExecutor::execute() {
   if (task_.base_config().steering.enabled()) {
     execute_steered();
     return;
@@ -542,7 +542,7 @@ void BatchedCampaignExecutor::execute() {
 
 // ---- steered execution (DESIGN.md §16) --------------------------------------
 
-void BatchedCampaignExecutor::execute_steered() {
+void CampaignExecutor::execute_steered() {
   const CampaignConfigBase& config = task_.base_config();
   const Scenario& scenario = task_.task_scenario();
   const std::size_t units = task_.unit_count();

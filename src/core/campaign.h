@@ -252,14 +252,14 @@ class CampaignProgress {
 /// so journal frames, counters and checkpoint cadence match
 /// unit-at-a-time execution and outputs stay byte-identical for every
 /// --unit-batch / --jobs combination.
-class BatchedCampaignExecutor {
+class CampaignExecutor {
  public:
   /// `metrics` (optional) receives campaign telemetry: unit counters
   /// (units.total/computed/replayed — commutative, so identical for any
   /// --jobs), the campaign.unit_ms latency histogram, journal/checkpoint
   /// write latency + bytes and per-worker units/sec gauges.
-  explicit BatchedCampaignExecutor(CampaignTask& task,
-                                   util::MetricsRegistry* metrics = nullptr);
+  explicit CampaignExecutor(CampaignTask& task,
+                            util::MetricsRegistry* metrics = nullptr);
 
   /// Paths used inside a checkpoint directory.
   static std::string journal_path(const std::string& checkpoint_dir);
@@ -282,10 +282,5 @@ class BatchedCampaignExecutor {
   CampaignTask& task_;
   util::MetricsRegistry* metrics_;
 };
-
-/// The packed executor subsumed the original unit-at-a-time executor
-/// (unit_batch == 1 reproduces it exactly); the old name remains the
-/// conventional spelling at call sites.
-using CampaignExecutor = BatchedCampaignExecutor;
 
 }  // namespace alfi::core

@@ -34,6 +34,14 @@
 #include "core/steering.h"
 #include "io/journal.h"
 
+namespace alfi::nn {
+class StoredWeightStore;
+}  // namespace alfi::nn
+
+namespace alfi::util {
+class MetricsRegistry;
+}  // namespace alfi::util
+
 namespace alfi::core {
 
 /// Distributed fleet execution (DESIGN.md §14).  A coordinator process
@@ -119,7 +127,7 @@ struct CampaignConfigBase {
 
   // ---- crash safety --------------------------------------------------------
   /// Directory for the result journal + checkpoint; empty disables
-  /// checkpointing.  Requires inj_policy per_image for classification.
+  /// checkpointing.
   std::string checkpoint_dir;
   /// Continue a prior run from checkpoint_dir: validate fingerprints,
   /// repair the journal tail, skip completed units.
@@ -260,6 +268,115 @@ std::uint64_t campaign_fingerprint(const Scenario& scenario,
                                    const FaultMatrix& faults);
 
 class Injector;
+class ModelMonitor;
+class ModelProfile;
+class PtfiWrap;
+
+// ---- unit addressing ---------------------------------------------------------
+
+/// Geometry of work unit t = epoch * dataset_size + img under the
+/// scenario's injection policy: which fault group it arms and which
+/// slot of its conceptual batch it occupies.  Closed-form in t, so the
+/// same unit arms the same faults on any worker, job count, fleet
+/// member or resumed run.
+struct UnitAddress {
+  std::size_t epoch = 0;
+  std::size_t img = 0;
+  std::size_t group_start = 0;  ///< first fault-matrix column of the group
+  std::size_t slot = 0;  ///< batch slot for per_batch remapping, else 0
+  /// Images the unit's conceptual batch actually scores: batch_size for
+  /// full batches, fewer for the short final batch of a non-divisible
+  /// dataset.  Fault slots are taken modulo this, so a per-batch fault
+  /// drawn past the short batch still lands on a scored image instead
+  /// of being silently dropped (seed-stable: the drawn matrix is
+  /// untouched, only the slot comparison re-maps).
+  std::size_t occupancy = 1;
+};
+
+/// per_image: group t; per_batch: the group of the image's batch;
+/// per_epoch: the group of the image's epoch.
+UnitAddress address_unit(const Scenario& scenario, std::size_t t);
+
+/// Appends what unit `addr` arms on row `slot` of a `slots`-row pass:
+/// its group's weight faults as drawn, and each neuron fault that lands
+/// on its image moved onto `slot`.  A neuron fault lands on every image
+/// for batch < 0; under per_batch when its drawn slot modulo the
+/// batch's occupancy is the image's slot; otherwise when its slot is
+/// the unit's (0).  A per_image neuron fault drawn for a slot > 0 is
+/// pushed past the pass (slots + batch), so the injector's skip
+/// accounting counts it; under per_batch/per_epoch a fault that lands
+/// on another image of the batch is not armed.
+void append_unit_faults(const Scenario& scenario, const FaultMatrix& matrix,
+                        const UnitAddress& addr, std::size_t slot,
+                        std::size_t slots, std::vector<Fault>& armed);
+
+// ---- what both campaign harnesses share ---------------------------------------
+
+/// max_unit_pack() of a harness: unbounded for neuron-fault campaigns
+/// (each unit's faults arm on its own batch slot); 1 when any fault
+/// targets weights — weights are shared across a packed pass.
+std::size_t unit_pack_limit(const FaultMatrix& matrix);
+
+/// Every unit's (layer, bit, fault-type) steering cell, from its
+/// addressed group's FIRST fault — exact for max_faults_per_image == 1
+/// (the steering-relevant configuration), a first-fault approximation
+/// for larger groups.  Empty when the matrix cannot cover every unit.
+std::vector<SteeringCellKey> unit_steering_cells(const Scenario& scenario,
+                                                 const FaultMatrix& matrix,
+                                                 const ModelProfile& profile,
+                                                 std::size_t units);
+
+/// prepare()'s inference set-up (DESIGN.md §13): resolves and installs
+/// the scenario's backend — an unavailable explicit choice fails here,
+/// loudly — and installs the weight representation on the wrapped
+/// model before calibration, so hardened bounds are profiled on the
+/// model the campaign actually runs.  `store` is built once: rebuilding
+/// it from already-dequantized values on an idempotent re-prepare could
+/// round scales differently.  Also refuses a fault matrix smaller than
+/// the groups the campaign addresses.  Returns the resolved backend's
+/// registry name.
+std::string prepare_inference(PtfiWrap& wrapper,
+                              std::optional<nn::StoredWeightStore>& store);
+
+/// run()'s execution: a fleet worker streams units to its coordinator
+/// (and writes no outputs — `config.output_dir` is cleared), a fleet
+/// coordinator leases them out, anything else runs the local
+/// CampaignExecutor.  Then writes config.metrics_path, when set,
+/// recording `backend` (read after execution, so pass the member
+/// prepare() fills).
+void run_campaign_task(CampaignTask& task, CampaignConfigBase& config,
+                       util::MetricsRegistry& metrics, const std::string& backend);
+
+/// One unit runner's injection machinery over one model instance: the
+/// injector, a ModelMonitor and — with mitigation configured — a
+/// Protection, left disabled.  A null `replica` drives the wrapped
+/// model through the wrapper's injector; otherwise the stack builds its
+/// own ModelProfile (from `probe`), a bit-exact copy of the primary
+/// stored-weight representation rebound onto the replica (never rebuilt
+/// from dequantized values — scales could round differently) and an
+/// Injector over it.  The replica must outlive the stack.
+class UnitInjectionStack {
+ public:
+  UnitInjectionStack(PtfiWrap& wrapper, nn::Module* replica, const Tensor& probe,
+                     const nn::StoredWeightStore* primary_store,
+                     const RangeMap& bounds, std::optional<MitigationKind> mitigation,
+                     util::MetricsRegistry& metrics);
+  ~UnitInjectionStack();
+
+  Injector& injector() { return *injector_; }
+  ModelMonitor& monitor() { return *monitor_; }
+  Protection* protection() { return protection_.get(); }  ///< null without mitigation
+
+ private:
+  std::unique_ptr<ModelProfile> profile_;
+  // Declared before own_injector_: the injector's destructor restores
+  // corrupted weights through the store.
+  std::unique_ptr<nn::StoredWeightStore> store_;
+  std::unique_ptr<Injector> own_injector_;
+  Injector* injector_ = nullptr;
+  std::unique_ptr<ModelMonitor> monitor_;
+  std::unique_ptr<Protection> protection_;
+};
 
 /// Execution-order prefix boundary for one unit's differential passes:
 /// the smallest leaf execution index (in `baseline`'s recorded order)

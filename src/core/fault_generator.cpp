@@ -74,12 +74,12 @@ void fill_neuron_location(const Scenario& scenario, const LayerInfo& layer,
       break;
     case InjectionPolicy::kPerBatch:
       // Drawn against the configured batch_size so the matrix is
-      // seed-stable regardless of dataset length.  A window shorter
+      // seed-stable regardless of dataset length.  A batch shorter
       // than batch_size (the final batch of a non-divisible dataset)
-      // does NOT re-draw: the harnesses remap the armed copy onto the
-      // actual occupancy (slot % occupancy — next_for_window(), the
-      // objdet unit addressing), so the fault always lands on a scored
-      // image instead of being silently skipped.
+      // does NOT re-draw: the harnesses' unit addressing remaps the
+      // armed copy onto the actual occupancy (slot % occupancy), so the
+      // fault always lands on a scored image instead of being silently
+      // skipped.
       fault.batch =
           static_cast<std::int64_t>(rng.next_below(scenario.batch_size));
       break;

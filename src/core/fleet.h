@@ -158,7 +158,7 @@ class FleetWorker {
 // ---- coordinator ------------------------------------------------------------
 
 /// Campaign-owning side of the fleet.  Drop-in alternative to
-/// BatchedCampaignExecutor::execute() for a task whose config enables
+/// CampaignExecutor::execute() for a task whose config enables
 /// fleet coordinator mode; requires a checkpoint directory (shipped
 /// unit frames land in the same journal a local run would write).
 ///

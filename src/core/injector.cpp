@@ -112,12 +112,17 @@ std::size_t Injector::armed_neuron_fault_count() const {
   return count;
 }
 
-std::size_t Injector::earliest_armed_layer() const {
-  std::size_t earliest = kNoArmedLayer;
-  for_each_armed_layer([&earliest](std::size_t layer) {
-    earliest = std::min(earliest, layer);
-  });
-  return earliest;
+std::vector<std::vector<InjectionRecord>> Injector::split_records_by_slot(
+    std::size_t first, const std::vector<std::size_t>& slot_units) {
+  std::vector<std::vector<InjectionRecord>> per_slot(slot_units.size());
+  for (std::size_t r = first; r < records_.size(); ++r) {
+    InjectionRecord& record = records_[r];
+    const std::size_t slot = static_cast<std::size_t>(record.fault.batch);
+    record.fault.batch = 0;
+    record.inference_index = slot_units[slot];
+    per_slot[slot].push_back(record);
+  }
+  return per_slot;
 }
 
 void Injector::for_each_armed_layer(const std::function<void(std::size_t)>& fn) const {

@@ -43,7 +43,7 @@ class Injector {
   /// A fault's `batch` field selects the sample slot (-1 = all slots;
   /// a slot beyond the actual batch is counted in
   /// skipped_injection_count()).  The campaign harnesses remap slots
-  /// onto the actual window occupancy before arming (modulo remap,
+  /// onto each unit's batch slot before arming (append_unit_faults,
   /// DESIGN.md §12), so the skip path is a backstop for hand-armed
   /// faults, not a normal campaign outcome.
   void arm(std::vector<Fault> faults);
@@ -60,35 +60,17 @@ class Injector {
   const std::vector<InjectionRecord>& records() const { return records_; }
   void clear_records() { records_.clear(); }
 
-  /// Mutable access to the record log.  Batched campaign runners use it
-  /// to rewrite the batch-slot coordinates of a packed pass's records
-  /// back into the per-unit form a serial run would have produced
-  /// (fault.batch -> 0, inference_index -> the slot's unit index);
-  /// see DESIGN.md §12.
-  std::vector<InjectionRecord>& records_mutable() { return records_; }
-
-  /// Moves the accumulated records out (the injector keeps running with
-  /// an empty log).  Lets parallel campaign workers hand their shard's
-  /// trace to the merge step without copying.
-  std::vector<InjectionRecord> take_records() {
-    std::vector<InjectionRecord> out = std::move(records_);
-    records_.clear();
-    return out;
-  }
+  /// Packed campaign passes (DESIGN.md §12): rewrites the records
+  /// logged since `first` from batch-slot form into the per-unit form a
+  /// unit-at-a-time run logs — slot s names its unit slot_units[s],
+  /// which becomes the record's inference index, and its batch becomes
+  /// 0 — and returns them grouped by slot, in firing order (which is
+  /// each unit's own record order: layers fire in the same order).
+  std::vector<std::vector<InjectionRecord>> split_records_by_slot(
+      std::size_t first, const std::vector<std::size_t>& slot_units);
 
   std::size_t armed_neuron_fault_count() const;
   std::size_t pending_weight_restores() const { return weight_restores_.size(); }
-
-  /// earliest_armed_layer() result when nothing is armed: every layer's
-  /// output is bit-identical to the fault-free pass.
-  static constexpr std::size_t kNoArmedLayer = static_cast<std::size_t>(-1);
-
-  /// Smallest injectable-layer index currently carrying a fault — armed
-  /// neuron faults (even ones whose batch slot will be skipped: the
-  /// hook still accounts for them) and unreverted weight corruptions
-  /// alike.  Layers strictly before it compute bit-identical outputs to
-  /// the fault-free pass, which is what differential inference exploits.
-  std::size_t earliest_armed_layer() const;
 
   /// Invokes `fn` once per injectable-layer index currently armed
   /// (neuron faults or weight corruptions), in ascending order.

@@ -4,17 +4,11 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
-#include <limits>
+#include <span>
 
-#include "core/campaign.h"
-#include "core/fleet.h"
-#include "nn/workspace.h"
-#include "tensor/backend.h"
 #include "io/csv.h"
-#include "io/metrics_json.h"
+#include "nn/workspace.h"
 #include "util/hash.h"
-#include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace alfi::core {
@@ -54,214 +48,22 @@ bool row_has_nonfinite(std::span<const float> row) {
   return false;
 }
 
-/// Verdicts and CSV rows produced by evaluating one window of images,
-/// merged into the campaign totals in unit order.
-struct EvalSink {
-  ClassificationKpis kpis;
-  std::vector<std::vector<std::string>> result_rows;
-  std::vector<std::vector<std::string>> fault_free_rows;
-};
-
-/// Per-worker execution resources: the model (original or deep-cloned
-/// replica) plus the injection/observation machinery bound to it.
-/// When the workspace pointers are set, the triple runs through the
-/// arena-backed zero-allocation path — one workspace per pass so the
-/// three output tensors coexist; otherwise each pass uses the legacy
-/// allocating forward() and parks its result in the holder members.
-struct ExecContext {
-  nn::Module* model = nullptr;
-  Injector* injector = nullptr;
-  ModelMonitor* monitor = nullptr;
-  Protection* protection = nullptr;  // null when no mitigation configured
-  nn::InferenceWorkspace* ws_orig = nullptr;
-  nn::InferenceWorkspace* ws_corr = nullptr;
-  nn::InferenceWorkspace* ws_resil = nullptr;
-  Tensor orig_hold, corr_hold, resil_hold;  // allocating-path storage
-  /// Differential inference: corr/resil replay the orig pass's cached
-  /// prefix up to the earliest armed layer (workspace path only).
-  bool diff = false;
-  util::Counter* diff_skipped = nullptr;  // campaign.diff.layers_skipped
-  util::Counter* diff_hits = nullptr;     // passes that replayed >= 1 leaf
-  util::Counter* diff_misses = nullptr;   // passes that fully recomputed
-  /// Packed unit batch: > 0 makes run_triple snapshot per-slot monitor
-  /// verdicts into *slot_due_out right after the corrupted pass — the
-  /// same point a serial unit reads its window_due — before the
-  /// hardened pass can add detections of its own.
-  std::size_t slot_count = 0;
-  std::vector<std::uint8_t>* slot_due_out = nullptr;
-};
-
-/// Outputs of one coupled triple; the pointers reference either the
-/// workspaces' root slots or the context's holder tensors, valid until
-/// the next run_triple on the same context.
-struct TripleOutputs {
-  const Tensor* orig = nullptr;
-  const Tensor* corr = nullptr;
-  const Tensor* resil = nullptr;  // null without mitigation
-  bool window_due = false;
-};
-
-/// Records the verdicts and CSV rows of one window of images evaluated
-/// under one armed fault group.  `fault_group_for(i)` names the fault
-/// columns reported for image i of the window.  `first_row` offsets the
-/// logit rows read for image i (row first_row + i): a packed unit batch
-/// evaluates each slot as its own one-image window against the slot's
-/// row of the shared output tensors.
-void evaluate_window(
-    EvalSink& out, std::size_t top_k, bool make_rows, const Tensor& orig_logits,
-    const Tensor& corr_logits, const Tensor* resil_logits,
-    std::span<const std::size_t> labels, std::span<const data::ImageMeta> metas,
-    bool window_monitor_due, std::size_t epoch,
-    const std::function<std::vector<Fault>(std::size_t)>& fault_group_for,
-    const std::function<std::size_t(std::size_t)>& applied_for,
-    std::size_t first_row = 0) {
-  const std::size_t k = orig_logits.dim(1);
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::size_t row_index = first_row + i;
-    const std::span<const float> orig_row{orig_logits.raw() + row_index * k, k};
-    const std::span<const float> corr_row{corr_logits.raw() + row_index * k, k};
-
-    const TopK orig_top = topk_of_logits(orig_row, top_k);
-    const TopK corr_top = topk_of_logits(corr_row, top_k);
-    TopK resil_top;
-    if (resil_logits != nullptr) {
-      const std::span<const float> resil_row{resil_logits->raw() + row_index * k,
-                                             k};
-      resil_top = topk_of_logits(resil_row, top_k);
-    }
-
-    const bool due = row_has_nonfinite(corr_row) || window_monitor_due;
-    const bool sde = !due && corr_top.classes[0] != orig_top.classes[0];
-
-    ++out.kpis.total;
-    out.kpis.orig_correct += orig_top.classes[0] == labels[i] ? 1 : 0;
-    out.kpis.faulty_correct += corr_top.classes[0] == labels[i] ? 1 : 0;
-    out.kpis.due += due ? 1 : 0;
-    out.kpis.sde += sde ? 1 : 0;
-    if (resil_logits != nullptr) {
-      out.kpis.resil_correct += resil_top.classes[0] == labels[i] ? 1 : 0;
-      out.kpis.resil_sde +=
-          (!due && resil_top.classes[0] != orig_top.classes[0]) ? 1 : 0;
-    }
-
-    if (make_rows) {
-      std::vector<std::string> row{
-          std::to_string(metas[i].image_id), metas[i].file_name,
-          std::to_string(labels[i]), due ? "1" : "0", sde ? "1" : "0",
-          faults_to_field(fault_group_for(i)), std::to_string(applied_for(i))};
-      const auto push_topk = [&row, top_k](const TopK& top) {
-        for (std::size_t j = 0; j < top_k; ++j) {
-          if (j < top.classes.size()) {
-            row.push_back(std::to_string(top.classes[j]));
-            row.push_back(fmt_float(top.probs[j]));
-          } else {
-            row.push_back("");
-            row.push_back("");
-          }
-        }
-      };
-      push_topk(orig_top);
-      push_topk(corr_top);
-      push_topk(resil_logits != nullptr ? resil_top : TopK{});
-      out.result_rows.push_back(std::move(row));
-
-      if (epoch == 0) {
-        std::vector<std::string> ff_row{std::to_string(metas[i].image_id),
-                                        metas[i].file_name,
-                                        std::to_string(labels[i])};
-        for (std::size_t j = 0; j < top_k; ++j) {
-          if (j < orig_top.classes.size()) {
-            ff_row.push_back(std::to_string(orig_top.classes[j]));
-            ff_row.push_back(fmt_float(orig_top.probs[j]));
-          } else {
-            ff_row.push_back("");
-            ff_row.push_back("");
-          }
-        }
-        out.fault_free_rows.push_back(std::move(ff_row));
-      }
-    }
-  }
-}
-
-/// Runs the coupled triple with the fault group `arm` installs, against
-/// the given execution context.  The fault-free pass runs on
-/// `orig_images`; the corrupted and hardened passes run on
-/// `faulty_images`.  A same-image unit pack passes a batch-1 tensor as
-/// `orig_images` and its N-fold replication as `faulty_images`, so one
-/// shared fault-free pass serves every slot (the broadcast prefix
-/// replay, DESIGN.md §12); everywhere else the two are the same tensor.
-TripleOutputs run_triple(ExecContext& ctx, const Tensor& orig_images,
-                         const Tensor& faulty_images,
-                         const std::function<void()>& arm) {
-  const bool use_ws = ctx.ws_orig != nullptr;
-  TripleOutputs out;
-  ctx.injector->disarm();
-  if (ctx.protection) ctx.protection->set_enabled(false);
-  // The fault-free pass observes whole-tensor — a same-image pack runs
-  // it batch-1; per-slot monitoring only matters for the armed passes.
-  ctx.monitor->set_slot_count(0);
-  if (use_ws) {
-    out.orig = &ctx.ws_orig->run(*ctx.model, orig_images);
-  } else {
-    ctx.orig_hold = ctx.model->forward(orig_images);
-    out.orig = &ctx.orig_hold;
-  }
-
-  arm();
-  ctx.monitor->set_slot_count(ctx.slot_count);
-  ctx.monitor->reset();
-  // The armed set is fixed for both remaining passes, so one boundary
-  // serves corr and resil alike; 0 (diff off or nothing replayable)
-  // makes forward_from a plain full recompute.
-  std::size_t boundary = 0;
-  if (use_ws && ctx.diff) {
-    boundary = diff_prefix_boundary(*ctx.injector, *ctx.ws_orig);
-  }
-  const auto note_diff = [&ctx](const nn::InferenceWorkspace& ws) {
-    if (!ctx.diff) return;
-    const std::size_t reused = ws.prefix_reused_last_run();
-    if (ctx.diff_skipped != nullptr) ctx.diff_skipped->add(reused);
-    util::Counter* outcome = reused > 0 ? ctx.diff_hits : ctx.diff_misses;
-    if (outcome != nullptr) outcome->add();
-  };
-  if (use_ws) {
-    out.corr = &ctx.model->forward_from(boundary, faulty_images, *ctx.ws_corr);
-    note_diff(*ctx.ws_corr);
-  } else {
-    ctx.corr_hold = ctx.model->forward(faulty_images);
-    out.corr = &ctx.corr_hold;
-  }
-  out.window_due = ctx.monitor->due_detected();
-  if (ctx.slot_due_out != nullptr) {
-    ctx.slot_due_out->assign(ctx.slot_count, 0);
-    for (std::size_t s = 0; s < ctx.slot_count; ++s) {
-      (*ctx.slot_due_out)[s] = ctx.monitor->slot_due(s) ? 1 : 0;
-    }
-  }
-
-  if (ctx.protection) {
-    ctx.protection->set_enabled(true);
-    if (use_ws) {
-      out.resil = &ctx.model->forward_from(boundary, faulty_images, *ctx.ws_resil);
-      note_diff(*ctx.ws_resil);
+/// Appends `top`'s (class, probability) column pairs, blank past its end.
+void push_topk(std::vector<std::string>& row, const TopK& top, std::size_t top_k) {
+  for (std::size_t j = 0; j < top_k; ++j) {
+    if (j < top.classes.size()) {
+      row.push_back(std::to_string(top.classes[j]));
+      row.push_back(fmt_float(top.probs[j]));
     } else {
-      ctx.resil_hold = ctx.model->forward(faulty_images);
-      out.resil = &ctx.resil_hold;
+      row.push_back("");
+      row.push_back("");
     }
-    ctx.protection->set_enabled(false);
   }
-  ctx.injector->disarm();
-  return out;
 }
 
-void write_rows(io::ByteWriter& w,
-                const std::vector<std::vector<std::string>>& rows) {
-  w.write_u64(rows.size());
-  for (const auto& row : rows) {
-    w.write_u64(row.size());
-    for (const std::string& field : row) w.write_string(field);
-  }
+void write_row(io::ByteWriter& w, const std::vector<std::string>& row) {
+  w.write_u64(row.size());
+  for (const std::string& field : row) w.write_string(field);
 }
 
 std::vector<std::vector<std::string>> read_rows(io::ByteReader& r) {
@@ -273,141 +75,147 @@ std::vector<std::vector<std::string>> read_rows(io::ByteReader& r) {
   return rows;
 }
 
-/// Unit payload: KPI counter deltas, CSV rows and injection records of
-/// one image evaluated under one fault group.  Deterministic in the
-/// unit index alone, so journal-replayed and fresh units match.
-std::string serialize_unit(const EvalSink& out,
-                           const std::vector<InjectionRecord>& records,
-                           std::size_t base_records) {
+/// Logit tensors of one coupled triple: the workspaces' root slots or
+/// the runner's holder tensors, valid until its next triple.
+struct TripleLogits {
+  const Tensor* orig = nullptr;
+  const Tensor* corr = nullptr;
+  const Tensor* resil = nullptr;  // null without mitigation
+};
+
+std::span<const float> logit_row(const Tensor& logits, std::size_t row) {
+  const std::size_t k = logits.dim(1);
+  return {logits.raw() + row * k, k};
+}
+
+/// Scores one unit's image — row `row` of the armed passes' logits
+/// against row `orig_row` of the fault-free ones — and serializes the
+/// unit payload: KPI counter deltas, the results row (plus the
+/// fault-free row for an epoch-0 unit) and the unit's injection
+/// records.  Deterministic in the unit index alone, so journal-replayed
+/// and fresh units match.  `group` is the unit's whole addressed fault
+/// group, which the results row lists.
+std::string score_unit(std::size_t top_k, const TripleLogits& logits,
+                       std::size_t orig_row, std::size_t row, bool monitor_due,
+                       const data::ClassificationSample& sample, std::size_t epoch,
+                       const std::vector<Fault>& group,
+                       std::span<const InjectionRecord> records) {
+  const bool has_resil = logits.resil != nullptr;
+  const std::span<const float> corr_row = logit_row(*logits.corr, row);
+  const TopK orig_top = topk_of_logits(logit_row(*logits.orig, orig_row), top_k);
+  const TopK corr_top = topk_of_logits(corr_row, top_k);
+  const TopK resil_top =
+      has_resil ? topk_of_logits(logit_row(*logits.resil, row), top_k) : TopK{};
+  const bool due = row_has_nonfinite(corr_row) || monitor_due;
+  const bool sde = !due && corr_top.classes[0] != orig_top.classes[0];
+  const bool resil_sde =
+      has_resil && !due && resil_top.classes[0] != orig_top.classes[0];
+
+  // KPI counter deltas, in ClassificationKpis order.
   io::ByteWriter w;
-  w.write_u64(out.kpis.total);
-  w.write_u64(out.kpis.orig_correct);
-  w.write_u64(out.kpis.faulty_correct);
-  w.write_u64(out.kpis.resil_correct);
-  w.write_u64(out.kpis.sde);
-  w.write_u64(out.kpis.due);
-  w.write_u64(out.kpis.resil_sde);
-  write_rows(w, out.result_rows);
-  write_rows(w, out.fault_free_rows);
-  w.write_u64(records.size() - base_records);
-  for (std::size_t i = base_records; i < records.size(); ++i) {
-    write_record_bytes(w, records[i]);
+  w.write_u64(1);  // total
+  w.write_u64(orig_top.classes[0] == sample.label ? 1 : 0);
+  w.write_u64(corr_top.classes[0] == sample.label ? 1 : 0);
+  w.write_u64(has_resil && resil_top.classes[0] == sample.label ? 1 : 0);
+  w.write_u64(sde ? 1 : 0);
+  w.write_u64(due ? 1 : 0);
+  w.write_u64(resil_sde ? 1 : 0);
+
+  std::vector<std::string> result_row{
+      std::to_string(sample.meta.image_id), sample.meta.file_name,
+      std::to_string(sample.label),         due ? "1" : "0",
+      sde ? "1" : "0",                      faults_to_field(group),
+      std::to_string(records.size())};
+  push_topk(result_row, orig_top, top_k);
+  push_topk(result_row, corr_top, top_k);
+  push_topk(result_row, resil_top, top_k);
+  w.write_u64(1);
+  write_row(w, result_row);
+
+  // The fault-free CSV covers one pass of the dataset.
+  w.write_u64(epoch == 0 ? 1 : 0);
+  if (epoch == 0) {
+    std::vector<std::string> ff_row{std::to_string(sample.meta.image_id),
+                                    sample.meta.file_name,
+                                    std::to_string(sample.label)};
+    push_topk(ff_row, orig_top, top_k);
+    write_row(w, ff_row);
   }
+
+  w.write_u64(records.size());
+  for (const InjectionRecord& record : records) write_record_bytes(w, record);
   return w.take();
 }
 
 }  // namespace
 
-/// Per-worker unit engine for the classification campaign.  A shared
-/// runner drives the wrapped original model (single-shard serial path);
-/// otherwise it owns a deep-cloned replica with its own injection stack
-/// so workers share only read-only state (dataset, fault matrix,
-/// calibration bounds).
+/// Per-worker unit engine for the classification campaign: one image
+/// per unit under its addressed fault group, for every injection
+/// policy.  A shared runner drives the wrapped original model
+/// (single-shard serial path); otherwise it owns a deep-cloned replica
+/// with its own injection stack so workers share only read-only state
+/// (dataset, fault matrix, calibration bounds).
 class ImgClassUnitRunner final : public CampaignUnitRunner {
  public:
   ImgClassUnitRunner(TestErrorModelsImgClass& harness, bool shared_model)
-      : h_(harness) {
-    const Scenario& scenario = h_.wrapper_.get_scenario();
-    if (shared_model) {
-      ctx_.model = &h_.model_;
-      ctx_.injector = &h_.wrapper_.injector();
-    } else {
-      replica_ = h_.model_.clone();
-      profile_ = std::make_unique<ModelProfile>(*replica_, probe_input(h_.dataset_));
-      if (h_.store_) {
-        // Bit-exact copy of the primary stored representation, rebound
-        // onto the replica's parameters (never rebuilt from the
-        // dequantized values — scales could round differently).
-        replica_store_ =
-            std::make_unique<nn::StoredWeightStore>(*replica_, *h_.store_);
-      }
-      injector_ =
-          std::make_unique<Injector>(*replica_, *profile_, scenario.duration);
-      injector_->set_numeric_type(scenario.numeric_type);
-      injector_->set_stored_weights(replica_store_.get());
-      ctx_.model = replica_.get();
-      ctx_.injector = injector_.get();
+      : h_(harness),
+        replica_(shared_model ? nullptr : harness.model_.clone()),
+        model_(replica_ ? *replica_ : harness.model_),
+        stack_(harness.wrapper_, replica_.get(), probe_input(harness.dataset_),
+               harness.store_ ? &*harness.store_ : nullptr, harness.bounds_,
+               harness.config_.mitigation, harness.metrics_) {
+    if (!h_.config_.workspace) return;
+    arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
+    if (!h_.config_.diff) return;
+    // corr/resil replay the orig pass; observers follow the hook order
+    // on each leaf (injector has nothing to replay on unarmed layers,
+    // monitor observes, protection validates its clamp).
+    diff_ = true;
+    for (nn::InferenceWorkspace* ws : {&ws_corr_, &ws_resil_}) {
+      ws->set_prefix_baseline(&ws_orig_);
+      // Same-image packs run the orig pass at batch 1 under a K-row
+      // corr/resil pass; every packed row is the same image, so the
+      // broadcast-replay row-equality contract holds (DESIGN.md §12).
+      ws->set_prefix_broadcast(true);
+      ws->add_prefix_observer(&stack_.monitor());
+      if (stack_.protection() != nullptr) ws->add_prefix_observer(stack_.protection());
     }
-    ctx_.injector->set_metrics(&h_.metrics_);
-    monitor_ = std::make_unique<ModelMonitor>(*ctx_.model);
-    monitor_->set_metrics(&h_.metrics_);
-    ctx_.monitor = monitor_.get();
-    if (h_.config_.mitigation) {
-      protection_ = std::make_unique<Protection>(*ctx_.model, h_.bounds_,
-                                                 *h_.config_.mitigation);
-      protection_->set_enabled(false);
-    }
-    ctx_.protection = protection_.get();
-    if (h_.config_.workspace) {
-      ctx_.ws_orig = &ws_orig_;
-      ctx_.ws_corr = &ws_corr_;
-      ctx_.ws_resil = &ws_resil_;
-      arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
-      if (h_.config_.diff) {
-        // corr/resil replay the orig pass; observers follow the hook
-        // order on each leaf (injector has nothing to replay on unarmed
-        // layers, monitor observes, protection validates its clamp).
-        ctx_.diff = true;
-        for (nn::InferenceWorkspace* ws : {&ws_corr_, &ws_resil_}) {
-          ws->set_prefix_baseline(&ws_orig_);
-          // Same-image packs run the orig pass at batch 1 under a K-row
-          // corr/resil pass; every packed row is the same image, so the
-          // broadcast-replay row-equality contract holds (DESIGN.md §12).
-          ws->set_prefix_broadcast(true);
-          ws->add_prefix_observer(monitor_.get());
-          if (ctx_.protection != nullptr) ws->add_prefix_observer(ctx_.protection);
-        }
-        ctx_.diff_skipped = &h_.metrics_.counter("campaign.diff.layers_skipped");
-        ctx_.diff_hits = &h_.metrics_.counter("campaign.diff.prefix_hits");
-        ctx_.diff_misses = &h_.metrics_.counter("campaign.diff.prefix_misses");
-      }
-    }
+    diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
+    diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
+    diff_misses_ = &h_.metrics_.counter("campaign.diff.prefix_misses");
   }
 
-  /// Global step t = epoch * dataset_size + img runs image `img` under
-  /// fault columns [t*group, (t+1)*group).  The global index keeps
-  /// slice positions and trace labels independent of which shard — or
-  /// which process, for a resumed campaign — executes the step.
+  /// Unit t = epoch * dataset_size + img runs image `img` under the
+  /// fault group address_unit() assigns it.  The global index keeps
+  /// group, slot and trace labels independent of which shard — or which
+  /// process, for a resumed or fleet campaign — executes the unit.
   std::string run_unit(std::size_t t) override {
     const Scenario& scenario = h_.wrapper_.get_scenario();
-    const std::size_t group = scenario.max_faults_per_image;
-    const std::size_t epoch = t / scenario.dataset_size;
-    const std::size_t img = t % scenario.dataset_size;
-    const data::ClassificationSample sample = h_.dataset_.get(img);
+    const UnitAddress addr = address_unit(scenario, t);
+    const data::ClassificationSample sample = h_.dataset_.get(addr.img);
     const Shape& s = sample.image.shape();
     const Tensor input = sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
-    const std::vector<Fault> faults =
-        h_.wrapper_.fault_matrix().slice(t * group, group);
 
-    const std::size_t base_records = ctx_.injector->records().size();
-    const TripleOutputs trip = run_triple(ctx_, input, input, [&] {
-      ctx_.injector->set_inference_index(t);
-      ctx_.injector->arm(faults);
+    Injector& injector = stack_.injector();
+    const std::size_t base_records = injector.records().size();
+    const TripleLogits logits = triple(input, input, /*slots=*/0, [&] {
+      std::vector<Fault> armed;
+      append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addr, 0, 1, armed);
+      injector.set_inference_index(t);
+      injector.arm(std::move(armed));
     });
-    if (arena_gauge_ != nullptr) {
-      // Same planned footprint every unit, so the gauge is deterministic
-      // for any job count (the three passes share one plan size).
-      arena_gauge_->set(static_cast<double>(ws_corr_.high_water_bytes()));
-    }
-
-    EvalSink out;
-    const std::size_t labels[1] = {sample.label};
-    const data::ImageMeta metas[1] = {sample.meta};
-    const std::size_t applied = ctx_.injector->records().size() - base_records;
-    evaluate_window(out, h_.config_.top_k, /*make_rows=*/true, *trip.orig,
-                    *trip.corr, trip.resil, labels, metas, trip.window_due,
-                    epoch, [&](std::size_t) { return faults; },
-                    [&](std::size_t) { return applied; });
-    return serialize_unit(out, ctx_.injector->records(), base_records);
+    return score_unit(h_.config_.top_k, logits, 0, 0, due_[0] != 0, sample,
+                      addr.epoch, group_of(addr),
+                      std::span(injector.records()).subspan(base_records));
   }
 
   /// Packed execution (DESIGN.md §12): the given units run as one
-  /// triple over a [count, C, H, W] tensor, each unit's fault group
+  /// triple over a [count, C, H, W] tensor, each unit's addressed faults
   /// armed on its own batch slot.  The executor strides packs by
   /// dataset_size, so a pack normally holds the SAME image under
   /// different epochs' fault groups — the fault-free pass then runs
   /// batch-1 and is shared by every slot (via the broadcast prefix
-  /// replay when diff is on).  Per-slot outputs are evaluated and
+  /// replay when diff is on).  Per-slot outputs are scored and
   /// serialized exactly as count separate run_unit calls would have —
   /// same rows, same KPIs, same records, same counters.
   std::vector<std::string> run_unit_pack(
@@ -415,137 +223,146 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     if (units.size() == 1) return {run_unit(units[0])};
     const std::size_t count = units.size();
     const Scenario& scenario = h_.wrapper_.get_scenario();
-    const std::size_t group = scenario.max_faults_per_image;
 
+    std::vector<UnitAddress> addrs(count);
+    std::vector<data::ClassificationSample> samples;
+    samples.reserve(count);
     bool same_image = true;
-    for (std::size_t i = 1; i < count; ++i) {
-      if (units[i] % scenario.dataset_size !=
-          units[0] % scenario.dataset_size) {
-        same_image = false;
-        break;
-      }
+    for (std::size_t i = 0; i < count; ++i) {
+      addrs[i] = address_unit(scenario, units[i]);
+      samples.push_back(h_.dataset_.get(addrs[i].img));
+      same_image = same_image && addrs[i].img == addrs[0].img;
     }
 
     // Pack the units' input samples along dim 0.
-    const data::ClassificationSample probe =
-        h_.dataset_.get(units[0] % scenario.dataset_size);
-    const Shape& s = probe.image.shape();
+    const Shape& s = samples[0].image.shape();
     Tensor packed(Shape{count, s[0], s[1], s[2]});
-    const std::size_t per_image = probe.image.numel();
-    std::vector<std::size_t> labels(count);
-    std::vector<data::ImageMeta> metas(count);
+    const std::size_t per_image = samples[0].image.numel();
     for (std::size_t i = 0; i < count; ++i) {
-      const data::ClassificationSample sample =
-          h_.dataset_.get(units[i] % scenario.dataset_size);
-      std::copy(sample.image.raw(), sample.image.raw() + per_image,
+      std::copy(samples[i].image.raw(), samples[i].image.raw() + per_image,
                 packed.raw() + i * per_image);
-      labels[i] = sample.label;
-      metas[i] = sample.meta;
     }
     // A same-image pack computes the fault-free pass once, batch-1.
     const Tensor orig_input =
-        same_image ? probe.image.reshaped(Shape{1, s[0], s[1], s[2]})
+        same_image ? samples[0].image.reshaped(Shape{1, s[0], s[1], s[2]})
                    : Tensor();
 
-    // Arm every slot's group in one set.  Per-unit serial semantics on
-    // a one-image inference: batch <= 0 applies (to slot 0), batch > 0
-    // is out of range and skipped.  The packed equivalents: batch <= 0
-    // arms on the unit's slot; batch > 0 is pushed past the packed
-    // batch (slot count + batch) so the injector's skip accounting
-    // fires exactly as it would serially.
-    const auto arm = [&] {
-      ctx_.injector->set_inference_index(units[0]);
-      std::vector<Fault> armed;
-      armed.reserve(count * group);
-      for (std::size_t i = 0; i < count; ++i) {
-        for (Fault f : h_.wrapper_.fault_matrix().slice(units[i] * group, group)) {
-          if (f.target == FaultTarget::kNeurons) {
-            f.batch = f.batch > 0 ? f.batch + static_cast<std::int64_t>(count)
-                                  : static_cast<std::int64_t>(i);
+    Injector& injector = stack_.injector();
+    const std::size_t base_records = injector.records().size();
+    const TripleLogits logits =
+        triple(same_image ? orig_input : packed, packed, count, [&] {
+          std::vector<Fault> armed;
+          for (std::size_t i = 0; i < count; ++i) {
+            append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addrs[i], i,
+                               count, armed);
           }
-          armed.push_back(f);
-        }
-      }
-      ctx_.injector->arm(std::move(armed));
-    };
-
-    std::vector<std::uint8_t> slot_due;
-    ctx_.slot_count = count;
-    ctx_.slot_due_out = &slot_due;
-    const std::size_t base_records = ctx_.injector->records().size();
-    const TripleOutputs trip =
-        run_triple(ctx_, same_image ? orig_input : packed, packed, arm);
-    ctx_.slot_due_out = nullptr;
-    ctx_.slot_count = 0;
-    ctx_.monitor->set_slot_count(0);
-    if (arena_gauge_ != nullptr) {
-      arena_gauge_->set(static_cast<double>(ws_corr_.high_water_bytes()));
-    }
-
-    // A shared fault-free pass produced one logit row; evaluate_window
-    // reads the slot's row, so replicate it count ways (identical to
-    // what count serial fault-free passes would each have produced).
-    Tensor orig_rep;
-    const Tensor* orig_logits = trip.orig;
-    if (same_image) {
-      const std::size_t k = trip.orig->dim(1);
-      orig_rep = Tensor(Shape{count, k});
-      for (std::size_t i = 0; i < count; ++i) {
-        std::copy(trip.orig->raw(), trip.orig->raw() + k,
-                  orig_rep.raw() + i * k);
-      }
-      orig_logits = &orig_rep;
-    }
-
-    // Rewrite the packed pass's records into per-unit serial form: the
-    // recorded batch slot identifies the owning unit; a serial unit
-    // records batch 0 and its own inference index.  Bucketing by slot
-    // preserves the within-pass firing order, which equals each serial
-    // unit's record order (layers fire in the same order either way).
-    std::vector<InjectionRecord>& recs = ctx_.injector->records_mutable();
-    std::vector<std::vector<InjectionRecord>> per_unit_records(count);
-    for (std::size_t r = base_records; r < recs.size(); ++r) {
-      InjectionRecord record = recs[r];
-      const std::size_t slot = static_cast<std::size_t>(record.fault.batch);
-      record.fault.batch = 0;
-      record.inference_index = units[slot];
-      per_unit_records[slot].push_back(record);
-      recs[r] = record;
-    }
+          injector.set_inference_index(units[0]);
+          injector.arm(std::move(armed));
+        });
+    const std::vector<std::vector<InjectionRecord>> records =
+        injector.split_records_by_slot(base_records, units);
 
     std::vector<std::string> payloads;
     payloads.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t t = units[i];
-      const std::vector<Fault> faults =
-          h_.wrapper_.fault_matrix().slice(t * group, group);
-      EvalSink out;
-      const std::span<const std::size_t> label_span{labels.data() + i, 1};
-      const std::span<const data::ImageMeta> meta_span{metas.data() + i, 1};
-      evaluate_window(out, h_.config_.top_k, /*make_rows=*/true, *orig_logits,
-                      *trip.corr, trip.resil, label_span, meta_span,
-                      slot_due[i] != 0, t / scenario.dataset_size,
-                      [&](std::size_t) { return faults; },
-                      [&](std::size_t) { return per_unit_records[i].size(); },
-                      /*first_row=*/i);
-      payloads.push_back(serialize_unit(out, per_unit_records[i], 0));
+      payloads.push_back(score_unit(h_.config_.top_k, logits, same_image ? 0 : i, i,
+                                    due_[i] != 0, samples[i], addrs[i].epoch,
+                                    group_of(addrs[i]), records[i]));
     }
     return payloads;
   }
 
  private:
+  std::vector<Fault> group_of(const UnitAddress& addr) const {
+    return h_.wrapper_.fault_matrix().slice(
+        addr.group_start, h_.wrapper_.get_scenario().max_faults_per_image);
+  }
+
+  /// Runs the coupled triple: the fault-free pass on `orig_images`, then
+  /// the corrupted and hardened passes on `faulty_images` under the
+  /// fault set `arm` installs.  A same-image pack passes its batch-1
+  /// image as `orig_images` under the `slots`-row packed input, so one
+  /// shared fault-free pass serves every slot (the broadcast prefix
+  /// replay, DESIGN.md §12); everywhere else the two are the same
+  /// tensor.  due_[s] holds slot s's DUE verdict (slots == 0: the whole
+  /// single-image pass's, in due_[0]), read right after the corrupted
+  /// pass, before the hardened pass can add detections of its own.
+  TripleLogits triple(const Tensor& orig_images, const Tensor& faulty_images,
+                      std::size_t slots, const std::function<void()>& arm) {
+    Injector& injector = stack_.injector();
+    ModelMonitor& monitor = stack_.monitor();
+    Protection* protection = stack_.protection();
+    TripleLogits out;
+    injector.disarm();
+    if (protection != nullptr) protection->set_enabled(false);
+    // The fault-free pass observes whole-tensor — a same-image pack runs
+    // it batch-1; per-slot monitoring only matters for the armed passes.
+    monitor.set_slot_count(0);
+    if (h_.config_.workspace) {
+      out.orig = &ws_orig_.run(model_, orig_images);
+    } else {
+      orig_hold_ = model_.forward(orig_images);
+      out.orig = &orig_hold_;
+    }
+
+    arm();
+    monitor.set_slot_count(slots);
+    monitor.reset();
+    // The armed set is fixed for both remaining passes, so one boundary
+    // serves corr and resil alike; 0 (diff off or nothing replayable)
+    // makes forward_from a plain full recompute.
+    const std::size_t boundary =
+        diff_ ? diff_prefix_boundary(injector, ws_orig_) : 0;
+    out.corr = armed_pass(faulty_images, boundary, ws_corr_, corr_hold_);
+    due_.assign(std::max<std::size_t>(slots, 1), 0);
+    for (std::size_t s = 0; s < due_.size(); ++s) {
+      due_[s] = (slots == 0 ? monitor.due_detected() : monitor.slot_due(s)) ? 1 : 0;
+    }
+    if (protection != nullptr) {
+      protection->set_enabled(true);
+      out.resil = armed_pass(faulty_images, boundary, ws_resil_, resil_hold_);
+      protection->set_enabled(false);
+    }
+    injector.disarm();
+    monitor.set_slot_count(0);
+    if (arena_gauge_ != nullptr) {
+      // Same planned footprint every unit, so the gauge is deterministic
+      // for any job count (the three passes share one plan size).
+      arena_gauge_->set(static_cast<double>(ws_corr_.high_water_bytes()));
+    }
+    return out;
+  }
+
+  /// One armed pass: through `ws`, replaying the fault-free prefix up to
+  /// `boundary`, or (workspace off) the allocating forward into `hold`.
+  const Tensor* armed_pass(const Tensor& images, std::size_t boundary,
+                           nn::InferenceWorkspace& ws, Tensor& hold) {
+    if (!h_.config_.workspace) {
+      hold = model_.forward(images);
+      return &hold;
+    }
+    const Tensor* out = &model_.forward_from(boundary, images, ws);
+    if (diff_) {
+      const std::size_t reused = ws.prefix_reused_last_run();
+      diff_skipped_->add(reused);
+      (reused > 0 ? diff_hits_ : diff_misses_)->add();
+    }
+    return out;
+  }
+
   TestErrorModelsImgClass& h_;
   std::shared_ptr<nn::Module> replica_;  // null when sharing the original
-  std::unique_ptr<ModelProfile> profile_;
-  // Declared before injector_: the injector's destructor restores
-  // corrupted weights through the store.
-  std::unique_ptr<nn::StoredWeightStore> replica_store_;
-  std::unique_ptr<Injector> injector_;
-  std::unique_ptr<ModelMonitor> monitor_;
-  std::unique_ptr<Protection> protection_;
+  nn::Module& model_;
+  UnitInjectionStack stack_;
+  // One workspace per pass so the three output tensors coexist.
   nn::InferenceWorkspace ws_orig_, ws_corr_, ws_resil_;
+  Tensor orig_hold_, corr_hold_, resil_hold_;  // allocating-path storage
+  std::vector<std::uint8_t> due_;
   util::Gauge* arena_gauge_ = nullptr;
-  ExecContext ctx_;
+  bool diff_ = false;
+  util::Counter* diff_skipped_ = nullptr;  // campaign.diff.layers_skipped
+  util::Counter* diff_hits_ = nullptr;     // passes that replayed >= 1 leaf
+  util::Counter* diff_misses_ = nullptr;   // passes that fully recomputed
 };
 
 TestErrorModelsImgClass::TestErrorModelsImgClass(
@@ -590,20 +407,7 @@ void TestErrorModelsImgClass::prepare() {
   const Scenario& scenario = wrapper_.get_scenario();
   const bool write_outputs = !config_.output_dir.empty();
 
-  // Inference configuration (DESIGN.md §13): resolve the backend — an
-  // unavailable explicit choice fails here, loudly — and install the
-  // weight representation before calibration so the hardened bounds are
-  // profiled on the model the campaign actually runs.
-  tensor::Backend& backend = tensor::resolve_backend(scenario.backend);
-  tensor::set_active_backend(backend);
-  resolved_backend_ = backend.name();
-  if (nn::is_stored_type(scenario.numeric_type)) {
-    if (!store_) store_.emplace(model_, scenario.numeric_type);
-  } else if (scenario.numeric_type != nn::NumericType::kFloat32) {
-    nn::quantize_parameters(model_, scenario.numeric_type);
-  }
-  wrapper_.injector().set_numeric_type(scenario.numeric_type);
-  wrapper_.injector().set_stored_weights(store_ ? &*store_ : nullptr);
+  resolved_backend_ = prepare_inference(wrapper_, store_);
 
   kpis_ = {};
   kpis_.has_resil = config_.mitigation.has_value();
@@ -624,13 +428,6 @@ void TestErrorModelsImgClass::prepare() {
   for (std::size_t k = 1; k <= config_.top_k; ++k) {
     ff_header_.push_back(strformat("top%zu_class", k));
     ff_header_.push_back(strformat("top%zu_prob", k));
-  }
-
-  if (scenario.inj_policy == InjectionPolicy::kPerImage) {
-    ALFI_CHECK(wrapper_.fault_matrix().size() >=
-                   unit_count() * scenario.max_faults_per_image,
-               "fault matrix smaller than the campaign needs: increase "
-               "dataset_size/num_runs or load a larger fault file");
   }
 
   if (write_outputs) {
@@ -674,10 +471,7 @@ std::unique_ptr<CampaignUnitRunner> TestErrorModelsImgClass::make_unit_runner(
 }
 
 std::size_t TestErrorModelsImgClass::max_unit_pack() const {
-  for (const Fault& fault : wrapper_.fault_matrix().faults()) {
-    if (fault.target == FaultTarget::kWeights) return 1;
-  }
-  return std::numeric_limits<std::size_t>::max();
+  return unit_pack_limit(wrapper_.fault_matrix());
 }
 
 std::size_t TestErrorModelsImgClass::unit_pack_stride() const {
@@ -686,34 +480,8 @@ std::size_t TestErrorModelsImgClass::unit_pack_stride() const {
 }
 
 std::vector<SteeringCellKey> TestErrorModelsImgClass::steering_cells() const {
-  const Scenario& scenario = wrapper_.get_scenario();
-  if (scenario.inj_policy != InjectionPolicy::kPerImage) return {};
-  const std::size_t units = unit_count();
-  const std::size_t group = scenario.max_faults_per_image;
-  const auto& matrix = wrapper_.fault_matrix();
-  if (matrix.size() < units * group) return {};
-
-  const ModelProfile& profile = wrapper_.profile();
-  std::vector<SteeringCellKey> cells(units);
-  for (std::size_t t = 0; t < units; ++t) {
-    // A unit is attributed to its group's FIRST fault — exact for
-    // max_faults_per_image == 1 (the steering-relevant configuration),
-    // a first-fault approximation for larger groups.
-    const Fault& fault = matrix.faults()[t * group];
-    SteeringCellKey& key = cells[t];
-    key.layer = fault.layer;
-    key.value_type = fault.value_type;
-    key.bit_pos = fault.value_type == ValueType::kBitFlip ||
-                          fault.value_type == ValueType::kStuckAt0 ||
-                          fault.value_type == ValueType::kStuckAt1
-                      ? fault.bit_pos
-                      : -1;
-    if (fault.layer >= 0 &&
-        static_cast<std::size_t>(fault.layer) < profile.layer_count()) {
-      key.role = nn::layer_kind_name(profile.layer(fault.layer).kind);
-    }
-  }
-  return cells;
+  return unit_steering_cells(wrapper_.get_scenario(), wrapper_.fault_matrix(),
+                             wrapper_.profile(), unit_count());
 }
 
 SteeringUnitOutcome TestErrorModelsImgClass::classify_unit(
@@ -732,8 +500,9 @@ SteeringUnitOutcome TestErrorModelsImgClass::classify_unit(
   SteeringUnitOutcome outcome;
   outcome.sdc = sde > 0;
   outcome.due = due > 0;
-  // No injection record means the armed fault never landed (skipped
-  // batch-slot backstop); the unit carries no vulnerability evidence.
+  // No injection record means no fault landed on this image (a skipped
+  // batch slot, or a per_batch group addressed to another image of the
+  // batch); the unit carries no vulnerability evidence.
   outcome.skipped = record_count == 0;
   return outcome;
 }
@@ -772,197 +541,10 @@ void TestErrorModelsImgClass::finalize() {
 }
 
 ImgClassCampaignResult TestErrorModelsImgClass::run() {
-  const Scenario& scenario = wrapper_.get_scenario();
-  const Stopwatch run_watch;
-
-  if (config_.fleet.enabled()) {
-    if (scenario.inj_policy != InjectionPolicy::kPerImage) {
-      throw ConfigError(
-          "fleet execution requires inj_policy per_image for classification "
-          "(batched policies are not unit-addressable)");
-    }
-    if (config_.fleet.worker_mode()) {
-      // A worker only streams unit frames; the coordinator writes every
-      // campaign output exactly once.
-      if (!config_.output_dir.empty()) {
-        ALFI_LOG(kInfo) << "fleet worker: ignoring output dir (the "
-                           "coordinator writes all outputs)";
-        config_.output_dir.clear();
-      }
-      const auto [host, port] = parse_host_port(config_.fleet.connect);
-      FleetWorker worker(*this, host, port, /*prepared=*/false);
-      const FleetWorkerStats stats = worker.run();
-      ALFI_LOG(kInfo) << "fleet worker done: " << stats.units_computed
-                      << " units over " << stats.leases_served << " leases"
-                      << (stats.drained ? " (drained)" : "");
-    } else {
-      FleetCoordinator coordinator(*this, &metrics_);
-      coordinator.execute();
-    }
-    finish_metrics(run_watch.elapsed_seconds());
-    return result_;
-  }
-
-  if (scenario.inj_policy == InjectionPolicy::kPerImage) {
-    CampaignExecutor executor(*this, &metrics_);
-    executor.execute();
-    finish_metrics(run_watch.elapsed_seconds());
-    return result_;
-  }
-
-  // Batched windows: one fault group per batch (per_batch) or per epoch
-  // (per_epoch).  These policies couple consecutive windows to one
-  // armed group, so they run serially and are not unit-addressable —
-  // which also rules out checkpointing.
-  if (!config_.checkpoint_dir.empty()) {
-    throw ConfigError(
-        "campaign checkpointing requires inj_policy per_image for "
-        "classification (batched policies are not unit-addressable)");
-  }
-  if (config_.steering.enabled()) {
-    throw ConfigError(
-        "campaign steering (--budget/--steer/--vuln-map) requires inj_policy "
-        "per_image for classification (batched policies are not "
-        "unit-addressable)");
-  }
-  if (config_.jobs != 1) {
-    ALFI_LOG(kInfo) << "inj_policy " << to_string(scenario.inj_policy)
-                    << " runs serially; --jobs applies to per_image only";
-  }
-  prepare();
-  run_batched();
-  finalize();
-  finish_metrics(run_watch.elapsed_seconds());
-  return result_;
-}
-
-void TestErrorModelsImgClass::finish_metrics(double wall_seconds) {
+  run_campaign_task(*this, config_, metrics_, resolved_backend_);
   result_.skipped_injections =
       metrics_.counter("injections.skipped_batch_slot").value();
-  if (config_.metrics_path.empty()) return;
-  io::MetricsFileInfo info;
-  info.task_kind = task_kind();
-  info.jobs = config_.jobs;
-  info.wall_seconds = wall_seconds;
-  info.backend = resolved_backend_;
-  info.numeric_type = nn::to_string(wrapper_.get_scenario().numeric_type);
-  io::write_metrics_file(config_.metrics_path, metrics_, info);
-}
-
-void TestErrorModelsImgClass::run_batched() {
-  const Scenario& scenario = wrapper_.get_scenario();
-  const bool write_outputs = !config_.output_dir.empty();
-  const std::size_t group = scenario.max_faults_per_image;
-  data::ClassificationLoader loader(dataset_, scenario.batch_size);
-
-  EvalSink out;
-  ModelMonitor monitor(model_);
-  monitor.set_metrics(&metrics_);
-  wrapper_.injector().set_metrics(&metrics_);
-  // The batched policies are not unit-addressable, so one armed window
-  // is the closest analogue of an executor unit.
-  util::Counter& units_total = metrics_.counter("units.total");
-  util::Counter& units_computed = metrics_.counter("units.computed");
-  util::Histogram& unit_ms = metrics_.histogram("campaign.unit_ms");
-  std::unique_ptr<Protection> protection;
-  if (config_.mitigation) {
-    protection = std::make_unique<Protection>(model_, bounds_, *config_.mitigation);
-    protection->set_enabled(false);
-  }
-  ExecContext ctx{&model_, &wrapper_.injector(), &monitor, protection.get()};
-  // A short final batch changes the input shape, which replans the
-  // workspaces for that window and again on the next epoch's first
-  // full batch — correct either way, just two extra plan passes.
-  nn::InferenceWorkspace ws_orig, ws_corr, ws_resil;
-  if (config_.workspace) {
-    ctx.ws_orig = &ws_orig;
-    ctx.ws_corr = &ws_corr;
-    ctx.ws_resil = &ws_resil;
-    if (config_.diff) {
-      ctx.diff = true;
-      for (nn::InferenceWorkspace* ws : {&ws_corr, &ws_resil}) {
-        ws->set_prefix_baseline(&ws_orig);
-        ws->add_prefix_observer(&monitor);
-        if (protection != nullptr) ws->add_prefix_observer(protection.get());
-      }
-      ctx.diff_skipped = &metrics_.counter("campaign.diff.layers_skipped");
-      ctx.diff_hits = &metrics_.counter("campaign.diff.prefix_hits");
-      ctx.diff_misses = &metrics_.counter("campaign.diff.prefix_misses");
-    }
-  }
-  const std::size_t base_records = wrapper_.injector().records().size();
-  FaultModelIterator iterator = wrapper_.get_fimodel_iter();
-
-  for (std::size_t epoch = 0; epoch < scenario.num_runs; ++epoch) {
-    std::size_t epoch_group_start = 0;
-    if (scenario.inj_policy == InjectionPolicy::kPerEpoch) {
-      iterator.next();  // consume the epoch's group
-      epoch_group_start = iterator.position() - group;
-      wrapper_.injector().disarm();
-    }
-
-    std::size_t images_done = 0;
-    for (std::size_t b = 0; images_done < scenario.dataset_size; ++b) {
-      const data::ClassificationBatch batch = loader.batch(b);
-      const std::size_t use =
-          std::min(batch.size(), scenario.dataset_size - images_done);
-
-      std::size_t group_start = epoch_group_start;
-      const Stopwatch window_watch;
-      const std::size_t window_base = wrapper_.injector().records().size();
-      const TripleOutputs trip = run_triple(ctx, batch.images, batch.images, [&] {
-        if (scenario.inj_policy == InjectionPolicy::kPerBatch) {
-          // Arm against the window's actual occupancy: a fault drawn
-          // for a slot past the scored images of a short final batch is
-          // remapped (slot % use) instead of silently skipped, so every
-          // drawn fault lands on a scored image.
-          iterator.next_for_window(use);
-          group_start = iterator.position() - group;
-        } else {
-          wrapper_.injector().arm(
-              wrapper_.fault_matrix().slice(epoch_group_start, group));
-        }
-      });
-      evaluate_window(out, config_.top_k, write_outputs, *trip.orig, *trip.corr,
-                      trip.resil,
-                      std::span<const std::size_t>(batch.labels.data(), use),
-                      std::span<const data::ImageMeta>(batch.metas.data(), use),
-                      trip.window_due, epoch,
-                      [&](std::size_t) {
-                        return wrapper_.fault_matrix().slice(group_start, group);
-                      },
-                      [&](std::size_t i) {
-                        // A window shares one armed group; attribute each
-                        // record to the slot it landed on (weight faults and
-                        // batch-agnostic faults corrupt every slot).
-                        const auto& recs = wrapper_.injector().records();
-                        std::size_t applied = 0;
-                        for (std::size_t ri = window_base; ri < recs.size(); ++ri) {
-                          const Fault& f = recs[ri].fault;
-                          if (f.target == FaultTarget::kWeights || f.batch < 0 ||
-                              f.batch == static_cast<std::int64_t>(i)) {
-                            ++applied;
-                          }
-                        }
-                        return applied;
-                      });
-      unit_ms.record(window_watch.elapsed_ms());
-      units_total.add();
-      units_computed.add();
-      images_done += use;
-    }
-    wrapper_.injector().disarm();
-  }
-  if (config_.workspace) {
-    metrics_.gauge("campaign.arena_high_water_bytes")
-        .set(static_cast<double>(ws_corr.high_water_bytes()));
-  }
-  const auto& recs = wrapper_.injector().records();
-  trace_.assign(recs.begin() + base_records, recs.end());
-
-  kpis_.merge(out.kpis);
-  result_rows_ = std::move(out.result_rows);
-  fault_free_rows_ = std::move(out.fault_free_rows);
+  return result_;
 }
 
 }  // namespace alfi::core

@@ -17,12 +17,13 @@
 // analyzed "at a granular level of a single fault location and input
 // data point" (paper §I).
 //
-// The per_image policy runs through core::CampaignExecutor as a
-// CampaignTask: the executor owns sharding, journaling and
-// checkpoint/resume; this class contributes the unit computation
-// (one image under one fault group) and the ordered merge.  Batched
-// policies (per_batch / per_epoch) couple consecutive windows to one
-// armed group and keep the legacy serial loop (no checkpointing).
+// Every injection policy runs through core::CampaignExecutor (or the
+// fleet) as a CampaignTask: the executor owns sharding, journaling,
+// checkpoint/resume and steering; this class contributes the unit
+// computation and the ordered merge.  A unit is one image under the
+// fault group address_unit() assigns it — its own group (per_image),
+// its batch's (per_batch) or its epoch's (per_epoch) — and its DUE
+// verdict comes from that image's own monitor.
 #pragma once
 
 #include <optional>
@@ -49,11 +50,11 @@ struct ImgClassCampaignConfig : CampaignConfigBase {
 
 struct ImgClassCampaignResult {
   ClassificationKpis kpis;
-  /// Injector-level skip backstop (Injector::skipped_injection_count()).
+  /// Injector-level skip backstop (injections.skipped_batch_slot).
   /// Campaign-generated per-batch faults are remapped onto the actual
-  /// window occupancy before arming (slot % occupancy), so this stays 0
+  /// batch occupancy before arming (slot % occupancy), so this stays 0
   /// for generated matrices; loaded fault files hand-crafted with
-  /// out-of-range slots on per_image campaigns still surface here.
+  /// slots > 0 on per_image campaigns still surface here.
   std::size_t skipped_injections = 0;
   std::string results_csv;     // per-image faulty-run results ("" if not written)
   std::string fault_free_csv;  // fault-free outputs
@@ -96,8 +97,8 @@ class TestErrorModelsImgClass final : public CampaignTask {
   /// holds the SAME image under different epochs' fault groups, so the
   /// runner computes the fault-free pass once per pack (DESIGN.md §12).
   std::size_t unit_pack_stride() const override;
-  /// Unit t's (layer, bit, fault-type) stratum, from its group's first
-  /// fault; empty (unsteerable) for batched injection policies.
+  /// Unit t's (layer, bit, fault-type) stratum, from its addressed
+  /// group's first fault (unit_steering_cells).
   std::vector<SteeringCellKey> steering_cells() const override;
   /// SDC/DUE/skip verdict straight from the unit payload's KPI counters
   /// and record count.
@@ -108,9 +109,6 @@ class TestErrorModelsImgClass final : public CampaignTask {
 
  private:
   friend class ImgClassUnitRunner;
-
-  void run_batched();
-  void finish_metrics(double wall_seconds);
 
   nn::Module& model_;
   const data::ClassificationDataset& dataset_;
@@ -123,9 +121,8 @@ class TestErrorModelsImgClass final : public CampaignTask {
   // Campaign state between prepare() and finalize().
   RangeMap bounds_;  ///< mitigation calibration, shared by all workers
   /// Stored-weight representation of the primary model (stored numeric
-  /// types only).  Built once — rebuilding from the already-dequantized
-  /// values on an idempotent re-prepare could round scales differently.
-  /// Replica runners copy it bit-exact (StoredWeightStore replica ctor).
+  /// types only; prepare_inference builds it once).  Replica runners
+  /// copy it bit-exact (StoredWeightStore replica ctor).
   std::optional<nn::StoredWeightStore> store_;
   std::string resolved_backend_;  ///< registry name of what actually ran
   std::vector<std::string> header_;

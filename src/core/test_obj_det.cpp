@@ -2,16 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <limits>
 
-#include "core/campaign.h"
-#include "core/fleet.h"
-#include "io/metrics_json.h"
 #include "nn/workspace.h"
-#include "tensor/backend.h"
 #include "util/hash.h"
-#include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace alfi::core {
 
@@ -71,80 +64,6 @@ std::vector<models::Detection> read_detections(io::ByteReader& r) {
   return dets;
 }
 
-/// Geometry of one work unit: which fault group it arms and which batch
-/// slot neuron faults are remapped from.  Closed-form in t so the same
-/// unit arms the same faults on any worker, job count or resumed run.
-struct UnitAddress {
-  std::size_t epoch = 0;
-  std::size_t img = 0;
-  std::size_t group_start = 0;
-  std::size_t slot = 0;  ///< batch slot for per_batch remapping, else 0
-  /// Images the unit's conceptual batch actually scores: batch_size for
-  /// full batches, fewer for the short final batch of a non-divisible
-  /// dataset.  Fault slots are taken modulo this, so a per-batch fault
-  /// drawn past the short batch still lands on a scored image instead
-  /// of being silently dropped (seed-stable: the drawn matrix is
-  /// untouched, only the slot comparison re-maps).
-  std::size_t occupancy = 1;
-};
-
-UnitAddress address_unit(const Scenario& scenario, std::size_t t) {
-  UnitAddress addr;
-  addr.epoch = t / scenario.dataset_size;
-  addr.img = t % scenario.dataset_size;
-  std::size_t group_number = 0;
-  switch (scenario.inj_policy) {
-    case InjectionPolicy::kPerImage:
-      group_number = t;
-      break;
-    case InjectionPolicy::kPerBatch: {
-      const std::size_t batches_per_epoch =
-          (scenario.dataset_size + scenario.batch_size - 1) / scenario.batch_size;
-      group_number =
-          addr.epoch * batches_per_epoch + addr.img / scenario.batch_size;
-      addr.slot = addr.img % scenario.batch_size;
-      const std::size_t batch_first = addr.img - addr.slot;
-      addr.occupancy =
-          std::min(scenario.batch_size, scenario.dataset_size - batch_first);
-      break;
-    }
-    case InjectionPolicy::kPerEpoch:
-      group_number = addr.epoch;
-      break;
-  }
-  addr.group_start = group_number * scenario.max_faults_per_image;
-  return addr;
-}
-
-/// True when the unit's addressed neuron fault applies to its image:
-/// every slot for batch < 0; for per_batch the drawn slot remapped onto
-/// the batch's occupancy must equal the unit's slot; other policies
-/// match the slot exactly (generated faults always draw slot 0 there).
-bool fault_addresses_unit(const Scenario& scenario, const Fault& fault,
-                          const UnitAddress& addr) {
-  if (fault.batch < 0) return true;
-  if (scenario.inj_policy == InjectionPolicy::kPerBatch) {
-    return fault.batch % static_cast<std::int64_t>(addr.occupancy) ==
-           static_cast<std::int64_t>(addr.slot);
-  }
-  return fault.batch == static_cast<std::int64_t>(addr.slot);
-}
-
-/// Fault groups the campaign consumes (the highest group number + 1).
-std::size_t groups_needed(const Scenario& scenario) {
-  switch (scenario.inj_policy) {
-    case InjectionPolicy::kPerImage:
-      return scenario.num_runs * scenario.dataset_size;
-    case InjectionPolicy::kPerBatch:
-      return scenario.num_runs *
-             ((scenario.dataset_size + scenario.batch_size - 1) /
-              scenario.batch_size);
-    case InjectionPolicy::kPerEpoch:
-      return scenario.num_runs;
-  }
-  return 0;
-}
-
 }  // namespace
 
 /// Per-worker unit engine for the detection campaign.  A shared runner
@@ -154,55 +73,32 @@ std::size_t groups_needed(const Scenario& scenario) {
 class ObjDetUnitRunner final : public CampaignUnitRunner {
  public:
   ObjDetUnitRunner(TestErrorModelsObjDet& harness, bool shared_model)
-      : h_(harness) {
-    const Scenario& scenario = h_.wrapper_.get_scenario();
-    if (shared_model) {
-      detector_ = &h_.detector_;
-      injector_ptr_ = &h_.wrapper_.injector();
-    } else {
-      replica_ = h_.detector_.clone();
-      profile_ = std::make_unique<ModelProfile>(replica_->network(),
-                                                probe_input(h_.dataset_));
-      if (h_.store_) {
-        // Bit-exact copy of the primary stored representation, rebound
-        // onto the replica's parameters (never rebuilt from the
-        // dequantized values — scales could round differently).
-        replica_store_ = std::make_unique<nn::StoredWeightStore>(
-            replica_->network(), *h_.store_);
-      }
-      injector_ = std::make_unique<Injector>(replica_->network(), *profile_,
-                                             scenario.duration);
-      injector_->set_numeric_type(scenario.numeric_type);
-      injector_->set_stored_weights(replica_store_.get());
-      detector_ = replica_.get();
-      injector_ptr_ = injector_.get();
-    }
-    injector_ptr_->set_metrics(&h_.metrics_);
-    monitor_ = std::make_unique<ModelMonitor>(detector_->network());
-    monitor_->set_metrics(&h_.metrics_);
-    if (h_.config_.mitigation) {
-      protection_ = std::make_unique<Protection>(detector_->network(), h_.bounds_,
-                                                 *h_.config_.mitigation);
-      protection_->set_enabled(false);
-    }
-    if (h_.config_.workspace) {
-      // One workspace suffices: detect() decodes each pass's output into
-      // Detection vectors before the next pass overwrites the slots.
-      detector_->set_workspace(&ws_);
-      arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
-      if (h_.config_.diff) {
-        // Self-baseline: a differential pass only overwrites suffix
-        // slots, so prefix slots keep their fault-free values from this
-        // unit's pass 1 — valid to replay for passes 2 and 3.
-        diff_ = true;
-        ws_.set_prefix_baseline(&ws_);
-        ws_.add_prefix_observer(monitor_.get());
-        if (protection_) ws_.add_prefix_observer(protection_.get());
-        diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
-        diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
-        diff_misses_ = &h_.metrics_.counter("campaign.diff.prefix_misses");
-      }
-    }
+      : h_(harness),
+        replica_(shared_model ? nullptr : harness.detector_.clone()),
+        detector_(replica_ ? replica_.get() : &harness.detector_),
+        stack_(harness.wrapper_, replica_ ? &replica_->network() : nullptr,
+               probe_input(harness.dataset_),
+               harness.store_ ? &*harness.store_ : nullptr, harness.bounds_,
+               harness.config_.mitigation, harness.metrics_),
+        injector_(stack_.injector()),
+        monitor_(stack_.monitor()),
+        protection_(stack_.protection()) {
+    if (!h_.config_.workspace) return;
+    // One workspace suffices: detect() decodes each pass's output into
+    // Detection vectors before the next pass overwrites the slots.
+    detector_->set_workspace(&ws_);
+    arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
+    if (!h_.config_.diff) return;
+    // Self-baseline: a differential pass only overwrites suffix slots,
+    // so prefix slots keep their fault-free values from this unit's
+    // pass 1 — valid to replay for passes 2 and 3.
+    diff_ = true;
+    ws_.set_prefix_baseline(&ws_);
+    ws_.add_prefix_observer(&monitor_);
+    if (protection_ != nullptr) ws_.add_prefix_observer(protection_);
+    diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
+    diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
+    diff_misses_ = &h_.metrics_.counter("campaign.diff.prefix_misses");
   }
 
   ~ObjDetUnitRunner() override { detector_->set_workspace(nullptr); }
@@ -210,48 +106,35 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
   std::string run_unit(std::size_t t) override {
     const Scenario& scenario = h_.wrapper_.get_scenario();
     const UnitAddress addr = address_unit(scenario, t);
-    const std::size_t group = scenario.max_faults_per_image;
-
     const data::DetectionSample sample = h_.dataset_.get(addr.img);
     const Shape& s = sample.image.shape();
     const Tensor input = sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
 
-    // Arms the unit's fault group, remapping each neuron fault's batch
-    // slot onto this single-image inference (weight faults apply
-    // regardless of slot).  fault_addresses_unit takes the drawn slot
-    // modulo the batch's occupancy, so a per-batch fault drawn past a
-    // short final batch arms on a scored image instead of vanishing.
+    // Arms the unit's addressed faults on this single-image inference
+    // (append_unit_faults: weight faults regardless of slot, a per-batch
+    // fault drawn past a short final batch remapped onto a scored image).
     const auto arm = [&] {
       std::vector<Fault> armed;
-      for (const Fault& f :
-           h_.wrapper_.fault_matrix().slice(addr.group_start, group)) {
-        if (f.target == FaultTarget::kWeights) {
-          armed.push_back(f);
-        } else if (fault_addresses_unit(scenario, f, addr)) {
-          Fault remapped = f;
-          remapped.batch = 0;
-          armed.push_back(remapped);
-        }
-      }
-      injector_ptr_->set_inference_index(t);
-      injector_ptr_->arm(std::move(armed));
+      append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addr, 0, 1, armed);
+      injector_.set_inference_index(t);
+      injector_.arm(std::move(armed));
     };
 
-    const std::size_t base_records = injector_ptr_->records().size();
+    const std::size_t base_records = injector_.records().size();
 
     // ---- pass 1: fault-free -------------------------------------------------
-    injector_ptr_->disarm();
+    injector_.disarm();
     if (protection_) protection_->set_enabled(false);
     auto orig = detector_->detect(input, h_.config_.conf_threshold);
 
     // ---- pass 2: faulty -----------------------------------------------------
     arm();
-    monitor_->reset();
+    monitor_.reset();
     // Both remaining passes arm the identical fault group, so one
     // boundary serves pass 2 and pass 3 — which also guarantees pass 3
     // never replays a slot pass 2 overwrote.
     std::size_t boundary = 0;
-    if (diff_) boundary = diff_prefix_boundary(*injector_ptr_, ws_);
+    if (diff_) boundary = diff_prefix_boundary(injector_, ws_);
     const auto note_diff = [this] {
       if (!diff_) return;
       const std::size_t reused = ws_.prefix_reused_last_run();
@@ -261,12 +144,12 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     ws_.set_prefix_boundary(boundary);
     auto corr = detector_->detect(input, h_.config_.conf_threshold);
     note_diff();
-    const bool due = monitor_->due_detected();
+    const bool due = monitor_.due_detected();
 
     // ---- pass 3: hardened ---------------------------------------------------
     std::vector<models::Detection> resil;
     if (protection_) {
-      injector_ptr_->disarm();
+      injector_.disarm();
       arm();
       protection_->set_enabled(true);
       ws_.set_prefix_boundary(boundary);
@@ -275,7 +158,7 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
       protection_->set_enabled(false);
       resil = std::move(resil_batched[0]);
     }
-    injector_ptr_->disarm();
+    injector_.disarm();
     if (arena_gauge_ != nullptr) {
       arena_gauge_->set(static_cast<double>(ws_.high_water_bytes()));
     }
@@ -299,7 +182,7 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
       w.write_u8(protection_ ? 1 : 0);
       if (protection_) write_detections(w, resil);
     }
-    const auto& recs = injector_ptr_->records();
+    const auto& recs = injector_.records();
     w.write_u64(recs.size() - base_records);
     for (std::size_t i = base_records; i < recs.size(); ++i) {
       write_record_bytes(w, recs[i]);
@@ -317,7 +200,6 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     if (units.size() == 1) return {run_unit(units[0])};
     const std::size_t count = units.size();
     const Scenario& scenario = h_.wrapper_.get_scenario();
-    const std::size_t group = scenario.max_faults_per_image;
 
     std::vector<UnitAddress> addrs(count);
     std::vector<data::DetectionSample> samples;
@@ -338,34 +220,28 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     // guarantees no weight faults reach a packed pass (weights are
     // shared across slots).
     const auto arm = [&] {
-      injector_ptr_->set_inference_index(units[0]);
+      injector_.set_inference_index(units[0]);
       std::vector<Fault> armed;
       for (std::size_t i = 0; i < count; ++i) {
-        for (const Fault& f :
-             h_.wrapper_.fault_matrix().slice(addrs[i].group_start, group)) {
-          if (fault_addresses_unit(scenario, f, addrs[i])) {
-            Fault remapped = f;
-            remapped.batch = static_cast<std::int64_t>(i);
-            armed.push_back(remapped);
-          }
-        }
+        append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addrs[i], i, count,
+                           armed);
       }
-      injector_ptr_->arm(std::move(armed));
+      injector_.arm(std::move(armed));
     };
 
-    const std::size_t base_records = injector_ptr_->records().size();
-    monitor_->set_slot_count(count);
+    const std::size_t base_records = injector_.records().size();
+    monitor_.set_slot_count(count);
 
     // ---- pass 1: fault-free -------------------------------------------------
-    injector_ptr_->disarm();
+    injector_.disarm();
     if (protection_) protection_->set_enabled(false);
     auto orig = detector_->detect(packed, h_.config_.conf_threshold);
 
     // ---- pass 2: faulty -----------------------------------------------------
     arm();
-    monitor_->reset();
+    monitor_.reset();
     std::size_t boundary = 0;
-    if (diff_) boundary = diff_prefix_boundary(*injector_ptr_, ws_);
+    if (diff_) boundary = diff_prefix_boundary(injector_, ws_);
     const auto note_diff = [this] {
       if (!diff_) return;
       const std::size_t reused = ws_.prefix_reused_last_run();
@@ -379,13 +255,13 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     // its flag: after the faulty pass, before the hardened one.
     std::vector<std::uint8_t> due(count, 0);
     for (std::size_t i = 0; i < count; ++i) {
-      due[i] = monitor_->slot_due(i) ? 1 : 0;
+      due[i] = monitor_.slot_due(i) ? 1 : 0;
     }
 
     // ---- pass 3: hardened ---------------------------------------------------
     std::vector<std::vector<models::Detection>> resil;
     if (protection_) {
-      injector_ptr_->disarm();
+      injector_.disarm();
       arm();
       protection_->set_enabled(true);
       ws_.set_prefix_boundary(boundary);
@@ -393,25 +269,14 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
       note_diff();
       protection_->set_enabled(false);
     }
-    injector_ptr_->disarm();
-    monitor_->set_slot_count(0);
+    injector_.disarm();
+    monitor_.set_slot_count(0);
     if (arena_gauge_ != nullptr) {
       arena_gauge_->set(static_cast<double>(ws_.high_water_bytes()));
     }
 
-    // Rewrite the packed pass's records into per-unit serial form (the
-    // recorded slot names the owning unit; a serial unit records batch
-    // 0 under its own inference index).
-    std::vector<InjectionRecord>& recs = injector_ptr_->records_mutable();
-    std::vector<std::vector<InjectionRecord>> per_unit_records(count);
-    for (std::size_t r = base_records; r < recs.size(); ++r) {
-      InjectionRecord record = recs[r];
-      const std::size_t slot = static_cast<std::size_t>(record.fault.batch);
-      record.fault.batch = 0;
-      record.inference_index = units[slot];
-      per_unit_records[slot].push_back(record);
-      recs[r] = record;
-    }
+    const std::vector<std::vector<InjectionRecord>> per_unit_records =
+        injector_.split_records_by_slot(base_records, units);
 
     // ---- per-unit verdicts + payloads ---------------------------------------
     std::vector<std::string> payloads;
@@ -446,15 +311,11 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
  private:
   TestErrorModelsObjDet& h_;
   std::unique_ptr<models::Detector> replica_;  // null when sharing the original
-  std::unique_ptr<ModelProfile> profile_;
-  // Declared before injector_: the injector's destructor restores
-  // corrupted weights through the store.
-  std::unique_ptr<nn::StoredWeightStore> replica_store_;
-  std::unique_ptr<Injector> injector_;
-  std::unique_ptr<ModelMonitor> monitor_;
-  std::unique_ptr<Protection> protection_;
-  models::Detector* detector_ = nullptr;
-  Injector* injector_ptr_ = nullptr;
+  models::Detector* detector_;
+  UnitInjectionStack stack_;
+  Injector& injector_;
+  ModelMonitor& monitor_;
+  Protection* protection_;  // null without mitigation
   nn::InferenceWorkspace ws_;
   util::Gauge* arena_gauge_ = nullptr;
   bool diff_ = false;
@@ -500,20 +361,7 @@ void TestErrorModelsObjDet::prepare() {
   const Scenario& scenario = wrapper_.get_scenario();
   const bool write_outputs = !config_.output_dir.empty();
 
-  // Inference configuration (DESIGN.md §13): resolve the backend — an
-  // unavailable explicit choice fails here, loudly — and install the
-  // weight representation before calibration so the hardened bounds are
-  // profiled on the model the campaign actually runs.
-  tensor::Backend& backend = tensor::resolve_backend(scenario.backend);
-  tensor::set_active_backend(backend);
-  resolved_backend_ = backend.name();
-  if (nn::is_stored_type(scenario.numeric_type)) {
-    if (!store_) store_.emplace(detector_.network(), scenario.numeric_type);
-  } else if (scenario.numeric_type != nn::NumericType::kFloat32) {
-    nn::quantize_parameters(detector_.network(), scenario.numeric_type);
-  }
-  wrapper_.injector().set_numeric_type(scenario.numeric_type);
-  wrapper_.injector().set_stored_weights(store_ ? &*store_ : nullptr);
+  resolved_backend_ = prepare_inference(wrapper_, store_);
 
   ivmod_ = {};
   ivmod_.has_resil = config_.mitigation.has_value();
@@ -524,11 +372,6 @@ void TestErrorModelsObjDet::prepare() {
   resil_all_.clear();
   trace_.clear();
   result_ = {};
-
-  ALFI_CHECK(wrapper_.fault_matrix().size() >=
-                 groups_needed(scenario) * scenario.max_faults_per_image,
-             "fault matrix smaller than the campaign needs: increase "
-             "dataset_size/num_runs or load a larger fault file");
 
   if (write_outputs) {
     std::filesystem::create_directories(config_.output_dir);
@@ -571,40 +414,12 @@ std::unique_ptr<CampaignUnitRunner> TestErrorModelsObjDet::make_unit_runner(
 }
 
 std::size_t TestErrorModelsObjDet::max_unit_pack() const {
-  for (const Fault& fault : wrapper_.fault_matrix().faults()) {
-    if (fault.target == FaultTarget::kWeights) return 1;
-  }
-  return std::numeric_limits<std::size_t>::max();
+  return unit_pack_limit(wrapper_.fault_matrix());
 }
 
 std::vector<SteeringCellKey> TestErrorModelsObjDet::steering_cells() const {
-  const Scenario& scenario = wrapper_.get_scenario();
-  const std::size_t units = unit_count();
-  const std::size_t group = scenario.max_faults_per_image;
-  const auto& matrix = wrapper_.fault_matrix();
-
-  const ModelProfile& profile = wrapper_.profile();
-  std::vector<SteeringCellKey> cells(units);
-  for (std::size_t t = 0; t < units; ++t) {
-    const UnitAddress addr = address_unit(scenario, t);
-    if (addr.group_start + group > matrix.size()) return {};
-    // Attribute the unit to its addressed group's FIRST fault — exact
-    // for max_faults_per_image == 1.
-    const Fault& fault = matrix.faults()[addr.group_start];
-    SteeringCellKey& key = cells[t];
-    key.layer = fault.layer;
-    key.value_type = fault.value_type;
-    key.bit_pos = fault.value_type == ValueType::kBitFlip ||
-                          fault.value_type == ValueType::kStuckAt0 ||
-                          fault.value_type == ValueType::kStuckAt1
-                      ? fault.bit_pos
-                      : -1;
-    if (fault.layer >= 0 &&
-        static_cast<std::size_t>(fault.layer) < profile.layer_count()) {
-      key.role = nn::layer_kind_name(profile.layer(fault.layer).kind);
-    }
-  }
-  return cells;
+  return unit_steering_cells(wrapper_.get_scenario(), wrapper_.fault_matrix(),
+                             wrapper_.profile(), unit_count());
 }
 
 SteeringUnitOutcome TestErrorModelsObjDet::classify_unit(
@@ -678,39 +493,9 @@ void TestErrorModelsObjDet::finalize() {
 }
 
 ObjDetCampaignResult TestErrorModelsObjDet::run() {
-  const Stopwatch run_watch;
-  if (config_.fleet.worker_mode()) {
-    // A worker only streams unit frames; the coordinator writes every
-    // campaign output exactly once.
-    if (!config_.output_dir.empty()) {
-      ALFI_LOG(kInfo) << "fleet worker: ignoring output dir (the coordinator "
-                         "writes all outputs)";
-      config_.output_dir.clear();
-    }
-    const auto [host, port] = parse_host_port(config_.fleet.connect);
-    FleetWorker worker(*this, host, port, /*prepared=*/false);
-    const FleetWorkerStats stats = worker.run();
-    ALFI_LOG(kInfo) << "fleet worker done: " << stats.units_computed
-                    << " units over " << stats.leases_served << " leases"
-                    << (stats.drained ? " (drained)" : "");
-  } else if (config_.fleet.coordinator_mode()) {
-    FleetCoordinator coordinator(*this, &metrics_);
-    coordinator.execute();
-  } else {
-    CampaignExecutor executor(*this, &metrics_);
-    executor.execute();
-  }
+  run_campaign_task(*this, config_, metrics_, resolved_backend_);
   result_.skipped_injections =
       metrics_.counter("injections.skipped_batch_slot").value();
-  if (!config_.metrics_path.empty()) {
-    io::MetricsFileInfo info;
-    info.task_kind = task_kind();
-    info.jobs = config_.jobs;
-    info.wall_seconds = run_watch.elapsed_seconds();
-    info.backend = resolved_backend_;
-    info.numeric_type = nn::to_string(wrapper_.get_scenario().numeric_type);
-    io::write_metrics_file(config_.metrics_path, metrics_, info);
-  }
   return result_;
 }
 

@@ -16,10 +16,12 @@
 //
 // Because every image is an independent inference, the whole campaign
 // is unit-addressable for every injection policy: unit t maps to
-// (epoch, image) and its fault group by closed-form arithmetic.  The
-// harness therefore runs entirely through core::CampaignExecutor as a
-// CampaignTask — gaining parallel --jobs (per-worker Detector::clone()
-// replicas) and crash-safe checkpoint/resume for free.
+// (epoch, image) and its fault group by closed-form arithmetic
+// (address_unit, core/campaign_task.h — shared with the classification
+// harness).  The harness therefore runs entirely through
+// core::CampaignExecutor as a CampaignTask — gaining parallel --jobs
+// (per-worker Detector::clone() replicas) and crash-safe
+// checkpoint/resume for free.
 #pragma once
 
 #include <optional>
@@ -46,10 +48,11 @@ struct ObjDetCampaignConfig : CampaignConfigBase {
 
 struct ObjDetCampaignResult {
   IvmodKpis ivmod;
-  /// Injector-level skip backstop.  Per-batch fault slots are remapped
-  /// onto the actual batch occupancy before arming (slot % occupancy),
-  /// so every drawn fault lands on a scored image and this stays 0 for
-  /// campaign-generated matrices.
+  /// Injector-level skip backstop (injections.skipped_batch_slot).
+  /// Per-batch fault slots are remapped onto the actual batch occupancy
+  /// before arming (slot % occupancy), so every drawn fault lands on a
+  /// scored image and this stays 0 for campaign-generated matrices;
+  /// hand-made per_image faults with a slot > 0 surface here.
   std::size_t skipped_injections = 0;
   CocoSummary orig_map;
   CocoSummary faulty_map;
@@ -92,8 +95,7 @@ class TestErrorModelsObjDet final : public CampaignTask {
   /// arm on its own batch slot); 1 when any fault targets weights.
   std::size_t max_unit_pack() const override;
   /// Unit t's (layer, bit, fault-type) stratum from its addressed
-  /// group's first fault.  Every injection policy is unit-addressable
-  /// here, so detection campaigns steer under all of them.
+  /// group's first fault (unit_steering_cells).
   std::vector<SteeringCellKey> steering_cells() const override;
   /// IVMOD verdicts straight from the unit payload (due/sde flags and
   /// the trailing record count).
@@ -116,9 +118,8 @@ class TestErrorModelsObjDet final : public CampaignTask {
   // Campaign state between prepare() and finalize().
   RangeMap bounds_;
   /// Stored-weight representation of the primary network (stored
-  /// numeric types only).  Built once — rebuilding from the
-  /// already-dequantized values on an idempotent re-prepare could round
-  /// scales differently.  Replica runners copy it bit-exact.
+  /// numeric types only; prepare_inference builds it once).  Replica
+  /// runners copy it bit-exact.
   std::optional<nn::StoredWeightStore> store_;
   std::string resolved_backend_;  ///< registry name of what actually ran
   IvmodKpis ivmod_;

@@ -82,28 +82,6 @@ nn::Module& FaultModelIterator::next() {
   return wrapper_->model_;
 }
 
-nn::Module& FaultModelIterator::next_for_window(std::size_t occupancy) {
-  ALFI_CHECK(!stale(),
-             "fault iterator invalidated: the wrapper's fault matrix was "
-             "regenerated (set_scenario/load_fault_matrix); call reset()");
-  ALFI_CHECK(occupancy > 0, "window occupancy must be positive");
-  const std::size_t group = wrapper_->scenario_.max_faults_per_image;
-  ALFI_CHECK(remaining() >= group,
-             "fault matrix exhausted: increase dataset_size/num_runs or reset()");
-  wrapper_->injector_->disarm();
-  wrapper_->injector_->set_inference_index(step_++);
-
-  std::vector<Fault> faults = wrapper_->faults_.slice(position_, group);
-  for (Fault& fault : faults) {
-    if (fault.target == FaultTarget::kNeurons && fault.batch >= 0) {
-      fault.batch %= static_cast<std::int64_t>(occupancy);
-    }
-  }
-  wrapper_->injector_->arm(std::move(faults));
-  position_ += group;
-  return wrapper_->model_;
-}
-
 nn::Module& FaultModelIterator::next_for_batch(std::size_t batch_size) {
   ALFI_CHECK(!stale(),
              "fault iterator invalidated: the wrapper's fault matrix was "

@@ -39,15 +39,6 @@ class FaultModelIterator {
   /// per_image policy with batched inference.
   nn::Module& next_for_batch(std::size_t batch_size);
 
-  /// Like next(), but remaps each neuron fault's batch slot onto the
-  /// window's actual occupancy (slot % occupancy), so a per-batch fault
-  /// drawn against the configured batch_size still lands on an image a
-  /// short final window actually scores instead of being silently
-  /// skipped.  Seed-stable: the drawn fault matrix is untouched — only
-  /// the armed copy is remapped — so full windows arm exactly what
-  /// next() would.
-  nn::Module& next_for_window(std::size_t occupancy);
-
   /// Columns consumed so far.
   std::size_t position() const { return position_; }
 

@@ -57,6 +57,12 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
 
+// The deletes pair with the malloc-based operator new above.  GCC
+// cannot see that pairing once a delete is inlined into code that
+// called operator new, and warns -Wmismatched-new-delete on the
+// free(); the warning is a false positive for a replaced allocator.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
@@ -69,6 +75,7 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+#pragma GCC diagnostic pop
 
 namespace alfi::nn {
 namespace {

@@ -115,7 +115,9 @@ class BackendIdentity : public ::testing::Test {
               file_bytes(b.result.fault_free_csv));
     EXPECT_EQ(file_bytes(a.result.fault_bin), file_bytes(b.result.fault_bin));
     EXPECT_EQ(file_bytes(a.result.trace_bin), file_bytes(b.result.trace_bin));
-    if (same_jobs) EXPECT_EQ(a.journal_bytes, b.journal_bytes);
+    if (same_jobs) {
+      EXPECT_EQ(a.journal_bytes, b.journal_bytes);
+    }
     EXPECT_EQ(a.scenario_yaml, b.scenario_yaml);
     EXPECT_EQ(a.result.kpis.total, b.result.kpis.total);
     EXPECT_EQ(a.result.kpis.sde, b.result.kpis.sde);

@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,12 @@
 #include "util/rng.h"
 
 namespace alfi::tensor {
+
+// gtest appends the printed parameter to every listed test name (and
+// CMake's test discovery keeps it in the ctest name).  Print a backend
+// by its registry name: the default pointer form changes on every run.
+void PrintTo(Backend* backend, std::ostream* os) { *os << backend->name(); }
+
 namespace {
 
 // ---- grid helpers -----------------------------------------------------------

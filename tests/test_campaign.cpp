@@ -36,7 +36,9 @@ TEST(CampaignShards, PartitionCoversAllUnitsContiguously) {
       for (std::size_t i = 0; i < shards.size(); ++i) {
         EXPECT_EQ(shards[i].index, i);
         EXPECT_GT(shards[i].size(), 0u);
-        if (i > 0) EXPECT_EQ(shards[i].begin, shards[i - 1].end);
+        if (i > 0) {
+          EXPECT_EQ(shards[i].begin, shards[i - 1].end);
+        }
       }
     }
   }

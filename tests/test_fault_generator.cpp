@@ -178,7 +178,8 @@ TEST_F(GeneratorFixture, PolicyControlsBatchSlot) {
 
   s.inj_policy = InjectionPolicy::kPerImage;
   Rng rng1(11);
-  for (const Fault& f : generate_fault_matrix(s, profile_, rng1).faults()) {
+  const FaultMatrix per_image = generate_fault_matrix(s, profile_, rng1);
+  for (const Fault& f : per_image.faults()) {
     EXPECT_EQ(f.batch, 0);
   }
 
@@ -186,7 +187,8 @@ TEST_F(GeneratorFixture, PolicyControlsBatchSlot) {
   s.batch_size = 4;
   Rng rng2(12);
   bool any_nonzero = false;
-  for (const Fault& f : generate_fault_matrix(s, profile_, rng2).faults()) {
+  const FaultMatrix per_batch = generate_fault_matrix(s, profile_, rng2);
+  for (const Fault& f : per_batch.faults()) {
     EXPECT_GE(f.batch, 0);
     EXPECT_LT(f.batch, 4);
     if (f.batch != 0) any_nonzero = true;
@@ -195,7 +197,8 @@ TEST_F(GeneratorFixture, PolicyControlsBatchSlot) {
 
   s.inj_policy = InjectionPolicy::kPerEpoch;
   Rng rng3(13);
-  for (const Fault& f : generate_fault_matrix(s, profile_, rng3).faults()) {
+  const FaultMatrix per_epoch = generate_fault_matrix(s, profile_, rng3);
+  for (const Fault& f : per_epoch.faults()) {
     EXPECT_EQ(f.batch, -1);  // applies to every sample
   }
 }
@@ -213,7 +216,8 @@ TEST_F(GeneratorFixture, TargetRecordedOnFaults) {
   s.target = FaultTarget::kWeights;
   s.dataset_size = 10;
   Rng rng(14);
-  for (const Fault& f : generate_fault_matrix(s, profile_, rng).faults()) {
+  const FaultMatrix matrix = generate_fault_matrix(s, profile_, rng);
+  for (const Fault& f : matrix.faults()) {
     EXPECT_EQ(f.target, FaultTarget::kWeights);
     EXPECT_EQ(f.batch, -1);  // weight faults have no batch slot
   }

@@ -479,14 +479,32 @@ TEST_F(FleetImgClass, DuplicateCompletionsAreDeduplicatedByByteEquality) {
 }
 
 TEST_F(FleetImgClass, FleetRejectsBatchedPolicies) {
-  test::TempDir ckp_dir("fleet_batch_ckp");
-  auto c = config("");
-  c.checkpoint_dir = ckp_dir.str();
-  c.fleet.local_workers = 2;
+  // per_batch units are unit-addressable like per_image ones, so a
+  // local fleet runs them byte-identically to checkpointed --jobs 1.
   Scenario s = scenario();
   s.inj_policy = InjectionPolicy::kPerBatch;
+  test::TempDir ref_dir("fleet_batch_ref");
+  test::TempDir ref_ckp("fleet_batch_ref_ckp");
+  test::TempDir out_dir("fleet_batch_out");
+  test::TempDir ckp_dir("fleet_batch_ckp");
+  ImgClassCampaignResult serial;
+  {
+    auto c = config(ref_dir.str());
+    c.checkpoint_dir = ref_ckp.str();
+    TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
+    serial = harness.run();
+  }
+
+  auto c = config(out_dir.str());
+  c.checkpoint_dir = ckp_dir.str();
+  c.fleet.local_workers = 2;
+  c.fleet.lease_units = 3;
+  c.fleet.heartbeat_ms = 50.0;
   TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
-  EXPECT_THROW(harness.run(), ConfigError);
+  const auto fleet = harness.run();
+  expect_identical(serial, fleet);
+  expect_identical_checkpoint_dirs(ref_ckp.str(), ckp_dir.str());
+  EXPECT_EQ(fleet.kpis.total, 24u);
 }
 
 TEST_F(FleetImgClass, CoordinatorRequiresCheckpointDir) {

@@ -264,7 +264,9 @@ TEST(KaimingInit, InitializesAllInjectableLayers) {
   Rng rng(37);
   kaiming_init(*net, rng);
   for (Parameter* p : net->parameters()) {
-    if (p->name == "weight") EXPECT_NE(p->value.sum(), 0.0f);
+    if (p->name == "weight") {
+      EXPECT_NE(p->value.sum(), 0.0f);
+    }
   }
 }
 

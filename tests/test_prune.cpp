@@ -47,7 +47,9 @@ TEST(Prune, RemovesSmallestMagnitudesFirst) {
   net->for_each_module([&](const std::string&, Module& m) {
     if (m.kind() == LayerKind::kOther) return;
     for (const float v : m.weight_param()->value.data()) {
-      if (v != 0.0f) EXPECT_GE(std::fabs(v), report.threshold);
+      if (v != 0.0f) {
+        EXPECT_GE(std::fabs(v), report.threshold);
+      }
     }
   });
 }

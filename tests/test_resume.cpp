@@ -310,15 +310,39 @@ TEST_F(ResumeImgClass, MitigatedCampaignSurvivesResume) {
 }
 
 TEST_F(ResumeImgClass, CheckpointingRejectsBatchedPolicies) {
-  // Batched policies couple consecutive units to one armed fault group;
-  // they keep the legacy serial loop and cannot checkpoint.
-  test::TempDir ckp_dir("imgclass_batch_ckp");
-  auto c = config("");
-  c.checkpoint_dir = ckp_dir.str();
+  // per_batch units are addressed like per_image ones (one image under
+  // its batch's fault group), so a checkpointed per_batch campaign
+  // interrupts and resumes byte-identically to an uninterrupted run.
   Scenario s = scenario();
   s.inj_policy = InjectionPolicy::kPerBatch;
-  TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
-  EXPECT_THROW(harness.run(), ConfigError);
+  test::TempDir ref_dir("imgclass_batch_ref");
+  test::TempDir out_dir("imgclass_batch_out");
+  test::TempDir ckp_dir("imgclass_batch_ckp");
+  ImgClassCampaignResult reference;
+  {
+    TestErrorModelsImgClass harness(*model_, *dataset_, s, config(ref_dir.str()));
+    reference = harness.run();
+  }
+
+  auto first = config(out_dir.str());
+  first.jobs = 4;
+  first.checkpoint_dir = ckp_dir.str();
+  first.interrupt = interrupt_after(6);
+  try {
+    TestErrorModelsImgClass harness(*model_, *dataset_, s, first);
+    harness.run();
+    FAIL() << "expected CampaignInterrupted";
+  } catch (const CampaignInterrupted& e) {
+    EXPECT_LT(e.completed_units(), e.total_units());
+  }
+
+  auto second = config(out_dir.str());
+  second.checkpoint_dir = ckp_dir.str();
+  second.resume = true;
+  TestErrorModelsImgClass harness(*model_, *dataset_, s, second);
+  const auto resumed = harness.run();
+  expect_identical(reference, resumed);
+  EXPECT_EQ(resumed.kpis.total, 24u);
 }
 
 // ---- object detection -------------------------------------------------------

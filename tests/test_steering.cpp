@@ -374,19 +374,38 @@ TEST_F(SteeredImgClass, BudgetedCampaignCheckpointsAndResumes) {
 }
 
 TEST_F(SteeredImgClass, SteeringRejectsBatchedPolicies) {
-  auto c = config("");
-  c.steering.budget = 4;
+  // per_batch units steer like per_image ones (each unit's cell is its
+  // batch group's first fault): the map, the executed units and their
+  // outputs are identical at --jobs 1 and 4.
   Scenario s = scenario();
   s.inj_policy = InjectionPolicy::kPerBatch;
-  TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
-  EXPECT_THROW(harness.run(), ConfigError);
+  const auto run_with = [&](std::size_t jobs, const test::TempDir& dir) {
+    auto c = config(dir.str());
+    c.jobs = jobs;
+    c.steering.budget = 12;
+    c.steering.steer = true;
+    c.steering.min_cell_samples = 2;
+    c.steering.half_width = 0.2;
+    c.steering.map_path = dir.file("map.json");
+    TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
+    return harness.run();
+  };
+  test::TempDir jobs1_dir("steer_batch_j1");
+  test::TempDir jobs4_dir("steer_batch_j4");
+  const auto serial = run_with(1, jobs1_dir);
+  const auto parallel = run_with(4, jobs4_dir);
+  EXPECT_EQ(file_bytes(jobs1_dir.file("map.json")),
+            file_bytes(jobs4_dir.file("map.json")));
+  EXPECT_EQ(file_bytes(serial.results_csv), file_bytes(parallel.results_csv));
+  EXPECT_EQ(file_bytes(serial.trace_bin), file_bytes(parallel.trace_bin));
+  EXPECT_EQ(serial.kpis.total, 12u);
+  EXPECT_EQ(parallel.kpis.total, 12u);
 }
 
 // ---- plan determinism across jobs and fleet ---------------------------------
 
 TEST_F(SteeredImgClass, MapIsByteIdenticalAcrossJobsAndFleet) {
-  const auto run_with = [&](ImgClassCampaignConfig c, const std::string& dir,
-                            const std::string& map_path) {
+  const auto run_with = [&](ImgClassCampaignConfig c, const std::string& map_path) {
     c.steering.budget = 12;
     c.steering.steer = true;
     c.steering.min_cell_samples = 2;
@@ -399,14 +418,12 @@ TEST_F(SteeredImgClass, MapIsByteIdenticalAcrossJobsAndFleet) {
   test::TempDir jobs1_dir("steer_j1");
   auto c1 = config(jobs1_dir.str());
   c1.jobs = 1;
-  const auto serial =
-      run_with(c1, jobs1_dir.str(), jobs1_dir.file("map.json"));
+  const auto serial = run_with(c1, jobs1_dir.file("map.json"));
 
   test::TempDir jobs4_dir("steer_j4");
   auto c4 = config(jobs4_dir.str());
   c4.jobs = 4;
-  const auto parallel =
-      run_with(c4, jobs4_dir.str(), jobs4_dir.file("map.json"));
+  const auto parallel = run_with(c4, jobs4_dir.file("map.json"));
 
   test::TempDir fleet_dir("steer_fleet");
   test::TempDir fleet_ckp("steer_fleet_ckp");
@@ -415,7 +432,7 @@ TEST_F(SteeredImgClass, MapIsByteIdenticalAcrossJobsAndFleet) {
   cf.fleet.local_workers = 3;
   cf.fleet.lease_units = 2;
   cf.fleet.heartbeat_ms = 50.0;
-  const auto fleet = run_with(cf, fleet_dir.str(), fleet_dir.file("map.json"));
+  const auto fleet = run_with(cf, fleet_dir.file("map.json"));
 
   const std::string map1 = file_bytes(jobs1_dir.file("map.json"));
   EXPECT_EQ(map1, file_bytes(jobs4_dir.file("map.json")));
@@ -433,7 +450,7 @@ TEST_F(SteeredImgClass, MapIsByteIdenticalAcrossJobsAndFleet) {
   test::TempDir again_dir("steer_again");
   auto ca = config(again_dir.str());
   ca.jobs = 1;
-  run_with(ca, again_dir.str(), again_dir.file("map.json"));
+  run_with(ca, again_dir.file("map.json"));
   EXPECT_EQ(map1, file_bytes(again_dir.file("map.json")));
 }
 

@@ -145,7 +145,7 @@ TEST_F(TelemetryCampaign, ShortFinalBatchRemapsSlotInsteadOfSkipping) {
   // two images, so a neuron fault drawn for batch slot 7 cannot land
   // there as drawn.  It used to be silently dropped (counted as
   // skipped, but the unit was still scored as if injected); now the
-  // armed copy is remapped onto the window's occupancy (7 % 2 = slot 1)
+  // armed copy is remapped onto the batch's occupancy (7 % 2 = slot 1)
   // so every drawn fault corrupts a scored image.
   const data::SyntheticShapesClassification short_dataset(
       {.size = 10, .num_classes = 4, .seed = 29});
@@ -177,18 +177,25 @@ TEST_F(TelemetryCampaign, ShortFinalBatchRemapsSlotInsteadOfSkipping) {
 
   const auto result = harness.run();
   EXPECT_EQ(result.kpis.total, 10u);
-  // Batch 0 has 8 images (slot 7 exists, fault applies as drawn);
-  // batch 1 scores 2, so its fault arms at 7 % 2 = slot 1.  Nothing is
-  // skipped and both windows record an application.
+  // Batch 0 has 8 images (slot 7 exists, so the fault lands on image 7
+  // as drawn); batch 1 scores 2, so its fault lands on slot 7 % 2 = 1,
+  // image 9.  Nothing is skipped and each batch records one
+  // application, in per-unit form: batch 0 under the unit's index.
   EXPECT_EQ(result.skipped_injections, 0u);
   for (const auto& [name, value] : harness.metrics().counters()) {
-    if (name == "injections.skipped_batch_slot") EXPECT_EQ(value, 0u);
-    if (name == "injections.applied") EXPECT_EQ(value, 2u);
+    if (name == "injections.skipped_batch_slot") {
+      EXPECT_EQ(value, 0u);
+    }
+    if (name == "injections.applied") {
+      EXPECT_EQ(value, 2u);
+    }
   }
   const auto& records = harness.wrapper().records();
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].fault.batch, 7);  // full batch: slot as drawn
-  EXPECT_EQ(records[1].fault.batch, 1);  // short batch: 7 % 2
+  EXPECT_EQ(records[0].fault.batch, 0);
+  EXPECT_EQ(records[0].inference_index, 7u);  // full batch: slot as drawn
+  EXPECT_EQ(records[1].fault.batch, 0);
+  EXPECT_EQ(records[1].inference_index, 9u);  // short batch: 7 % 2
 }
 
 }  // namespace
