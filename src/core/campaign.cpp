@@ -9,9 +9,6 @@
 #include <mutex>
 #include <thread>
 
-#include "util/stopwatch.h"
-
-#include "core/steering.h"
 #include "io/atomic_file.h"
 #include "io/vulnerability_map.h"
 #include "util/drain.h"
@@ -299,9 +296,8 @@ void CampaignProgress::absorb_units(const std::vector<std::size_t>& units,
   }
 }
 
-void CampaignProgress::flush_pending() {
-  if (!journal_) return;
-  for (std::size_t t = 0; t < units_; ++t) {
+void CampaignProgress::drain(const WaterMarks& marks) {
+  for (std::size_t t = 0; journal_ && t < units_; ++t) {
     if (!pending_[t]) continue;
     pending_[t] = 0;
     journal_->append_unit(t, payloads_[t]);
@@ -310,6 +306,8 @@ void CampaignProgress::flush_pending() {
       journal_payload_bytes_->add(payloads_[t].size());
     }
   }
+  close(marks);
+  throw CampaignInterrupted(done_, units_, task_.base_config().checkpoint_dir);
 }
 
 void CampaignProgress::write_checkpoint(const WaterMarks& marks) {
@@ -353,11 +351,120 @@ void CampaignProgress::merge() {
   task_.finalize();
 }
 
+
+// ---- what every campaign loop shares ----------------------------------------
+
+std::function<bool()> drain_predicate(const CampaignConfigBase& config) {
+  return config.interrupt ? config.interrupt : std::function<bool()>(&drain_requested);
+}
+
+PackScheduler::PackScheduler(const CampaignTask& task)
+    : stride_(std::max<std::size_t>(1, task.unit_pack_stride())) {
+  const std::size_t requested = task.base_config().unit_batch;
+  size_ = std::max<std::size_t>(1, std::min(requested, task.max_unit_pack()));
+  if (requested > 1 && size_ < requested) {
+    ALFI_LOG(kInfo) << "unit batch clamped to " << size_
+                    << " (workload max_unit_pack)";
+  }
+}
+
+void PackScheduler::gather(std::size_t first,
+                           const std::function<bool(std::size_t)>& open,
+                           std::vector<std::size_t>& pack) const {
+  pack.assign(1, first);
+  for (std::size_t u = first + stride_; pack.size() < size_ && open(u); u += stride_) {
+    pack.push_back(u);
+  }
+}
+
+ProgressLine::ProgressLine(const CampaignConfigBase& config, std::size_t units,
+                           const SteeringPolicy* steering)
+    : enabled_(config.progress), units_(units), steering_(steering) {}
+
+void ProgressLine::update(std::size_t done, bool final_line) {
+  if (!enabled_) return;
+  const double now_ms = watch_.elapsed_ms();
+  if (!final_line && last_ms_ >= 0.0 && now_ms - last_ms_ < 200.0) return;
+  last_ms_ = now_ms;
+  const double rate =
+      now_ms <= 0.0 ? 0.0 : static_cast<double>(done) / (now_ms / 1000.0);
+  const char* end = final_line ? "\n" : "";
+  if (steering_ != nullptr) {
+    std::fprintf(stderr, "\r[alfi] steered %zu units planned, %zu done %8.1f units/s%s",
+                 steering_->planned_units(), done, rate, end);
+  } else {
+    const double pct = units_ == 0 ? 100.0
+                                   : 100.0 * static_cast<double>(done) /
+                                         static_cast<double>(units_);
+    std::fprintf(stderr, "\r[alfi] %zu/%zu units (%5.1f%%) %8.1f units/s%s", done,
+                 units_, pct, rate, end);
+  }
+  std::fflush(stderr);
+}
+
+namespace {
+
+std::vector<SteeringCellKey> checked_steering_cells(const CampaignTask& task) {
+  std::vector<SteeringCellKey> cells = task.steering_cells();
+  if (cells.empty()) {
+    throw ConfigError("workload '" + task.task_kind() +
+                      "' does not support campaign steering "
+                      "(--budget / --steer / --vuln-map)");
+  }
+  ALFI_CHECK(cells.size() == task.unit_count(),
+             "steering_cells must describe every work unit");
+  return cells;
+}
+
+}  // namespace
+
+SteeredPlan::SteeredPlan(CampaignTask& task)
+    : task_(task),
+      policy_(checked_steering_cells(task), task.base_config().steering) {}
+
+bool SteeredPlan::absorb_round(const std::vector<std::size_t>& round,
+                               CampaignProgress& progress,
+                               const CampaignProgress::WaterMarks& marks) {
+  std::vector<std::size_t> ready;
+  for (const std::size_t t : round) {
+    if (progress.unit_completed(t)) ready.push_back(t);
+  }
+  progress.absorb_units(ready, marks);
+  for (const std::size_t t : ready) {
+    policy_.record(t, task_.classify_unit(t, progress.payload(t)));
+  }
+  return ready.size() == round.size();
+}
+
+void SteeredPlan::finish(CampaignProgress& progress, util::MetricsRegistry* metrics) {
+  const CampaignConfigBase& config = task_.base_config();
+  const std::size_t units = task_.unit_count();
+  ALFI_LOG(kInfo) << "steered campaign complete: " << progress.done() << "/"
+                  << units << " units executed ("
+                  << (units == 0 ? 0.0
+                                 : 100.0 * static_cast<double>(progress.done()) /
+                                       static_cast<double>(units))
+                  << "% of exhaustive)";
+  if (metrics != nullptr) {
+    metrics->gauge("steering.units_executed").set(static_cast<double>(progress.done()));
+  }
+  progress.merge();
+  if (!config.steering.map_path.empty()) {
+    io::write_vulnerability_map(
+        config.steering.map_path,
+        policy_.build_map(task_.task_kind(), config.model_name, units));
+    ALFI_LOG(kInfo) << "vulnerability map written to " << config.steering.map_path;
+  }
+}
+
 // ---- executor ---------------------------------------------------------------
 
 CampaignExecutor::CampaignExecutor(CampaignTask& task,
                                    util::MetricsRegistry* metrics)
-    : task_(task), metrics_(metrics) {}
+    : task_(task),
+      metrics_(metrics),
+      unit_ms_(metrics != nullptr ? &metrics->histogram("campaign.unit_ms")
+                                  : nullptr) {}
 
 std::string CampaignExecutor::journal_path(const std::string& checkpoint_dir) {
   return checkpoint_dir + "/journal.bin";
@@ -365,6 +472,23 @@ std::string CampaignExecutor::journal_path(const std::string& checkpoint_dir) {
 
 std::string CampaignExecutor::checkpoint_path(const std::string& checkpoint_dir) {
   return checkpoint_dir + "/checkpoint.bin";
+}
+
+std::unique_lock<std::mutex> CampaignExecutor::compute_pack(
+    CampaignUnitRunner& runner, const std::vector<std::size_t>& pack,
+    CampaignProgress& progress, std::mutex& merge_mutex) {
+  const Stopwatch pack_watch;
+  std::vector<std::string> payloads = runner.run_unit_pack(pack);
+  ALFI_CHECK(payloads.size() == pack.size(),
+             "unit runner returned a wrong-sized payload batch");
+  // The per-unit latency of a packed pass is its amortized share.
+  const double per_unit_ms = pack_watch.elapsed_ms() / static_cast<double>(pack.size());
+  std::unique_lock<std::mutex> lock(merge_mutex);
+  for (std::size_t i = 0; i < pack.size(); ++i) {
+    progress.store(pack[i], std::move(payloads[i]));
+    if (unit_ms_ != nullptr) unit_ms_->record(per_unit_ms);
+  }
+  return lock;
 }
 
 void CampaignExecutor::execute() {
@@ -375,12 +499,7 @@ void CampaignExecutor::execute() {
   const CampaignConfigBase& config = task_.base_config();
   const Scenario& scenario = task_.task_scenario();
   const std::size_t units = task_.unit_count();
-
-  const std::function<bool()> interrupted =
-      config.interrupt ? config.interrupt : std::function<bool()>(&drain_requested);
-
-  util::Histogram* unit_ms =
-      metrics_ != nullptr ? &metrics_->histogram("campaign.unit_ms") : nullptr;
+  const std::function<bool()> interrupted = drain_predicate(config);
 
   // All crash-safety bookkeeping lives in CampaignProgress (shared with
   // the fleet coordinator); the executor serializes access to it under
@@ -415,43 +534,11 @@ void CampaignExecutor::execute() {
   progress.open(marks);
 
   // Everything the workers publish goes through this mutex: journal
-  // appends, payload/completion bookkeeping and checkpoint writes.
+  // appends, payload/completion bookkeeping, checkpoint writes and the
+  // progress line.
   std::mutex merge_mutex;
-
-  // Throttled --progress line: at most one stderr update per 200ms,
-  // written under merge_mutex so lines never interleave.
-  const Stopwatch campaign_watch;
-  double last_progress_ms = -1.0;
-  const auto print_progress_locked = [&](bool final_line) {
-    if (!config.progress) return;
-    const double now_ms = campaign_watch.elapsed_ms();
-    if (!final_line && last_progress_ms >= 0.0 && now_ms - last_progress_ms < 200.0) {
-      return;
-    }
-    last_progress_ms = now_ms;
-    const std::size_t done = progress.done();
-    const double pct = units == 0 ? 100.0 : 100.0 * static_cast<double>(done) /
-                                                static_cast<double>(units);
-    const double rate = now_ms <= 0.0 ? 0.0 : static_cast<double>(done) /
-                                                  (now_ms / 1000.0);
-    std::fprintf(stderr, "\r[alfi] %zu/%zu units (%5.1f%%) %8.1f units/s%s",
-                 done, units, pct, rate, final_line ? "\n" : "");
-    std::fflush(stderr);
-  };
-
-  // Unit packing: clamp the requested pack size to what the workload
-  // supports.  pack == 1 hands the runner one unit per call — the
-  // classic executor, bit for bit.
-  const std::size_t pack =
-      std::max<std::size_t>(1, std::min(config.unit_batch == 0
-                                            ? std::size_t{1}
-                                            : config.unit_batch,
-                                        task_.max_unit_pack()));
-  if (config.unit_batch > 1 && pack < config.unit_batch) {
-    ALFI_LOG(kInfo) << "unit batch clamped to " << pack
-                    << " (workload max_unit_pack)";
-  }
-  const std::size_t stride = std::max<std::size_t>(1, task_.unit_pack_stride());
+  ProgressLine line(config, units);
+  const PackScheduler packs(task_);
 
   // Deferred absorb (DESIGN.md §12): a pack holds units {t, t+stride,
   // ...}, so units complete out of ascending order.  Journal frames,
@@ -459,82 +546,42 @@ void CampaignExecutor::execute() {
   // unit-at-a-time execution, so each shard absorbs from its own
   // ascending cursor (progress.absorb_ascending) and payloads the
   // cursor has not reached yet stay pending inside progress.
-  if (!shards.empty()) {
-    const bool shared_model = shards.size() == 1;
-    if (shards.size() > 1) {
-      ALFI_LOG(kInfo) << "parallel campaign: " << units << " units across "
-                      << shards.size() << " shards (" << runner.jobs() << " jobs)";
+  if (shards.size() > 1) {
+    ALFI_LOG(kInfo) << "parallel campaign: " << units << " units across "
+                    << shards.size() << " shards (" << runner.jobs() << " jobs)";
+  }
+  const bool shared_model = shards.size() == 1;
+  runner.run_shards(shards, [&](const CampaignShard& shard) {
+    std::unique_ptr<CampaignUnitRunner> unit_runner;  // created lazily:
+    // a fully-journaled shard never pays for a model replica.
+    const Stopwatch shard_watch;
+    std::size_t shard_computed = 0;
+    std::size_t absorb_cursor = shard.begin;  // next unit to journal/count
+    std::vector<std::size_t> pack;
+    const auto open = [&](std::size_t u) {
+      return u < shard.end && !progress.unit_completed(u);
+    };
+    for (std::size_t t = shard.begin; t < shard.end; ++t) {
+      if (progress.unit_completed(t)) continue;  // replayed or pack-mate
+      if (interrupted()) break;
+      if (!unit_runner) unit_runner = task_.make_unit_runner(shared_model);
+      packs.gather(t, open, pack);
+      shard_computed += pack.size();
+      const auto lock = compute_pack(*unit_runner, pack, progress, merge_mutex);
+      absorb_cursor = progress.absorb_ascending(absorb_cursor, shard.end, marks);
+      line.update(progress.done());
     }
-    runner.run_shards(shards, [&](const CampaignShard& shard) {
-      std::unique_ptr<CampaignUnitRunner> unit_runner;  // created lazily:
-      // a fully-journaled shard never pays for a model replica.
-      const Stopwatch shard_watch;
-      std::size_t shard_computed = 0;
-      std::size_t absorb_cursor = shard.begin;  // next unit to journal/count
-      std::vector<std::size_t> pack_units;
-      for (std::size_t t = shard.begin; t < shard.end;) {
-        if (progress.unit_completed(t)) { ++t; continue; }  // replayed or pack-mate
-        if (interrupted()) break;
-        if (!unit_runner) unit_runner = task_.make_unit_runner(shared_model);
-        // Pack incomplete units at the task's stride: {t, t+S, t+2S, ...}.
-        // The classification harness strides by dataset_size, so every
-        // unit in the pack re-runs the SAME image under a different
-        // fault group and the runner shares one fault-free pass across
-        // the pack.  A journal-replayed unit ends the pack so replay
-        // boundaries never change what a packed pass computes.
-        pack_units.clear();
-        for (std::size_t u = t;
-             pack_units.size() < pack && u < shard.end && !progress.unit_completed(u);
-             u += stride) {
-          pack_units.push_back(u);
-        }
-        const Stopwatch unit_watch;
-        std::vector<std::string> batch = unit_runner->run_unit_pack(pack_units);
-        ALFI_CHECK(batch.size() == pack_units.size(),
-                   "unit runner returned a wrong-sized payload batch");
-        // The per-unit latency of a packed pass is its amortized share.
-        const double per_unit_ms =
-            unit_watch.elapsed_ms() / static_cast<double>(batch.size());
-        shard_computed += batch.size();
-
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          progress.store(pack_units[i], std::move(batch[i]));
-          if (unit_ms != nullptr) unit_ms->record(per_unit_ms);
-        }
-        absorb_cursor = progress.absorb_ascending(absorb_cursor, shard.end, marks);
-        print_progress_locked(/*final_line=*/false);
-        ++t;
-      }
-      if (metrics_ != nullptr && shard_computed > 0) {
-        const double seconds = shard_watch.elapsed_seconds();
-        metrics_->gauge("worker." + std::to_string(shard.index) + ".units_per_sec")
-            .set(seconds <= 0.0 ? 0.0 : static_cast<double>(shard_computed) / seconds);
-      }
-    });
-  }
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex);
-    print_progress_locked(/*final_line=*/true);
-  }
-
-  // ---- drained? persist progress and surface the preemption ----------------
-  if (!progress.all_done()) {
-    {
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      // Journal computed-but-unabsorbed pack payloads first: a strided
-      // pack preempted past the absorb cursor replays from the journal
-      // on resume instead of being recomputed.
-      progress.flush_pending();
-      progress.close(marks);
+    if (metrics_ != nullptr && shard_computed > 0) {
+      const double seconds = shard_watch.elapsed_seconds();
+      metrics_->gauge("worker." + std::to_string(shard.index) + ".units_per_sec")
+          .set(seconds <= 0.0 ? 0.0 : static_cast<double>(shard_computed) / seconds);
     }
-    throw CampaignInterrupted(progress.done(), units, config.checkpoint_dir);
-  }
+  });
+  line.update(progress.done(), /*final_line=*/true);
 
-  {
-    std::lock_guard<std::mutex> lock(merge_mutex);
-    progress.close(marks);  // final: high-water == end on every shard
-  }
+  // Drained: persist progress and surface the preemption.
+  if (!progress.all_done()) progress.drain(marks);
+  progress.close(marks);  // final: high-water == end on every shard
 
   // ---- merge: ascending unit order restores the serial output order --------
   progress.merge();
@@ -546,22 +593,9 @@ void CampaignExecutor::execute_steered() {
   const CampaignConfigBase& config = task_.base_config();
   const Scenario& scenario = task_.task_scenario();
   const std::size_t units = task_.unit_count();
+  const std::function<bool()> interrupted = drain_predicate(config);
 
-  const std::function<bool()> interrupted =
-      config.interrupt ? config.interrupt : std::function<bool()>(&drain_requested);
-
-  util::Histogram* unit_ms =
-      metrics_ != nullptr ? &metrics_->histogram("campaign.unit_ms") : nullptr;
-
-  std::vector<SteeringCellKey> cells = task_.steering_cells();
-  if (cells.empty()) {
-    throw ConfigError("workload '" + task_.task_kind() +
-                      "' does not support campaign steering "
-                      "(--budget / --steer / --vuln-map)");
-  }
-  ALFI_CHECK(cells.size() == units,
-             "steering_cells must describe every work unit");
-
+  SteeredPlan plan(task_);
   CampaignProgress progress(task_, metrics_);
   progress.recover();
   task_.prepare();
@@ -578,26 +612,10 @@ void CampaignExecutor::execute_steered() {
   };
   progress.open(marks);
 
-  SteeringPolicy policy(std::move(cells), config.steering);
   const CampaignRunner runner(config.jobs);
   std::mutex merge_mutex;
-
-  const Stopwatch campaign_watch;
-  double last_progress_ms = -1.0;
-  const auto print_progress_locked = [&](bool final_line) {
-    if (!config.progress) return;
-    const double now_ms = campaign_watch.elapsed_ms();
-    if (!final_line && last_progress_ms >= 0.0 && now_ms - last_progress_ms < 200.0) {
-      return;
-    }
-    last_progress_ms = now_ms;
-    const std::size_t done = progress.done();
-    const double rate = now_ms <= 0.0 ? 0.0 : static_cast<double>(done) /
-                                                  (now_ms / 1000.0);
-    std::fprintf(stderr, "\r[alfi] steered %zu units planned, %zu done %8.1f units/s%s",
-                 policy.planned_units(), done, rate, final_line ? "\n" : "");
-    std::fflush(stderr);
-  };
+  ProgressLine line(config, units, &plan.policy());
+  const PackScheduler packs(task_);
 
   ALFI_LOG(kInfo) << "steered campaign: " << units << " units, budget "
                   << (config.steering.budget == 0
@@ -615,77 +633,46 @@ void CampaignExecutor::execute_steered() {
   // The planning loop: each round's unit list depends only on outcomes
   // absorbed at prior-round barriers, so the executed unit sequence —
   // and with it journal bytes and the map — is identical for any job
-  // count.  Resume replays the same loop; units already journaled are
-  // recorded without being recomputed.
+  // count and pack size.  Resume replays the same loop; units already
+  // journaled are recorded without being recomputed.
   bool drained = false;
   std::vector<std::size_t> todo;
-  std::vector<std::size_t> ready;
   while (!drained) {
     if (interrupted()) { drained = true; break; }
-    const std::vector<std::size_t> round = policy.plan_round();
+    const std::vector<std::size_t> round = plan.policy().plan_round();
     if (round.empty()) break;
     todo.clear();
     for (const std::size_t t : round) {
       if (!progress.unit_completed(t)) todo.push_back(t);
     }
-    if (!todo.empty()) {
-      const std::vector<CampaignShard> shards = CampaignRunner::shard_columns(
-          todo.size(), runner.jobs(), scenario.rnd_seed);
-      runner.run_shards(shards, [&](const CampaignShard& shard) {
-        std::unique_ptr<CampaignUnitRunner>& unit_runner = runners[shard.index];
-        for (std::size_t i = shard.begin; i < shard.end; ++i) {
-          if (interrupted()) break;
-          if (!unit_runner) unit_runner = task_.make_unit_runner(shared_model);
-          const std::size_t t = todo[i];
-          const Stopwatch unit_watch;
-          std::string payload = unit_runner->run_unit(t);
-          const double elapsed_ms = unit_watch.elapsed_ms();
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          progress.store(t, std::move(payload));
-          if (unit_ms != nullptr) unit_ms->record(elapsed_ms);
-          print_progress_locked(/*final_line=*/false);
-        }
-      });
-    }
-    // Round barrier: absorb in plan (ascending) order — journal bytes
-    // never depend on worker scheduling — then feed the policy.
-    ready.clear();
-    for (const std::size_t t : round) {
-      if (progress.unit_completed(t)) ready.push_back(t);
-    }
-    progress.absorb_units(ready, marks);
-    for (const std::size_t t : ready) {
-      policy.record(t, task_.classify_unit(t, progress.payload(t)));
-    }
-    if (ready.size() < round.size()) drained = true;  // interrupted mid-round
+    const std::vector<CampaignShard> shards =
+        CampaignRunner::shard_columns(todo.size(), runner.jobs(), scenario.rnd_seed);
+    runner.run_shards(shards, [&](const CampaignShard& shard) {
+      std::unique_ptr<CampaignUnitRunner>& unit_runner = runners[shard.index];
+      // The shard's share of the round: todo[shard.begin, shard.end),
+      // ascending, so packs gather from it like from an exhaustive shard.
+      const auto first = todo.begin() + static_cast<std::ptrdiff_t>(shard.begin);
+      const auto last = todo.begin() + static_cast<std::ptrdiff_t>(shard.end);
+      const auto open = [&](std::size_t u) {
+        return std::binary_search(first, last, u) && !progress.unit_completed(u);
+      };
+      std::vector<std::size_t> pack;
+      for (auto it = first; it != last; ++it) {
+        if (progress.unit_completed(*it)) continue;  // computed as a pack-mate
+        if (interrupted()) break;
+        if (!unit_runner) unit_runner = task_.make_unit_runner(shared_model);
+        packs.gather(*it, open, pack);
+        const auto lock = compute_pack(*unit_runner, pack, progress, merge_mutex);
+        line.update(progress.done());
+      }
+    });
+    drained = !plan.absorb_round(round, progress, marks);
   }
-  print_progress_locked(/*final_line=*/true);
+  line.update(progress.done(), /*final_line=*/true);
 
-  if (drained) {
-    progress.flush_pending();
-    progress.close(marks);
-    throw CampaignInterrupted(progress.done(), units, config.checkpoint_dir);
-  }
-
+  if (drained) progress.drain(marks);
   progress.close(marks);
-  ALFI_LOG(kInfo) << "steered campaign complete: " << progress.done() << "/"
-                  << units << " units executed ("
-                  << (units == 0 ? 0.0
-                                 : 100.0 * static_cast<double>(progress.done()) /
-                                       static_cast<double>(units))
-                  << "% of exhaustive)";
-  if (metrics_ != nullptr) {
-    metrics_->gauge("steering.units_executed")
-        .set(static_cast<double>(progress.done()));
-  }
-  progress.merge();
-  if (!config.steering.map_path.empty()) {
-    io::write_vulnerability_map(
-        config.steering.map_path,
-        policy.build_map(task_.task_kind(), config.model_name, units));
-    ALFI_LOG(kInfo) << "vulnerability map written to "
-                    << config.steering.map_path;
-  }
+  plan.finish(progress, metrics_);
 }
 
 }  // namespace alfi::core

@@ -32,13 +32,16 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/campaign_task.h"
+#include "core/steering.h"
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace alfi::core {
 
@@ -139,9 +142,7 @@ struct CampaignCheckpoint {
 ///
 /// Lifecycle: recover() (before task.prepare()) -> open() (after) ->
 /// any number of store()/absorb_ascending() rounds -> close() ->
-/// merge().  A drained run calls flush_pending() before close() so
-/// computed-but-unabsorbed pack payloads reach the journal instead of
-/// being recomputed on resume.
+/// merge(), or drain() for a run stopped early.
 class CampaignProgress {
  public:
   /// Watermark provider for checkpoint writes: the executor reports
@@ -185,23 +186,23 @@ class CampaignProgress {
                                const WaterMarks& marks);
 
   /// Journals/counts exactly the given completed units (must be
-  /// ascending).  The steered executor's barrier: a round's payloads
-  /// are absorbed in plan order, so journal bytes do not depend on
+  /// ascending).  The steered round barrier (SteeredPlan): a round's
+  /// payloads are absorbed in plan order, so journal bytes do not depend on
   /// which worker computed what.  Units that were never stored pending
   /// (journal-replayed on resume) are skipped, like absorb_ascending.
   void absorb_units(const std::vector<std::size_t>& units,
                     const WaterMarks& marks);
 
-  /// Journals every computed-but-still-pending payload, out of
-  /// ascending order (scan_journal accepts any frame order on resume).
-  /// Drain path: a preempted strided pack loses nothing already
-  /// computed, even if a second signal kills the process right after.
-  void flush_pending();
-
   void write_checkpoint(const WaterMarks& marks);
 
   /// Final checkpoint + journal close (no-op without checkpointing).
   void close(const WaterMarks& marks);
+
+  /// Ends a drained run: journals every computed-but-still-pending
+  /// payload, out of ascending order (scan_journal accepts any frame
+  /// order on resume) — a preempted strided pack loses nothing already
+  /// computed — then close()s and throws CampaignInterrupted.
+  [[noreturn]] void drain(const WaterMarks& marks);
 
   /// Ascending absorb_unit over every COMPLETED payload, then
   /// task.finalize().  A budgeted campaign legitimately completes a
@@ -237,21 +238,90 @@ class CampaignProgress {
   util::Histogram* checkpoint_write_ms_ = nullptr;
 };
 
+// ---- what every campaign loop shares -----------------------------------------
+
+/// What every campaign loop polls between packs: the config's interrupt
+/// callback when set, else the SIGINT/SIGTERM flag (util/drain.h).
+std::function<bool()> drain_predicate(const CampaignConfigBase& config);
+
+/// The one pack scheduler (DESIGN.md §12): exhaustive shards, steered
+/// round shares and fleet leases all pack units through it.
+class PackScheduler {
+ public:
+  /// Clamps config.unit_batch to [1, task.max_unit_pack()].
+  explicit PackScheduler(const CampaignTask& task);
+
+  /// Fills `pack` with first, first + stride, ... (the task's
+  /// unit_pack_stride()): at most the clamped size, ending at the first
+  /// unit `open` rejects — one outside the caller's share, or one
+  /// already complete, so a journal-replayed unit ends a pack.
+  void gather(std::size_t first, const std::function<bool(std::size_t)>& open,
+              std::vector<std::size_t>& pack) const;
+
+ private:
+  std::size_t size_ = 1;
+  std::size_t stride_ = 1;
+};
+
+/// The `--progress` stderr line: at most one update per 200 ms, plus a
+/// final line.  A steered run (non-null `steering`) reports the units
+/// planned so far instead of a share of the exhaustive total.
+class ProgressLine {
+ public:
+  ProgressLine(const CampaignConfigBase& config, std::size_t units,
+               const SteeringPolicy* steering = nullptr);
+  void update(std::size_t done, bool final_line = false);
+
+ private:
+  bool enabled_;
+  std::size_t units_;
+  const SteeringPolicy* steering_;
+  Stopwatch watch_;
+  double last_ms_ = -1.0;
+};
+
+/// The planning side of a steered campaign (DESIGN.md §16), shared by
+/// the threaded executor and the fleet coordinator: they differ only in
+/// how a round's units get computed.
+class SteeredPlan {
+ public:
+  /// Throws ConfigError when the task advertises no steering cells.
+  explicit SteeredPlan(CampaignTask& task);
+
+  SteeringPolicy& policy() { return policy_; }
+
+  /// The round barrier: absorbs the round's completed units in plan
+  /// (ascending) order — journal bytes never depend on which worker
+  /// computed what — then feeds their outcomes to the policy.  False
+  /// when a drain left part of the round uncomputed.
+  bool absorb_round(const std::vector<std::size_t>& round,
+                    CampaignProgress& progress,
+                    const CampaignProgress::WaterMarks& marks);
+
+  /// After the final checkpoint: the steering.units_executed gauge, the
+  /// merge over the executed units and vulnerability_map.json.
+  void finish(CampaignProgress& progress, util::MetricsRegistry* metrics);
+
+ private:
+  CampaignTask& task_;
+  SteeringPolicy policy_;
+};
+
 /// Runs a CampaignTask end to end: prepare -> sharded unit execution
 /// (journaled when checkpointing is configured) -> ordered merge ->
 /// finalize.  One executor instance runs one campaign.
 ///
 /// Unit packing (DESIGN.md §12): within each shard the executor hands
-/// the runner up to min(config.unit_batch, task.max_unit_pack())
-/// incomplete units per run_unit_pack call, spaced at the task's
-/// unit_pack_stride() — the classification harness strides by
-/// dataset_size so a pack re-runs the SAME image under different fault
-/// groups and shares one fault-free pass across the pack.  Payloads
-/// come back in pack order; each shard then journals / counts them
-/// from an ascending cursor (out-of-order pack-mates wait as pending),
-/// so journal frames, counters and checkpoint cadence match
-/// unit-at-a-time execution and outputs stay byte-identical for every
-/// --unit-batch / --jobs combination.
+/// the runner packs from the shared PackScheduler — up to
+/// min(config.unit_batch, task.max_unit_pack()) incomplete units per
+/// run_unit_pack call, spaced at the task's unit_pack_stride() (the
+/// classification harness strides by dataset_size so a pack re-runs the
+/// SAME image under different fault groups and shares one fault-free
+/// pass across the pack).  Payloads come back in pack order; each shard
+/// then journals / counts them from an ascending cursor (out-of-order
+/// pack-mates wait as pending), so journal frames, counters and
+/// checkpoint cadence match unit-at-a-time execution and outputs stay
+/// byte-identical for every --unit-batch / --jobs combination.
 class CampaignExecutor {
  public:
   /// `metrics` (optional) receives campaign telemetry: unit counters
@@ -274,13 +344,23 @@ class CampaignExecutor {
  private:
   /// Budgeted / adaptively-steered execution: a single planning loop
   /// (SteeringPolicy) plans rounds of units; each round is sharded
-  /// across the worker threads, absorbed at the round barrier in plan
-  /// order, and its outcomes steer the next round.  Emits
-  /// vulnerability_map.json when configured.
+  /// across the worker threads, which pack their share like the
+  /// exhaustive sweep, absorbed at the round barrier in plan order, and
+  /// its outcomes steer the next round.  Emits vulnerability_map.json
+  /// when configured.
   void execute_steered();
+
+  /// Runs one pack and stores its payloads, each with its amortized
+  /// share of the pack's latency.  Returns holding `merge_mutex`, so the
+  /// caller absorbs and reports progress under the same lock.
+  std::unique_lock<std::mutex> compute_pack(CampaignUnitRunner& runner,
+                                            const std::vector<std::size_t>& pack,
+                                            CampaignProgress& progress,
+                                            std::mutex& merge_mutex);
 
   CampaignTask& task_;
   util::MetricsRegistry* metrics_;
+  util::Histogram* unit_ms_ = nullptr;  ///< campaign.unit_ms
 };
 
 }  // namespace alfi::core

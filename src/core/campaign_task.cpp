@@ -57,16 +57,6 @@ SteeringUnitOutcome CampaignTask::classify_unit(std::size_t t,
                     "' does not support campaign steering");
 }
 
-std::vector<std::string> CampaignUnitRunner::run_unit_pack(
-    const std::vector<std::size_t>& units) {
-  std::vector<std::string> payloads;
-  payloads.reserve(units.size());
-  for (const std::size_t t : units) {
-    payloads.push_back(run_unit(t));
-  }
-  return payloads;
-}
-
 void write_fault_bytes(io::ByteWriter& writer, const Fault& fault) {
   writer.write_u8(static_cast<std::uint8_t>(fault.target));
   writer.write_u8(static_cast<std::uint8_t>(fault.value_type));
@@ -179,6 +169,17 @@ std::size_t unit_pack_limit(const FaultMatrix& matrix) {
     if (fault.target == FaultTarget::kWeights) return 1;
   }
   return std::numeric_limits<std::size_t>::max();
+}
+
+Tensor stack_images(const std::vector<const Tensor*>& images) {
+  const Shape& s = images.front()->shape();
+  Tensor packed(Shape{images.size(), s[0], s[1], s[2]});
+  const std::size_t per_image = images.front()->numel();
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    std::copy(images[i]->raw(), images[i]->raw() + per_image,
+              packed.raw() + i * per_image);
+  }
+  return packed;
 }
 
 std::vector<SteeringCellKey> unit_steering_cells(const Scenario& scenario,

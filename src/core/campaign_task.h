@@ -10,13 +10,18 @@
 // ordered merge — one code path, two (or N) workloads.
 //
 // The contract that makes crash-safe resume byte-exact:
-//   * Work is addressed absolutely: unit t means the same inputs, fault
-//     columns and RNG stream no matter which worker, job count or
-//     process (original vs. resumed) runs it.
-//   * run_unit(t) returns the unit's complete result as bytes; those
-//     bytes are journaled, and the final outputs are produced ONLY by
-//     absorbing payloads in ascending t — so replayed-from-journal and
-//     freshly-computed units are indistinguishable.
+//   * Work is addressed absolutely: unit t — one image under one fault
+//     group — means the same inputs, fault columns and RNG stream no
+//     matter which worker, job count or process (original vs. resumed)
+//     runs it.
+//   * Every campaign loop computes units through one entry point,
+//     CampaignUnitRunner::run_unit_pack: a pack of up to --unit-batch
+//     units in one batched pass (a pack of one is the unit-at-a-time
+//     case).  Each unit's payload is its complete result as bytes, the
+//     same for any pack it rode in; those bytes are journaled, and the
+//     final outputs are produced ONLY by absorbing payloads in
+//     ascending t — so replayed-from-journal and freshly-computed units
+//     are indistinguishable.
 //   * fingerprint() digests everything the result depends on (scenario,
 //     fault matrix, seeds); resume refuses a mismatch.
 #pragma once
@@ -121,7 +126,8 @@ struct CampaignConfigBase {
   /// packs the SAME image across epochs so one shared fault-free pass
   /// serves the whole pack.  Clamped to the task's max_unit_pack() (1
   /// for workloads that cannot pack, e.g. weight-fault scenarios).
-  /// 1 — the default — is the classic unit-at-a-time path; every value
+  /// Every campaign loop packs alike: exhaustive shards, steered rounds and
+  /// fleet leases.  1 — the default — runs unit at a time; every value
   /// produces byte-identical campaign outputs.
   std::size_t unit_batch = 1;
 
@@ -163,25 +169,21 @@ struct CampaignConfigBase {
 };
 
 /// Per-worker execution engine for one shard: owns whatever replica /
-/// injector state the workload needs, and computes units one at a time
-/// (run_unit) or in packed batches (run_unit_pack).
+/// injector state the workload needs, and computes units in packs.
 class CampaignUnitRunner {
  public:
   virtual ~CampaignUnitRunner() = default;
 
-  /// Computes global work unit `t` and returns its serialized result.
-  /// Must be deterministic in t alone (given the task's fingerprint).
-  virtual std::string run_unit(std::size_t t) = 0;
-
   /// Computes the given units (ascending, distinct — consecutive at the
-  /// task's unit_pack_stride()) and returns their serialized payloads in
-  /// the same order.  The default implementation loops run_unit; runners
-  /// that support unit packing override it to fuse the units into one
-  /// batched forward pass.  The contract is strict: every payload must
-  /// be byte-identical to what run_unit would have produced, and
-  /// units.size() never exceeds the task's max_unit_pack().
+  /// task's unit_pack_stride(); never more than the task's
+  /// max_unit_pack()) in one batched pass, each unit's faults armed on
+  /// its own batch slot, and returns their serialized payloads in the
+  /// same order.  The contract is strict: a unit's payload is
+  /// deterministic in its index alone (given the task's fingerprint),
+  /// byte-identical for every pack it can ride in — a pack of one is
+  /// the unit-at-a-time reference.
   virtual std::vector<std::string> run_unit_pack(
-      const std::vector<std::size_t>& units);
+      const std::vector<std::size_t>& units) = 0;
 };
 
 /// A campaign workload the executor can shard, journal and merge.
@@ -214,8 +216,8 @@ class CampaignTask {
   virtual std::unique_ptr<CampaignUnitRunner> make_unit_runner(bool shared_model) = 0;
 
   /// Upper bound on how many units one run_unit_pack call may receive;
-  /// the executor clamps config.unit_batch to it.  The default (1)
-  /// disables packing; workloads whose units are independent
+  /// the campaign loops' PackScheduler clamps config.unit_batch to it.  The
+  /// default (1) disables packing; workloads whose units are independent
   /// single-sample inferences with slot-addressable faults raise it
   /// (DESIGN.md §12 lists the degradation rules).
   virtual std::size_t max_unit_pack() const { return 1; }
@@ -316,6 +318,9 @@ void append_unit_faults(const Scenario& scenario, const FaultMatrix& matrix,
 /// (each unit's faults arm on its own batch slot); 1 when any fault
 /// targets weights — weights are shared across a packed pass.
 std::size_t unit_pack_limit(const FaultMatrix& matrix);
+
+/// Stacks same-shaped [C, H, W] images into one [N, C, H, W] pack input.
+Tensor stack_images(const std::vector<const Tensor*>& images);
 
 /// Every unit's (layer, bit, fault-type) steering cell, from its
 /// addressed group's FIRST fault — exact for max_faults_per_image == 1

@@ -6,15 +6,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "core/steering.h"
 #include "io/socket.h"
-#include "io/vulnerability_map.h"
 #include "util/drain.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -161,8 +160,7 @@ FleetWorker::FleetWorker(CampaignTask& task, std::string host, std::uint16_t por
 
 FleetWorkerStats FleetWorker::run() {
   const CampaignConfigBase& config = task_.base_config();
-  const std::function<bool()> interrupted =
-      config.interrupt ? config.interrupt : std::function<bool()>(&drain_requested);
+  const std::function<bool()> interrupted = drain_predicate(config);
   if (!prepared_) task_.prepare();
 
   io::Socket sock = io::connect_tcp(host_, port_);
@@ -185,14 +183,9 @@ FleetWorkerStats FleetWorker::run() {
     heartbeat_ms = r.read_f64();  // the coordinator's cadence wins
   }
 
-  // Same pack/stride clamping as the executor, so a worker computes a
-  // unit exactly the way a local run would.
-  const std::size_t pack =
-      std::max<std::size_t>(1, std::min(config.unit_batch == 0
-                                            ? std::size_t{1}
-                                            : config.unit_batch,
-                                        task_.max_unit_pack()));
-  const std::size_t stride = std::max<std::size_t>(1, task_.unit_pack_stride());
+  // The executor's pack scheduler, so a worker computes a unit exactly
+  // the way a local run would.
+  const PackScheduler packs(task_);
 
   std::unique_ptr<CampaignUnitRunner> runner;  // lazy: a refused or
   // no-work worker never pays for runner setup.
@@ -200,6 +193,10 @@ FleetWorkerStats FleetWorker::run() {
   FleetWorkerStats stats;
   std::vector<std::size_t> pack_units;
   std::vector<char> served;  // per-lease pack-mate marks
+  LeaseRange lease;
+  const auto open = [&](std::size_t u) {
+    return u < lease.end && !served[u - lease.begin];
+  };
 
   while (true) {
     if (interrupted()) {
@@ -223,7 +220,6 @@ FleetWorkerStats FleetWorker::run() {
     if (kind != FleetMsgKind::kLeaseGrant) {
       throw ParseError("unexpected frame while waiting for a lease grant");
     }
-    LeaseRange lease;
     lease.begin = static_cast<std::size_t>(r.read_u64());
     lease.end = static_cast<std::size_t>(r.read_u64());
 
@@ -234,12 +230,7 @@ FleetWorkerStats FleetWorker::run() {
     // computed payload ships, the coordinator re-leases nothing.
     for (std::size_t t = lease.begin; t < lease.end; ++t) {
       if (served[t - lease.begin]) continue;  // pack-mate already shipped
-      pack_units.clear();
-      for (std::size_t u = t; pack_units.size() < pack && u < lease.end &&
-                              !served[u - lease.begin];
-           u += stride) {
-        pack_units.push_back(u);
-      }
+      packs.gather(t, open, pack_units);
       std::vector<std::string> batch = runner->run_unit_pack(pack_units);
       ALFI_CHECK(batch.size() == pack_units.size(),
                  "unit runner returned a wrong-sized payload batch");
@@ -297,24 +288,13 @@ void FleetCoordinator::execute() {
         "fleet coordinator mode requires --checkpoint-dir: shipped unit "
         "frames are merged through the journal");
   }
-  const std::function<bool()> interrupted =
-      config.interrupt ? config.interrupt : std::function<bool()>(&drain_requested);
+  const std::function<bool()> interrupted = drain_predicate(config);
 
   // Steered mode (DESIGN.md §16): the coordinator runs the planning
   // loop, leasing exactly the planned rounds; the worker side is the
   // ordinary lease protocol, completely unchanged.
-  const bool steered = config.steering.enabled();
-  std::vector<SteeringCellKey> cells;
-  if (steered) {
-    cells = task_.steering_cells();
-    if (cells.empty()) {
-      throw ConfigError("workload '" + task_.task_kind() +
-                        "' does not support campaign steering "
-                        "(--budget / --steer / --vuln-map)");
-    }
-    ALFI_CHECK(cells.size() == units,
-               "steering_cells must describe every work unit");
-  }
+  std::optional<SteeredPlan> plan;
+  if (config.steering.enabled()) plan.emplace(task_);
 
   util::Counter* workers_joined = nullptr;
   util::Counter* workers_refused = nullptr;
@@ -352,7 +332,7 @@ void FleetCoordinator::execute() {
   if (fleet.on_listen) fleet.on_listen(listener.port());
 
   // Steered: start empty, refill with each planned round.
-  LeaseTable table(steered ? 0 : units, fleet.lease_units,
+  LeaseTable table(plan ? 0 : units, fleet.lease_units,
                    task_.task_scenario().rnd_seed);
   const auto completed_fn = [&](std::size_t unit) {
     return progress.unit_completed(unit);
@@ -464,25 +444,7 @@ void FleetCoordinator::execute() {
     }
   };
 
-  // Throttled --progress line, same format as the executor's.
-  const Stopwatch campaign_watch;
-  double last_progress_ms = -1.0;
-  const auto print_progress = [&](bool final_line) {
-    if (!config.progress) return;
-    const double now_ms = campaign_watch.elapsed_ms();
-    if (!final_line && last_progress_ms >= 0.0 && now_ms - last_progress_ms < 200.0) {
-      return;
-    }
-    last_progress_ms = now_ms;
-    const std::size_t done = progress.done();
-    const double pct = units == 0 ? 100.0 : 100.0 * static_cast<double>(done) /
-                                                static_cast<double>(units);
-    const double rate = now_ms <= 0.0 ? 0.0 : static_cast<double>(done) /
-                                                  (now_ms / 1000.0);
-    std::fprintf(stderr, "\r[alfi] %zu/%zu units (%5.1f%%) %8.1f units/s%s",
-                 done, units, pct, rate, final_line ? "\n" : "");
-    std::fflush(stderr);
-  };
+  ProgressLine line(config, units, plan ? &plan->policy() : nullptr);
 
   // One poll iteration: accept joiners, ingest frames, detect dead
   // workers, reap children, grant queued leases.  Shared verbatim by
@@ -574,9 +536,7 @@ void FleetCoordinator::execute() {
   cursor = progress.absorb_ascending(cursor, units, marks);
 
   bool drained = false;
-  SteeringPolicy* policy = nullptr;
-  std::unique_ptr<SteeringPolicy> policy_storage;
-  if (!steered) {
+  if (!plan) {
     while (!progress.all_done()) {
       if (interrupted()) {
         drained = true;
@@ -585,21 +545,17 @@ void FleetCoordinator::execute() {
       pump();
       cursor = progress.absorb_ascending(cursor, units, marks);
       if (fleet.on_progress) fleet.on_progress(progress.done());
-      print_progress(/*final_line=*/false);
+      line.update(progress.done());
     }
   } else {
     // The same planning loop as the threaded executor: each round's
     // unit list depends only on outcomes absorbed at prior barriers,
     // never on lease interleaving, so the executed sequence — and the
     // vulnerability map — is byte-identical to a local steered run.
-    policy_storage = std::make_unique<SteeringPolicy>(std::move(cells),
-                                                      config.steering);
-    policy = policy_storage.get();
     std::vector<LeaseRange> round_ranges;
-    std::vector<std::size_t> ready;
     while (!drained) {
       if (interrupted()) { drained = true; break; }
-      const std::vector<std::size_t> round = policy->plan_round();
+      const std::vector<std::size_t> round = plan->policy().plan_round();
       if (round.empty()) break;
       // Lease only units the journal has not already replayed,
       // coalesced into contiguous ranges (grant() re-caps them at
@@ -623,25 +579,14 @@ void FleetCoordinator::execute() {
         for (const std::size_t t : round) {
           if (!progress.unit_completed(t)) ++outstanding;
         }
-        print_progress(/*final_line=*/false);
+        line.update(progress.done());
       }
-      // Round barrier: absorb in plan (ascending) order so journal
-      // bytes never depend on which worker shipped what, then feed the
-      // policy before planning the next round.
-      ready.clear();
-      for (const std::size_t t : round) {
-        if (progress.unit_completed(t)) ready.push_back(t);
-      }
-      progress.absorb_units(ready, marks);
-      for (const std::size_t t : ready) {
-        policy->record(t, task_.classify_unit(t, progress.payload(t)));
-      }
+      if (!plan->absorb_round(round, progress, marks)) drained = true;
       while (cursor < units && progress.unit_completed(cursor)) ++cursor;
       if (fleet.on_progress) fleet.on_progress(progress.done());
-      if (ready.size() < round.size()) drained = true;
     }
   }
-  print_progress(/*final_line=*/true);
+  line.update(progress.done(), /*final_line=*/true);
 
   // Tell every remaining worker the campaign is over (best effort) and
   // drop the connections.
@@ -659,30 +604,15 @@ void FleetCoordinator::execute() {
     ::waitpid(pid, &status, 0);  // ECHILD for already-reaped — fine
   }
 
-  if (drained) {
-    // Journal whatever was stored past the cursor (holes from re-leased
-    // ranges) so resume replays instead of recomputing it.
-    progress.flush_pending();
-    progress.close(marks);
-    throw CampaignInterrupted(progress.done(), units, config.checkpoint_dir);
-  }
+  // Drained: whatever was stored past the cursor (holes from re-leased
+  // ranges) is journaled so resume replays instead of recomputing it.
+  if (drained) progress.drain(marks);
 
   progress.close(marks);  // final checkpoint (steered: over executed units)
-  if (steered) {
-    ALFI_LOG(kInfo) << "steered fleet campaign complete: " << progress.done()
-                    << "/" << units << " units executed";
-    if (metrics_ != nullptr) {
-      metrics_->gauge("steering.units_executed")
-          .set(static_cast<double>(progress.done()));
-    }
-  }
-  progress.merge();
-  if (steered && !config.steering.map_path.empty()) {
-    io::write_vulnerability_map(
-        config.steering.map_path,
-        policy->build_map(task_.task_kind(), config.model_name, units));
-    ALFI_LOG(kInfo) << "vulnerability map written to "
-                    << config.steering.map_path;
+  if (plan) {
+    plan->finish(progress, metrics_);
+  } else {
+    progress.merge();
   }
 }
 

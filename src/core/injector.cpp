@@ -113,15 +113,19 @@ std::size_t Injector::armed_neuron_fault_count() const {
 }
 
 std::vector<std::vector<InjectionRecord>> Injector::split_records_by_slot(
-    std::size_t first, const std::vector<std::size_t>& slot_units) {
+    const std::vector<std::size_t>& slot_units) {
   std::vector<std::vector<InjectionRecord>> per_slot(slot_units.size());
-  for (std::size_t r = first; r < records_.size(); ++r) {
-    InjectionRecord& record = records_[r];
-    const std::size_t slot = static_cast<std::size_t>(record.fault.batch);
-    record.fault.batch = 0;
-    record.inference_index = slot_units[slot];
-    per_slot[slot].push_back(record);
+  for (InjectionRecord& record : records_) {
+    std::size_t slot = 0;
+    if (slot_units.size() > 1) {
+      slot = static_cast<std::size_t>(record.fault.batch);
+      ALFI_CHECK(slot < slot_units.size(), "injection record outside the pack");
+      record.fault.batch = 0;
+      record.inference_index = slot_units[slot];
+    }
+    per_slot[slot].push_back(std::move(record));
   }
+  records_.clear();
   return per_slot;
 }
 

@@ -60,14 +60,16 @@ class Injector {
   const std::vector<InjectionRecord>& records() const { return records_; }
   void clear_records() { records_.clear(); }
 
-  /// Packed campaign passes (DESIGN.md §12): rewrites the records
-  /// logged since `first` from batch-slot form into the per-unit form a
-  /// unit-at-a-time run logs — slot s names its unit slot_units[s],
-  /// which becomes the record's inference index, and its batch becomes
-  /// 0 — and returns them grouped by slot, in firing order (which is
-  /// each unit's own record order: layers fire in the same order).
+  /// Campaign passes (DESIGN.md §12): takes every logged record,
+  /// leaving the log empty, and returns them grouped by pack slot in
+  /// firing order (which is each unit's own record order: layers fire
+  /// in the same order).  A multi-unit pack's records are rewritten
+  /// from batch-slot form into the per-unit form a one-unit pack logs —
+  /// slot s names its unit slot_units[s], which becomes the record's
+  /// inference index, and its batch becomes 0.  A one-unit pack's
+  /// records already have that form and stay as logged.
   std::vector<std::vector<InjectionRecord>> split_records_by_slot(
-      std::size_t first, const std::vector<std::size_t>& slot_units);
+      const std::vector<std::size_t>& slot_units);
 
   std::size_t armed_neuron_fault_count() const;
   std::size_t pending_weight_restores() const { return weight_restores_.size(); }

@@ -18,8 +18,7 @@ namespace {
 /// One sample of probe input so the wrapper can profile layer geometry.
 Tensor probe_input(const data::ClassificationDataset& dataset) {
   const data::ClassificationSample sample = dataset.get(0);
-  const Shape& s = sample.image.shape();
-  return sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
+  return stack_images({&sample.image});
 }
 
 std::string fmt_float(float v) { return strformat("%.6g", v); }
@@ -189,66 +188,37 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   /// fault group address_unit() assigns it.  The global index keeps
   /// group, slot and trace labels independent of which shard — or which
   /// process, for a resumed or fleet campaign — executes the unit.
-  std::string run_unit(std::size_t t) override {
-    const Scenario& scenario = h_.wrapper_.get_scenario();
-    const UnitAddress addr = address_unit(scenario, t);
-    const data::ClassificationSample sample = h_.dataset_.get(addr.img);
-    const Shape& s = sample.image.shape();
-    const Tensor input = sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
-
-    Injector& injector = stack_.injector();
-    const std::size_t base_records = injector.records().size();
-    const TripleLogits logits = triple(input, input, /*slots=*/0, [&] {
-      std::vector<Fault> armed;
-      append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addr, 0, 1, armed);
-      injector.set_inference_index(t);
-      injector.arm(std::move(armed));
-    });
-    return score_unit(h_.config_.top_k, logits, 0, 0, due_[0] != 0, sample,
-                      addr.epoch, group_of(addr),
-                      std::span(injector.records()).subspan(base_records));
-  }
-
-  /// Packed execution (DESIGN.md §12): the given units run as one
-  /// triple over a [count, C, H, W] tensor, each unit's addressed faults
-  /// armed on its own batch slot.  The executor strides packs by
-  /// dataset_size, so a pack normally holds the SAME image under
-  /// different epochs' fault groups — the fault-free pass then runs
-  /// batch-1 and is shared by every slot (via the broadcast prefix
-  /// replay when diff is on).  Per-slot outputs are scored and
-  /// serialized exactly as count separate run_unit calls would have —
-  /// same rows, same KPIs, same records, same counters.
+  ///
+  /// The given units run as one triple over a [count, C, H, W] tensor,
+  /// each unit's addressed faults armed on its own batch slot
+  /// (DESIGN.md §12).  Packs are strided by dataset_size, so a
+  /// pack normally holds the SAME image under different epochs' fault
+  /// groups — the fault-free pass then runs batch-1 and is shared by
+  /// every slot (via the broadcast prefix replay when diff is on).
+  /// Per-slot outputs are scored and serialized exactly as count
+  /// one-unit packs would have been — same rows, same KPIs, same
+  /// records, same counters.
   std::vector<std::string> run_unit_pack(
       const std::vector<std::size_t>& units) override {
-    if (units.size() == 1) return {run_unit(units[0])};
     const std::size_t count = units.size();
     const Scenario& scenario = h_.wrapper_.get_scenario();
 
     std::vector<UnitAddress> addrs(count);
     std::vector<data::ClassificationSample> samples;
     samples.reserve(count);
+    std::vector<const Tensor*> images(count);
     bool same_image = true;
     for (std::size_t i = 0; i < count; ++i) {
       addrs[i] = address_unit(scenario, units[i]);
       samples.push_back(h_.dataset_.get(addrs[i].img));
+      images[i] = &samples[i].image;  // reserved: no reallocation
       same_image = same_image && addrs[i].img == addrs[0].img;
     }
-
-    // Pack the units' input samples along dim 0.
-    const Shape& s = samples[0].image.shape();
-    Tensor packed(Shape{count, s[0], s[1], s[2]});
-    const std::size_t per_image = samples[0].image.numel();
-    for (std::size_t i = 0; i < count; ++i) {
-      std::copy(samples[i].image.raw(), samples[i].image.raw() + per_image,
-                packed.raw() + i * per_image);
-    }
+    const Tensor packed = stack_images(images);
     // A same-image pack computes the fault-free pass once, batch-1.
-    const Tensor orig_input =
-        same_image ? samples[0].image.reshaped(Shape{1, s[0], s[1], s[2]})
-                   : Tensor();
+    const Tensor orig_input = same_image ? stack_images({images[0]}) : Tensor();
 
     Injector& injector = stack_.injector();
-    const std::size_t base_records = injector.records().size();
     const TripleLogits logits =
         triple(same_image ? orig_input : packed, packed, count, [&] {
           std::vector<Fault> armed;
@@ -260,7 +230,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
           injector.arm(std::move(armed));
         });
     const std::vector<std::vector<InjectionRecord>> records =
-        injector.split_records_by_slot(base_records, units);
+        injector.split_records_by_slot(units);
 
     std::vector<std::string> payloads;
     payloads.reserve(count);
@@ -279,16 +249,17 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   }
 
   /// Runs the coupled triple: the fault-free pass on `orig_images`, then
-  /// the corrupted and hardened passes on `faulty_images` under the
-  /// fault set `arm` installs.  A same-image pack passes its batch-1
-  /// image as `orig_images` under the `slots`-row packed input, so one
-  /// shared fault-free pass serves every slot (the broadcast prefix
-  /// replay, DESIGN.md §12); everywhere else the two are the same
-  /// tensor.  due_[s] holds slot s's DUE verdict (slots == 0: the whole
-  /// single-image pass's, in due_[0]), read right after the corrupted
-  /// pass, before the hardened pass can add detections of its own.
+  /// the corrupted and hardened passes on `faulty_images` (`count` rows)
+  /// under the fault set `arm` installs.  A same-image pack passes its
+  /// batch-1 image as `orig_images`, so one shared fault-free pass
+  /// serves every slot (the broadcast prefix replay, DESIGN.md §12);
+  /// everywhere else the two hold the same images.  due_[s] holds slot
+  /// s's DUE verdict, read right after the corrupted pass, before the
+  /// hardened pass can add detections of its own.  A one-unit pack
+  /// monitors whole-tensor: it is the reference every larger pack's
+  /// per-slot verdicts must match.
   TripleLogits triple(const Tensor& orig_images, const Tensor& faulty_images,
-                      std::size_t slots, const std::function<void()>& arm) {
+                      std::size_t count, const std::function<void()>& arm) {
     Injector& injector = stack_.injector();
     ModelMonitor& monitor = stack_.monitor();
     Protection* protection = stack_.protection();
@@ -306,6 +277,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     }
 
     arm();
+    const std::size_t slots = count > 1 ? count : 0;
     monitor.set_slot_count(slots);
     monitor.reset();
     // The armed set is fixed for both remaining passes, so one boundary
@@ -314,8 +286,8 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     const std::size_t boundary =
         diff_ ? diff_prefix_boundary(injector, ws_orig_) : 0;
     out.corr = armed_pass(faulty_images, boundary, ws_corr_, corr_hold_);
-    due_.assign(std::max<std::size_t>(slots, 1), 0);
-    for (std::size_t s = 0; s < due_.size(); ++s) {
+    due_.assign(count, 0);
+    for (std::size_t s = 0; s < count; ++s) {
       due_[s] = (slots == 0 ? monitor.due_detected() : monitor.slot_due(s)) ? 1 : 0;
     }
     if (protection != nullptr) {

@@ -12,8 +12,7 @@ namespace {
 
 Tensor probe_input(const data::DetectionDataset& dataset) {
   const data::DetectionSample sample = dataset.get(0);
-  const Shape& s = sample.image.shape();
-  return sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
+  return stack_images({&sample.image});
 }
 
 /// COCO results format: flat list of {image_id, category_id, bbox, score}.
@@ -103,29 +102,49 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
 
   ~ObjDetUnitRunner() override { detector_->set_workspace(nullptr); }
 
-  std::string run_unit(std::size_t t) override {
+  /// The given units run as one three-pass sequence over a
+  /// [count, C, H, W] tensor, each unit's addressed faults armed on its
+  /// own batch slot (DESIGN.md §12; a weight fault arms as drawn, and
+  /// max_unit_pack() keeps it out of multi-unit packs — weights are
+  /// shared across slots).  detect() returns per-slot detection lists,
+  /// so unpacking is direct; verdicts, payloads, records and counters
+  /// match count one-unit packs.
+  std::vector<std::string> run_unit_pack(
+      const std::vector<std::size_t>& units) override {
+    const std::size_t count = units.size();
     const Scenario& scenario = h_.wrapper_.get_scenario();
-    const UnitAddress addr = address_unit(scenario, t);
-    const data::DetectionSample sample = h_.dataset_.get(addr.img);
-    const Shape& s = sample.image.shape();
-    const Tensor input = sample.image.reshaped(Shape{1, s[0], s[1], s[2]});
 
-    // Arms the unit's addressed faults on this single-image inference
-    // (append_unit_faults: weight faults regardless of slot, a per-batch
-    // fault drawn past a short final batch remapped onto a scored image).
+    std::vector<UnitAddress> addrs(count);
+    std::vector<data::DetectionSample> samples;
+    samples.reserve(count);
+    std::vector<const Tensor*> images(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      addrs[i] = address_unit(scenario, units[i]);
+      samples.push_back(h_.dataset_.get(addrs[i].img));
+      images[i] = &samples[i].image;  // reserved: no reallocation
+    }
+    const Tensor packed = stack_images(images);
+
     const auto arm = [&] {
+      injector_.set_inference_index(units[0]);
       std::vector<Fault> armed;
-      append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addr, 0, 1, armed);
-      injector_.set_inference_index(t);
+      for (std::size_t i = 0; i < count; ++i) {
+        append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addrs[i], i, count,
+                           armed);
+      }
       injector_.arm(std::move(armed));
     };
 
-    const std::size_t base_records = injector_.records().size();
+    // Per-slot monitoring for a multi-unit pack; a one-unit pack
+    // monitors whole-tensor, so a layer whose dim 0 is not the batch
+    // (FrcnnLite's proposal head) stays checkable.
+    const std::size_t slots = count > 1 ? count : 0;
+    monitor_.set_slot_count(slots);
 
     // ---- pass 1: fault-free -------------------------------------------------
     injector_.disarm();
     if (protection_) protection_->set_enabled(false);
-    auto orig = detector_->detect(input, h_.config_.conf_threshold);
+    auto orig = detector_->detect(packed, h_.config_.conf_threshold);
 
     // ---- pass 2: faulty -----------------------------------------------------
     arm();
@@ -142,120 +161,13 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
       (reused > 0 ? diff_hits_ : diff_misses_)->add();
     };
     ws_.set_prefix_boundary(boundary);
-    auto corr = detector_->detect(input, h_.config_.conf_threshold);
-    note_diff();
-    const bool due = monitor_.due_detected();
-
-    // ---- pass 3: hardened ---------------------------------------------------
-    std::vector<models::Detection> resil;
-    if (protection_) {
-      injector_.disarm();
-      arm();
-      protection_->set_enabled(true);
-      ws_.set_prefix_boundary(boundary);
-      auto resil_batched = detector_->detect(input, h_.config_.conf_threshold);
-      note_diff();
-      protection_->set_enabled(false);
-      resil = std::move(resil_batched[0]);
-    }
-    injector_.disarm();
-    if (arena_gauge_ != nullptr) {
-      arena_gauge_->set(static_cast<double>(ws_.high_water_bytes()));
-    }
-
-    // ---- verdicts + payload -------------------------------------------------
-    const bool sde = !due && detections_differ(orig[0], corr[0]);
-    const bool resil_sde =
-        protection_ && !due && detections_differ(orig[0], resil);
-
-    io::ByteWriter w;
-    w.write_u8(due ? 1 : 0);
-    w.write_u8(sde ? 1 : 0);
-    w.write_u8(resil_sde ? 1 : 0);
-    // mAP is evaluated over one pass of the dataset, so detections only
-    // ride along for epoch-0 units.
-    w.write_u8(addr.epoch == 0 ? 1 : 0);
-    if (addr.epoch == 0) {
-      w.write_i64(sample.meta.image_id);
-      write_detections(w, orig[0]);
-      write_detections(w, corr[0]);
-      w.write_u8(protection_ ? 1 : 0);
-      if (protection_) write_detections(w, resil);
-    }
-    const auto& recs = injector_.records();
-    w.write_u64(recs.size() - base_records);
-    for (std::size_t i = base_records; i < recs.size(); ++i) {
-      write_record_bytes(w, recs[i]);
-    }
-    return w.take();
-  }
-
-  /// Packed execution (DESIGN.md §12): the given units run as one
-  /// three-pass sequence over a [count, C, H, W] tensor, each unit's
-  /// addressed faults armed on its own batch slot.  detect() already
-  /// returns per-slot detection lists, so unpacking is direct;
-  /// verdicts, payloads, records and counters match count serial units.
-  std::vector<std::string> run_unit_pack(
-      const std::vector<std::size_t>& units) override {
-    if (units.size() == 1) return {run_unit(units[0])};
-    const std::size_t count = units.size();
-    const Scenario& scenario = h_.wrapper_.get_scenario();
-
-    std::vector<UnitAddress> addrs(count);
-    std::vector<data::DetectionSample> samples;
-    samples.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      addrs[i] = address_unit(scenario, units[i]);
-      samples.push_back(h_.dataset_.get(addrs[i].img));
-    }
-    const Shape& s = samples[0].image.shape();
-    Tensor packed(Shape{count, s[0], s[1], s[2]});
-    const std::size_t per_image = samples[0].image.numel();
-    for (std::size_t i = 0; i < count; ++i) {
-      std::copy(samples[i].image.raw(), samples[i].image.raw() + per_image,
-                packed.raw() + i * per_image);
-    }
-
-    // Arm every unit's addressed faults on its slot.  max_unit_pack()
-    // guarantees no weight faults reach a packed pass (weights are
-    // shared across slots).
-    const auto arm = [&] {
-      injector_.set_inference_index(units[0]);
-      std::vector<Fault> armed;
-      for (std::size_t i = 0; i < count; ++i) {
-        append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addrs[i], i, count,
-                           armed);
-      }
-      injector_.arm(std::move(armed));
-    };
-
-    const std::size_t base_records = injector_.records().size();
-    monitor_.set_slot_count(count);
-
-    // ---- pass 1: fault-free -------------------------------------------------
-    injector_.disarm();
-    if (protection_) protection_->set_enabled(false);
-    auto orig = detector_->detect(packed, h_.config_.conf_threshold);
-
-    // ---- pass 2: faulty -----------------------------------------------------
-    arm();
-    monitor_.reset();
-    std::size_t boundary = 0;
-    if (diff_) boundary = diff_prefix_boundary(injector_, ws_);
-    const auto note_diff = [this] {
-      if (!diff_) return;
-      const std::size_t reused = ws_.prefix_reused_last_run();
-      diff_skipped_->add(reused);
-      (reused > 0 ? diff_hits_ : diff_misses_)->add();
-    };
-    ws_.set_prefix_boundary(boundary);
     auto corr = detector_->detect(packed, h_.config_.conf_threshold);
     note_diff();
-    // Per-slot DUE verdicts, read at the same point a serial unit reads
-    // its flag: after the faulty pass, before the hardened one.
+    // Per-slot DUE verdicts, read after the faulty pass, before the
+    // hardened one.
     std::vector<std::uint8_t> due(count, 0);
     for (std::size_t i = 0; i < count; ++i) {
-      due[i] = monitor_.slot_due(i) ? 1 : 0;
+      due[i] = (slots == 0 ? monitor_.due_detected() : monitor_.slot_due(i)) ? 1 : 0;
     }
 
     // ---- pass 3: hardened ---------------------------------------------------
@@ -276,7 +188,7 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     }
 
     const std::vector<std::vector<InjectionRecord>> per_unit_records =
-        injector_.split_records_by_slot(base_records, units);
+        injector_.split_records_by_slot(units);
 
     // ---- per-unit verdicts + payloads ---------------------------------------
     std::vector<std::string> payloads;
@@ -291,6 +203,8 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
       w.write_u8(unit_due ? 1 : 0);
       w.write_u8(sde ? 1 : 0);
       w.write_u8(resil_sde ? 1 : 0);
+      // mAP is evaluated over one pass of the dataset, so detections only
+      // ride along for epoch-0 units.
       w.write_u8(addrs[i].epoch == 0 ? 1 : 0);
       if (addrs[i].epoch == 0) {
         w.write_i64(samples[i].meta.image_id);
@@ -401,8 +315,7 @@ void TestErrorModelsObjDet::prepare() {
     ALFI_CHECK(count > 0, "no calibration images available");
     for (std::size_t i = 0; i < count; ++i) {
       const data::DetectionSample sample = dataset_.get(i);
-      const Shape& s = sample.image.shape();
-      calibration.push_back(sample.image.reshaped(Shape{1, s[0], s[1], s[2]}));
+      calibration.push_back(stack_images({&sample.image}));
     }
     bounds_ = profile_activation_ranges(detector_.network(), calibration);
   }
@@ -414,7 +327,7 @@ std::unique_ptr<CampaignUnitRunner> TestErrorModelsObjDet::make_unit_runner(
 }
 
 std::size_t TestErrorModelsObjDet::max_unit_pack() const {
-  return unit_pack_limit(wrapper_.fault_matrix());
+  return detector_.packable() ? unit_pack_limit(wrapper_.fault_matrix()) : 1;
 }
 
 std::vector<SteeringCellKey> TestErrorModelsObjDet::steering_cells() const {

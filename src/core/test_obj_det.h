@@ -92,7 +92,8 @@ class TestErrorModelsObjDet final : public CampaignTask {
   void prepare() override;
   std::unique_ptr<CampaignUnitRunner> make_unit_runner(bool shared_model) override;
   /// Unbounded for neuron-fault campaigns (each unit's addressed faults
-  /// arm on its own batch slot); 1 when any fault targets weights.
+  /// arm on its own batch slot); 1 when any fault targets weights or the
+  /// detector is not packable() (FrcnnLite's per-image proposal head).
   std::size_t max_unit_pack() const override;
   /// Unit t's (layer, bit, fault-type) stratum from its addressed
   /// group's first fault (unit_steering_cells).

@@ -89,6 +89,14 @@ class Detector {
   /// (they just stay on the allocating path).
   virtual void set_workspace(nn::InferenceWorkspace* ws) { (void)ws; }
 
+  /// Whether one detect() over a batch keeps its images apart end to
+  /// end, so a campaign may pack several units into one pass, each
+  /// unit's faults armed on its own batch slot (DESIGN.md §12).  A
+  /// detector with a stage that runs per image on a tensor whose dim 0
+  /// is not the batch answers false: a fault armed on slot i would hit
+  /// row i of that stage for every image of the pack.
+  virtual bool packable() const { return true; }
+
   /// Deep copy: a fresh detector of the same family and geometry whose
   /// network holds copies of this detector's parameters.  The clone
   /// shares no mutable state with the original, so it can run on

@@ -71,6 +71,9 @@ class FrcnnLite final : public Detector {
   void set_workspace(nn::InferenceWorkspace* ws) override;
   float train_step(const data::DetectionBatch& batch) override;
   std::unique_ptr<Detector> clone() override;
+  /// False: the second-stage head runs once per image on a
+  /// [proposals, 64] tensor, so its dim 0 indexes proposals, not images.
+  bool packable() const override { return false; }
 
   /// Number of proposals forwarded to stage 2 per image.
   static constexpr std::size_t kProposalsPerImage = 6;

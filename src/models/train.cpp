@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "nn/serialize.h"
+#include "util/error.h"
 #include "util/logging.h"
 
 namespace alfi::models {
@@ -132,14 +133,31 @@ float evaluate_detector_recall(Detector& detector, const data::DetectionDataset&
   return total == 0 ? 0.0f : static_cast<float>(recovered) / static_cast<float>(total);
 }
 
+namespace {
+
+/// Loads `cache_path` into `model`.  A missing file is a miss; so is a
+/// file that does not load as this model's parameters — a cache written
+/// for another definition of the architecture — which is named in a
+/// warning and left to be rewritten by the retrain.
+bool load_cache(nn::Module& model, const std::string& cache_path) {
+  if (!std::filesystem::exists(cache_path)) return false;
+  try {
+    nn::load_parameters(model, cache_path);
+  } catch (const Error& e) {
+    ALFI_LOG(kWarn) << "model cache " << cache_path << " does not fit this model ("
+                    << e.what() << "); retraining and rewriting it";
+    return false;
+  }
+  model.set_training(false);
+  return true;
+}
+
+}  // namespace
+
 float train_classifier_cached(nn::Module& model,
                               const data::ClassificationDataset& dataset,
                               const TrainConfig& config, const std::string& cache_path) {
-  if (std::filesystem::exists(cache_path)) {
-    nn::load_parameters(model, cache_path);
-    model.set_training(false);
-    return -1.0f;
-  }
+  if (load_cache(model, cache_path)) return -1.0f;
   const float accuracy = train_classifier(model, dataset, config);
   nn::save_parameters(model, cache_path);
   return accuracy;
@@ -147,11 +165,7 @@ float train_classifier_cached(nn::Module& model,
 
 float train_detector_cached(Detector& detector, const data::DetectionDataset& dataset,
                             const TrainConfig& config, const std::string& cache_path) {
-  if (std::filesystem::exists(cache_path)) {
-    nn::load_parameters(detector.network(), cache_path);
-    detector.network().set_training(false);
-    return -1.0f;
-  }
+  if (load_cache(detector.network(), cache_path)) return -1.0f;
   const float loss = train_detector(detector, dataset, config);
   nn::save_parameters(detector.network(), cache_path);
   return loss;

@@ -50,9 +50,12 @@ float train_detector(Detector& detector, const data::DetectionDataset& dataset,
 float evaluate_detector_recall(Detector& detector, const data::DetectionDataset& dataset,
                                float conf_threshold, std::size_t batch_size = 16);
 
-/// Loads cached parameters if `cache_path` exists, otherwise trains and
-/// saves.  Returns the achieved accuracy metric (negative if loaded from
-/// cache without re-evaluation).
+/// Loads cached parameters if `cache_path` holds this model's
+/// parameters, otherwise trains and saves.  A cache that does not load —
+/// written for another definition of the architecture — is a miss: a
+/// warning names the file and the reason, and the retrain rewrites it.
+/// Returns the achieved accuracy metric (negative if loaded from cache
+/// without re-evaluation).
 float train_classifier_cached(nn::Module& model,
                               const data::ClassificationDataset& dataset,
                               const TrainConfig& config, const std::string& cache_path);

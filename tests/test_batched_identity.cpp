@@ -10,7 +10,9 @@
 // dataset_size, sharing one fault-free pass per pack) and gather packs
 // (single-epoch classification and object detection pack consecutive
 // different-image units), plus short/uneven packs at shard boundaries.
-// Weight-fault campaigns must silently clamp the pack to 1.
+// Weight-fault campaigns must silently clamp the pack to 1, and so must
+// FrcnnLite, whose per-image proposal head mixes a pack's images; the
+// multi-head RetinaLite packs.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -386,6 +388,123 @@ TEST_F(ObjDetBatchedIdentity, ParallelMitigatedPackedDetectionMatchesUnitAtATime
   const auto serial = run_campaign(
       1, 4, serial_dir.str(), InjectionPolicy::kPerImage, MitigationKind::kRanger);
   expect_identical(packed, serial);
+}
+
+// ---- multi-head and two-stage detectors -----------------------------------
+
+/// RetinaLite (separate class and box heads) and FrcnnLite (a proposal
+/// head run per image) over unit-batch 1/4 x jobs 1/2 x diff on/off,
+/// with neuron faults on their heads.  FrcnnLite is not packable(): its
+/// head sees a [proposals, 64] tensor per image, so a fault armed on
+/// pack slot i would corrupt proposal i of every image in the pack —
+/// its packs clamp to one unit.  The jobs-2 runs clone both detectors
+/// and every run goes through their workspace paths.
+class DetectorPackIdentity : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dataset_ = new data::SyntheticShapesDetection(
+        {.size = 16, .min_objects = 1, .max_objects = 2, .seed = 43});
+  }
+
+  static void TearDownTestSuite() {
+    delete dataset_;
+    dataset_ = nullptr;
+  }
+
+  static std::unique_ptr<models::Detector> trained(const std::string& family) {
+    auto detector = models::make_detector(family, models::GridSpec{6, 48, 48}, 3, 3);
+    models::TrainConfig config;
+    config.epochs = 6;  // determinism test: accuracy is irrelevant
+    config.batch_size = 8;
+    config.learning_rate = 0.01f;
+    models::train_detector(*detector, *dataset_, config);
+    return detector;
+  }
+
+  /// Exponent flips, large enough to change detections.  `kinds` empty
+  /// = every layer kind.
+  static Scenario scenario(std::vector<nn::LayerKind> kinds) {
+    Scenario s;
+    s.target = FaultTarget::kNeurons;
+    s.inj_policy = InjectionPolicy::kPerImage;
+    s.rnd_bit_range_lo = 24;
+    s.rnd_bit_range_hi = 30;
+    s.layer_types = std::move(kinds);
+    s.dataset_size = 12;
+    s.num_runs = 1;
+    s.max_faults_per_image = 1;
+    s.rnd_seed = 3;
+    return s;
+  }
+
+  struct DetRun {
+    ObjDetCampaignResult result;
+    std::string counters_json;
+    std::size_t head_faults = 0;  ///< matrix faults on the head's layers
+  };
+
+  static DetRun run_campaign(models::Detector& detector, const Scenario& s,
+                             std::size_t unit_batch, std::size_t jobs, bool diff,
+                             const std::string& dir) {
+    ObjDetCampaignConfig config;
+    config.model_name = detector.name();
+    config.output_dir = dir;
+    config.jobs = jobs;
+    config.unit_batch = unit_batch;
+    config.diff = diff;
+    config.conf_threshold = 0.05f;
+    config.metrics_path = dir + "/metrics.json";
+    TestErrorModelsObjDet harness(detector, *dataset_, s, config);
+    DetRun run;
+    run.result = harness.run();
+    run.counters_json = comparable_counters(config.metrics_path);
+    const ModelProfile& profile = harness.wrapper().profile();
+    for (const Fault& fault : harness.wrapper().fault_matrix().faults()) {
+      const std::string& path = profile.layer(static_cast<std::size_t>(fault.layer)).path;
+      if (path.find("head") != std::string::npos) ++run.head_faults;
+    }
+    return run;
+  }
+
+  static void expect_grid_identical(models::Detector& detector, const Scenario& s) {
+    test::TempDir ref_dir("det_pack_ref");
+    const DetRun ref = run_campaign(detector, s, 1, 1, true, ref_dir.str());
+    EXPECT_GT(ref.head_faults, 0u) << detector.name();
+    EXPECT_GT(ref.result.ivmod.sde_images, 0u) << detector.name();
+    for (const std::size_t unit_batch : {1u, 4u}) {
+      for (const std::size_t jobs : {1u, 2u}) {
+        for (const bool diff : {true, false}) {
+          if (unit_batch == 1 && jobs == 1 && diff) continue;  // the reference
+          SCOPED_TRACE(detector.name() + " unit_batch " + std::to_string(unit_batch) +
+                       " jobs " + std::to_string(jobs) + (diff ? " diff" : " no-diff"));
+          test::TempDir dir("det_pack");
+          const DetRun run = run_campaign(detector, s, unit_batch, jobs, diff, dir.str());
+          EXPECT_EQ(file_bytes(run.result.orig_json), file_bytes(ref.result.orig_json));
+          EXPECT_EQ(file_bytes(run.result.corr_json), file_bytes(ref.result.corr_json));
+          EXPECT_EQ(file_bytes(run.result.trace_bin), file_bytes(ref.result.trace_bin));
+          EXPECT_EQ(run.counters_json, ref.counters_json);
+          EXPECT_EQ(run.result.ivmod.sde_images, ref.result.ivmod.sde_images);
+          EXPECT_EQ(run.result.ivmod.due_images, ref.result.ivmod.due_images);
+          EXPECT_EQ(run.result.faulty_map.ap_50, ref.result.faulty_map.ap_50);
+        }
+      }
+    }
+  }
+
+  static data::SyntheticShapesDetection* dataset_;
+};
+
+data::SyntheticShapesDetection* DetectorPackIdentity::dataset_ = nullptr;
+
+TEST_F(DetectorPackIdentity, RetinaPacksMatchUnitAtATime) {
+  const auto detector = trained("retina");
+  expect_grid_identical(*detector, scenario({}));
+}
+
+TEST_F(DetectorPackIdentity, FrcnnPacksMatchUnitAtATime) {
+  // Linear layers only: every fault lands in the proposal head.
+  const auto detector = trained("frcnn");
+  expect_grid_identical(*detector, scenario({nn::LayerKind::kLinear}));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "nn/serialize.h"
 #include "test_common.h"
 
 namespace alfi::models {
@@ -86,6 +87,30 @@ TEST(Training, CachedTrainingSkipsRetraining) {
   EXPECT_LT(second, 0.0f);  // loaded from cache
   const Tensor input = dataset.get(0).image.reshaped(Shape{1, 3, 32, 32});
   EXPECT_LT(Tensor::max_abs_diff(net->forward(input), net2->forward(input)), 1e-6f);
+}
+
+TEST(Training, StaleCacheRetrainsInsteadOfThrowing) {
+  // A cache written for another definition of the architecture (here a
+  // 10-class LeNet head under a 4-class model) is a miss: the model
+  // retrains and the cache is rewritten with the retrained weights.
+  test::TempDir dir("stale_cache");
+  const data::SyntheticShapesClassification dataset(
+      {.size = 40, .num_classes = 4, .seed = 17});
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 20;
+  const std::string cache = dir.file("lenet.params");
+  nn::save_parameters(*make_lenet({.num_classes = 10}), cache);
+
+  auto cached = make_lenet({.num_classes = 4});
+  float accuracy = -1.0f;
+  EXPECT_NO_THROW(accuracy = train_classifier_cached(*cached, dataset, config, cache));
+  EXPECT_GE(accuracy, 0.0f);  // retrained, not loaded
+
+  auto reloaded = make_lenet({.num_classes = 4});
+  EXPECT_LT(train_classifier_cached(*reloaded, dataset, config, cache), 0.0f);
+  const Tensor input = dataset.get(0).image.reshaped(Shape{1, 3, 32, 32});
+  EXPECT_EQ(Tensor::max_abs_diff(reloaded->forward(input), cached->forward(input)), 0.0f);
 }
 
 }  // namespace

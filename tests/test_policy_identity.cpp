@@ -310,7 +310,9 @@ TEST(PolicyIdentityObjDet, PerImageFaultForLaterSlotIsCountedAsSkipped) {
   s.num_runs = 1;
   s.max_faults_per_image = 1;
   s.rnd_seed = 7;
+  test::TempDir out_dir("policy_det_skip");
   ObjDetCampaignConfig config;
+  config.output_dir = out_dir.str();
   TestErrorModelsObjDet harness(detector, dataset, s, config);
 
   Fault f;  // low mantissa bit of the first conv's first output
@@ -332,7 +334,9 @@ TEST(PolicyIdentityObjDet, PerImageFaultForLaterSlotIsCountedAsSkipped) {
   EXPECT_EQ(counter_value(harness.metrics(), "injections.skipped_batch_slot"), 1u);
   EXPECT_EQ(counter_value(harness.metrics(), "injections.armed"), 4u);
   EXPECT_EQ(counter_value(harness.metrics(), "injections.applied"), 3u);
-  for (const InjectionRecord& record : harness.wrapper().records()) {
+  const std::vector<InjectionRecord> records = load_injection_records(result.trace_bin);
+  EXPECT_EQ(records.size(), 3u);
+  for (const InjectionRecord& record : records) {
     EXPECT_NE(record.inference_index, 1u);  // unit 1's fault never landed
   }
 }

@@ -7,8 +7,8 @@
 //     (finalize used to assume completed == total), KPI rates over
 //     executed units only, checkpoint + resume mid-budget;
 //   * plan determinism end to end — byte-identical
-//     vulnerability_map.json and results CSV across --jobs 1, --jobs 4
-//     and a 3-worker local fleet;
+//     vulnerability_map.json and results CSV across --jobs 1, --jobs 4,
+//     a 3-worker local fleet and --unit-batch 1/4 (steered rounds pack);
 //   * ranking reproduction — a budgeted run at <= 50% of the
 //     exhaustive units reproduces the exhaustive top-5 layer ranking on
 //     the LeNet CNN and the MiniTransformer attention workload.
@@ -400,6 +400,57 @@ TEST_F(SteeredImgClass, SteeringRejectsBatchedPolicies) {
   EXPECT_EQ(file_bytes(serial.trace_bin), file_bytes(parallel.trace_bin));
   EXPECT_EQ(serial.kpis.total, 12u);
   EXPECT_EQ(parallel.kpis.total, 12u);
+}
+
+TEST_F(SteeredImgClass, SteeredRoundsHonourUnitBatch) {
+  // Steered rounds pack their units through the executor's pack
+  // scheduler: a worker's share of a round is packed like an exhaustive
+  // shard.  The executed units and their outputs do not depend on the
+  // pack size or the job count, and packing shows in the pass counters:
+  // each armed pass adds one to prefix_hits + prefix_misses, and a pack
+  // of K units runs one pass instead of K.
+  Scenario s = scenario();
+  s.dataset_size = 24;
+  s.num_runs = 1;  // unit stride 1: consecutive planned units pack
+  const auto run_with = [&](std::size_t unit_batch, std::size_t jobs,
+                            const test::TempDir& dir) {
+    auto c = config(dir.str());
+    c.jobs = jobs;
+    c.unit_batch = unit_batch;
+    c.steering.steer = true;
+    c.steering.round_units = 8;
+    c.steering.min_cell_samples = 2;
+    c.steering.half_width = 0.2;
+    c.steering.map_path = dir.file("map.json");
+    TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
+    const auto result = harness.run();
+    std::uint64_t passes = 0;
+    for (const auto& [name, value] : harness.metrics().counters()) {
+      if (name == "campaign.diff.prefix_hits" || name == "campaign.diff.prefix_misses") {
+        passes += value;
+      }
+    }
+    return std::make_pair(result, passes);
+  };
+  test::TempDir ref_dir("steer_pack_ref");
+  const auto [ref, ref_passes] = run_with(1, 1, ref_dir);
+  EXPECT_GT(ref.kpis.total, 0u);
+  for (const std::size_t unit_batch : {1u, 4u}) {
+    for (const std::size_t jobs : {1u, 4u}) {
+      if (unit_batch == 1 && jobs == 1) continue;
+      SCOPED_TRACE("unit_batch " + std::to_string(unit_batch) + " jobs " +
+                   std::to_string(jobs));
+      test::TempDir dir("steer_pack");
+      const auto [run, passes] = run_with(unit_batch, jobs, dir);
+      EXPECT_EQ(file_bytes(dir.file("map.json")), file_bytes(ref_dir.file("map.json")));
+      EXPECT_EQ(file_bytes(run.results_csv), file_bytes(ref.results_csv));
+      EXPECT_EQ(file_bytes(run.fault_free_csv), file_bytes(ref.fault_free_csv));
+      EXPECT_EQ(file_bytes(run.trace_bin), file_bytes(ref.trace_bin));
+      if (unit_batch == 4 && jobs == 1) {
+        EXPECT_LT(passes, ref_passes);
+      }
+    }
+  }
 }
 
 // ---- plan determinism across jobs and fleet ---------------------------------

@@ -1,6 +1,7 @@
 // Campaign-level telemetry tests: the determinism contract of
-// metrics.json across --jobs, and the skipped-injection accounting for
-// per-batch faults aimed past a short final batch.
+// metrics.json across --jobs, the skipped-injection accounting for
+// per-batch faults aimed past a short final batch, and the injector log
+// being drained into the unit payloads pack by pack.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -158,7 +159,9 @@ TEST_F(TelemetryCampaign, ShortFinalBatchRemapsSlotInsteadOfSkipping) {
   s.max_faults_per_image = 1;
   s.rnd_seed = 7;
 
+  test::TempDir out_dir("short_batch_trace");
   ImgClassCampaignConfig config;
+  config.output_dir = out_dir.str();
   TestErrorModelsImgClass harness(*model_, short_dataset, s, config);
 
   // Two batches -> two fault groups, both aimed at the last slot of a
@@ -190,12 +193,41 @@ TEST_F(TelemetryCampaign, ShortFinalBatchRemapsSlotInsteadOfSkipping) {
       EXPECT_EQ(value, 2u);
     }
   }
-  const auto& records = harness.wrapper().records();
+  const std::vector<InjectionRecord> records = load_injection_records(result.trace_bin);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].fault.batch, 0);
   EXPECT_EQ(records[0].inference_index, 7u);  // full batch: slot as drawn
   EXPECT_EQ(records[1].fault.batch, 0);
   EXPECT_EQ(records[1].inference_index, 9u);  // short batch: 7 % 2
+}
+
+TEST_F(TelemetryCampaign, SerialRunLeavesInjectorLogEmpty) {
+  // A serial run's unit runner arms the wrapper's own injector.  Each
+  // pack takes its records out of the injector log into its payloads,
+  // so the trace file holds every application once and the log ends
+  // the campaign empty.
+  Scenario s;
+  s.target = FaultTarget::kNeurons;
+  s.value_type = ValueType::kBitFlip;
+  s.rnd_bit_range_lo = 0;
+  s.rnd_bit_range_hi = 8;
+  s.dataset_size = 12;
+  s.num_runs = 2;
+  s.max_faults_per_image = 1;
+  s.rnd_seed = 31;
+  for (const std::size_t unit_batch : {1u, 2u}) {
+    test::TempDir out_dir("serial_log_empty");
+    ImgClassCampaignConfig config;
+    config.output_dir = out_dir.str();
+    config.jobs = 1;
+    config.unit_batch = unit_batch;
+    TestErrorModelsImgClass harness(*model_, *dataset_, s, config);
+    const auto result = harness.run();
+    EXPECT_EQ(result.kpis.total, 24u);
+    EXPECT_EQ(load_injection_records(result.trace_bin).size(), 24u)
+        << "unit_batch " << unit_batch;
+    EXPECT_TRUE(harness.wrapper().records().empty()) << "unit_batch " << unit_batch;
+  }
 }
 
 }  // namespace

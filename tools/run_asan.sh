@@ -1,12 +1,9 @@
 #!/usr/bin/env bash
-# Build the memory layer under AddressSanitizer + UBSan and run the
-# tensor-, nn-, campaign-, batched-, backend- and steering-labeled
-# tests (TensorArena borrows, workspace slot lifetimes, the `_into`
-# kernels, the campaign paths that consume them, the packed-unit record
-# rewriting of DESIGN.md §12, the AVX2 kernels of DESIGN.md §13 —
+# Build the whole tree under AddressSanitizer + UBSan and run every
+# test: the memory layer (TensorArena borrows, workspace slot
+# lifetimes, the `_into` kernels, the AVX2 kernels of DESIGN.md §13 —
 # vectorized loads near tensor tails are exactly where ASan earns its
-# keep — and the budgeted-steering round loop of DESIGN.md §16, which
-# re-reads unit payloads at the round barrier).  Usage:
+# keep), the campaign executors and the parsers alike.  Usage:
 #
 #   tools/run_asan.sh [extra ctest args...]
 #

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Build under UndefinedBehaviorSanitizer only (no ASan overhead, traps
-# are non-recoverable) and run the tensor-, nn-, campaign-,
-# telemetry-, batched-, backend- and steering-labeled tests: the
-# bit-flip/stuck-at bit twiddling, arena offset arithmetic, batch-slot
-# remap arithmetic, the differential-inference prefix bookkeeping, the
-# stored-code (fp16/int8) quantization paths and the Wilson-interval
-# arithmetic driving budgeted steering are the layers where silent UB
-# would corrupt campaign verdicts.
+# are non-recoverable) and run every test: the bit-flip/stuck-at bit
+# twiddling, arena offset arithmetic, batch-slot remap arithmetic, the
+# differential-inference prefix bookkeeping, the stored-code
+# (fp16/int8) quantization paths and the Wilson-interval arithmetic
+# driving budgeted steering are where silent UB would corrupt campaign
+# verdicts, and every other test rides along.
 # Usage:
 #
 #   tools/run_ubsan.sh [extra ctest args...]
