@@ -47,8 +47,11 @@ void write_section(io::BinaryWriter& writer, const std::vector<NamedTensor>& ent
   }
 }
 
+/// Parses one section into `staged` (one tensor per entry, in entry
+/// order) without touching the model.
 void read_section(io::BinaryReader& reader, const std::vector<NamedTensor>& entries,
-                  const std::string& path, const char* what) {
+                  const std::string& path, const char* what,
+                  std::vector<Tensor>& staged) {
   const std::uint64_t count = reader.read_u64();
   if (count != entries.size()) {
     throw ParseError(std::string(what) + " count mismatch in " + path +
@@ -68,8 +71,7 @@ void read_section(io::BinaryReader& reader, const std::vector<NamedTensor>& entr
     if (shape != entry.tensor->shape()) {
       throw ParseError(std::string(what) + " shape mismatch for " + entry.name);
     }
-    std::vector<float> data = reader.read_f32_array();
-    *entry.tensor = Tensor(shape, std::move(data));
+    staged.emplace_back(shape, reader.read_f32_array());
   }
 }
 
@@ -93,11 +95,20 @@ void load_parameters(Module& root, const std::string& path) {
                      " (delete stale caches and retrain)");
   }
 
+  // All or nothing: both sections parse into staged tensors first, so a
+  // file that fails part-way (say, a stale cache whose head differs)
+  // leaves the model as it was.  Then each staged tensor moves in.
   std::vector<NamedTensor> params, buffers;
   collect(root, params, buffers);
-  read_section(reader, params, path, "parameter");
-  read_section(reader, buffers, path, "buffer");
+  std::vector<Tensor> staged;
+  staged.reserve(params.size() + buffers.size());
+  read_section(reader, params, path, "parameter", staged);
+  read_section(reader, buffers, path, "buffer", staged);
 
+  params.insert(params.end(), buffers.begin(), buffers.end());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    *params[i].tensor = std::move(staged[i]);
+  }
   for (Parameter* p : root.parameters()) p->zero_grad();
 }
 

@@ -82,6 +82,7 @@ void Backend::matmul(Tensor& dst, const Tensor& a, const Tensor& b) const {
       for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
   }
+  detail::canonicalize_nans(po, m * n);
 }
 
 void Backend::transpose2d(Tensor& dst, const Tensor& a) const {
@@ -115,7 +116,7 @@ void Backend::linear_forward(Tensor& dst, const Tensor& input, const Tensor& wei
       const float* w = weight.raw() + o * in;
       double acc = bias.raw()[o];
       for (std::size_t i = 0; i < in; ++i) acc += static_cast<double>(w[i]) * x[i];
-      y[o] = static_cast<float>(acc);
+      y[o] = detail::canonical_nan(static_cast<float>(acc));
     }
   }
 }
@@ -123,6 +124,10 @@ void Backend::linear_forward(Tensor& dst, const Tensor& input, const Tensor& wei
 // ---- convolution -----------------------------------------------------------
 
 namespace detail {
+
+void canonicalize_nans(float* data, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) data[i] = canonical_nan(data[i]);
+}
 
 /// Lowers one sample [C,H,W] to a column matrix [C*KH*KW, OH*OW].
 void im2col(const float* input, std::size_t channels, std::size_t height,
@@ -225,6 +230,7 @@ void Backend::conv2d_forward(Tensor& dst, const Tensor& input, const Tensor& wei
         for (std::size_t c = 0; c < col_cols; ++c) orow[c] += wv * crow[c];
       }
     }
+    detail::canonicalize_nans(out_base, oc * col_cols);
   }
 }
 
@@ -336,6 +342,7 @@ void Backend::conv2d_planned(Tensor& dst, const Tensor& input, const Tensor& wei
       for (; r + 4 <= col_rows; r += 4) rblock_single(orow, wrow, r);
       rtail_single(orow, wrow, r);
     }
+    detail::canonicalize_nans(out_base, oc * col_cols);
   }
 }
 
@@ -734,7 +741,7 @@ Backend& ref_backend() {
 
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
@@ -775,7 +782,7 @@ Backend& resolve_backend(const std::string& name) {
   if (backend == nullptr) {
     throw ConfigError("backend '" + name +
                       "' is not available on this machine (build without AVX2 "
-                      "support or CPU lacks avx2/fma); use --backend auto for "
+                      "support or CPU lacks avx2); use --backend auto for "
                       "best-available");
   }
   return *backend;

@@ -6,15 +6,17 @@
 // behaviour for the rest.  Two backends ship in-tree:
 //
 //   * "ref"  — the scalar kernels, unchanged from before the dispatch
-//     layer existed.  It is the campaign-identity oracle: its results
-//     are bit-exact with every historical campaign artifact, and the
-//     backend-vs-reference sweep (tests/test_backend_ops.cpp) compares
-//     all other backends against it.
-//   * "avx2" — AVX2+FMA vectorized conv/GEMM/activations, registered
+//     layer existed except that the accumulating kernels output NaNs as
+//     the canonical quiet NaN (detail::canonical_nan).  It is the
+//     campaign-identity oracle: its results are bit-exact with every
+//     historical campaign artifact, and the backend-vs-reference sweep
+//     (tests/test_backend_ops.cpp) compares all other backends against
+//     it.
+//   * "avx2" — AVX2 vectorized conv/GEMM/linear/activations, registered
 //     only when the binary was built with AVX2 support AND the CPU
-//     reports avx2+fma at runtime.  Elementwise ops and activations are
-//     bit-exact with "ref"; FMA-accumulating ops (matmul, linear, conv)
-//     are ULP-bounded (per-op bounds documented in the sweep test).
+//     reports avx2 at runtime.  Every override is bit-exact with "ref"
+//     (the sweep test compares raw bits), so the backend is a pure speed
+//     choice: campaign outputs do not depend on it.
 //
 // Dispatch: the free functions in ops.h validate arguments and forward
 // to active_backend().  Layers call those free functions, so they can
@@ -24,10 +26,13 @@
 // The active backend is process-global and campaign-scoped: harnesses
 // resolve the scenario's backend name once in prepare() and the worker
 // threads all read the same pointer (set before workers start, never
-// mutated mid-campaign).
+// mutated mid-campaign).  The process default is "ref"; the alfi CLI
+// installs the scenario's backend (default "auto") before it trains.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,13 +57,13 @@ class Backend {
   virtual void add_inplace(Tensor& a, const Tensor& b) const;
   virtual void axpy_inplace(Tensor& a, float factor, const Tensor& b) const;
 
-  // ---- linear algebra (ULP-bounded vs ref) ---------------------------------
+  // ---- linear algebra (bit-exact across backends, mandatory) ---------------
   virtual void matmul(Tensor& dst, const Tensor& a, const Tensor& b) const;
   virtual void transpose2d(Tensor& dst, const Tensor& a) const;
   virtual void linear_forward(Tensor& dst, const Tensor& input,
                               const Tensor& weight, const Tensor& bias) const;
 
-  // ---- convolution (ULP-bounded vs ref) ------------------------------------
+  // ---- convolution (bit-exact across backends, mandatory) ------------------
   virtual void conv2d_forward(Tensor& dst, const Tensor& input,
                               const Tensor& weight, const Tensor& bias,
                               const ops::Conv2dSpec& spec,
@@ -142,12 +147,25 @@ Backend& resolve_backend(const std::string& name);
 Backend& active_backend();
 void set_active_backend(Backend& backend);
 
-/// True when the CPU reports AVX2 and FMA at runtime (false on
+/// True when the CPU reports AVX2 at runtime (false on
 /// non-x86 builds).  The build must also have AVX2 enabled for the
 /// "avx2" backend to register.
 bool cpu_supports_avx2();
 
 namespace detail {
+
+/// The one NaN the accumulating kernels (matmul, linear_forward,
+/// conv2d_forward, conv2d_planned) output, on every backend.  When both
+/// operands of an x86 add or multiply are NaN, the result is the first
+/// operand's, and the compiler picks the operand order per build (GCC
+/// emits different orders for the same ref loop in the -O2 build and
+/// the -O1 UBSan build), so an accumulated payload is an accident of
+/// code generation.  Replacing it makes these kernels' outputs a
+/// function of their inputs alone.
+inline float canonical_nan(float value) {
+  return std::isnan(value) ? std::numeric_limits<float>::quiet_NaN() : value;
+}
+void canonicalize_nans(float* data, std::size_t n);
 
 /// im2col/col2im lowering shared by backend kernels and the (backward,
 /// backend-independent) training ops in ops.cpp.
@@ -161,7 +179,7 @@ void col2im(const float* col, std::size_t channels, std::size_t height,
             std::size_t ow, float* input_grad);
 
 /// Defined in backend_avx2.cpp (only compiled when the toolchain has
-/// -mavx2 -mfma); returns the process-lifetime AVX2 backend instance.
+/// -mavx2); returns the process-lifetime AVX2 backend instance.
 Backend& avx2_backend_instance();
 
 }  // namespace detail

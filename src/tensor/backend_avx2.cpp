@@ -1,19 +1,32 @@
-// AVX2+FMA backend ("avx2").  Compiled with -mavx2 -mfma only when the
-// toolchain supports those flags (see src/tensor/CMakeLists.txt); the
-// registry additionally gates on cpu_supports_avx2() at runtime, so no
-// AVX instruction executes on a CPU without avx2+fma.
+// AVX2 backend ("avx2").  Compiled with -mavx2 only when the toolchain
+// supports that flag (see src/tensor/CMakeLists.txt); the registry
+// additionally gates on cpu_supports_avx2() at runtime, so no AVX
+// instruction executes on a CPU without avx2.
 //
-// Contract vs the "ref" oracle (DESIGN.md §13):
-//   * activations (relu / leaky_relu / clamp) are BIT-EXACT, including
-//     NaN payload propagation — they use compare+blend, never a NaN-
-//     normalizing min/max, and the only arithmetic (leaky slope
+// Contract vs the "ref" oracle (DESIGN.md §13): every override is
+// BIT-EXACT, NaN payloads and signed zeros included, so a campaign's
+// outputs do not depend on the backend.
+//   * activations (relu / leaky_relu / clamp) use compare+blend, never a
+//     NaN-normalizing min/max, and the only arithmetic (leaky slope
 //     multiply) is the same single hardware multiply ref performs;
-//   * GEMM/conv kernels keep ref's zero-weight skip structure (a
-//     faulted weight can be exactly zero, and 0 * Inf would manufacture
-//     a NaN ref never sees) but accumulate 8 lanes with FMA, so results
-//     are ULP-BOUNDED rather than bit-exact (bounds pinned by
-//     tests/test_backend_ops.cpp);
+//   * GEMM/conv kernels keep ref's zero-weight skip structure (a faulted
+//     weight can be exactly zero, and 0 * Inf would manufacture a NaN ref
+//     never sees) and compute each step o + w * c as a separate multiply
+//     then add, with each output element summing its terms in ref's
+//     order; 8 lanes hold 8 independent outputs;
+//   * conv2d_planned gathers its im2col columns 8 lanes at a time
+//     (masked AVX2 gathers: a copy, so exact);
+//   * linear_forward keeps one output per double lane: each lane starts
+//     from the bias and adds the exact float->double products over IN in
+//     order, as ref does;
+//   * like ref, these accumulating kernels output every NaN as the
+//     canonical quiet NaN (detail::canonical_nan), so which NaN operand
+//     an add propagated — an accident of the compiler's operand order —
+//     never shows;
 //   * everything else inherits the scalar reference implementation.
+// The library is built with -ffp-contract=off, so the compiler cannot
+// fuse a multiply and an add back into one FMA (which would round once
+// instead of twice) in these kernels or in ref's.
 #include "tensor/backend.h"
 
 #if defined(ALFI_HAVE_AVX2)
@@ -22,36 +35,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace alfi::tensor {
 
 namespace {
 
-/// Sum of the four doubles in `v`.
-double hsum_pd(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d sum2 = _mm_add_pd(lo, hi);
-  const __m128d swapped = _mm_unpackhi_pd(sum2, sum2);
-  return _mm_cvtsd_f64(_mm_add_sd(sum2, swapped));
+/// o + w * c as a multiply then an add, rounding twice like ref's
+/// scalar step (the compiler may commute either operation; that changes
+/// at most which NaN propagates, and the kernels canonicalize NaNs).
+inline __m256 mul_add(__m256 o, __m256 w, __m256 c) {
+  return _mm256_add_ps(o, _mm256_mul_ps(w, c));
 }
 
-/// orow[c] += wv * crow[c] over col_cols elements (FMA lanes + scalar tail).
+/// detail::canonicalize_nans, 8 lanes at a time.
+void canonicalize_nans8(float* data, std::size_t n) {
+  const __m256 qnan = _mm256_set1_ps(std::numeric_limits<float>::quiet_NaN());
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(data + i);
+    _mm256_storeu_ps(data + i,
+                     _mm256_blendv_ps(v, qnan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q)));
+  }
+  detail::canonicalize_nans(data + i, n - i);
+}
+
+/// The planned im2col: col[j] = src[idx[j]], or 0 where idx[j] < 0
+/// (padding), 8 lanes per masked gather.  Copies bits, so it is exact.
+void gather_cols(float* __restrict col, const float* __restrict src,
+                 const std::int32_t* __restrict idx, std::size_t count) {
+  const __m256i none = _mm256_set1_epi32(-1);
+  std::size_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    const __m256i k = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + j));
+    const __m256 live = _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, none));
+    _mm256_storeu_ps(col + j,
+                     _mm256_mask_i32gather_ps(_mm256_setzero_ps(), src, k, live, 4));
+  }
+  for (; j < count; ++j) {
+    const std::int32_t k = idx[j];
+    col[j] = k < 0 ? 0.0f : src[static_cast<std::size_t>(k)];
+  }
+}
+
+/// orow[c] += wv * crow[c] over col_cols elements (8 lanes + scalar tail).
 inline void accum_row(float* __restrict orow, float wv,
                       const float* __restrict crow, std::size_t col_cols) {
   const __m256 w8 = _mm256_set1_ps(wv);
   std::size_t c = 0;
   for (; c + 8 <= col_cols; c += 8) {
     const __m256 o = _mm256_loadu_ps(orow + c);
-    _mm256_storeu_ps(orow + c, _mm256_fmadd_ps(w8, _mm256_loadu_ps(crow + c), o));
+    _mm256_storeu_ps(orow + c, mul_add(o, w8, _mm256_loadu_ps(crow + c)));
   }
   for (; c < col_cols; ++c) orow[c] += wv * crow[c];
 }
 
 /// Blocked GEMM out[oc, col_cols] = weight[oc, col_rows] @ col + bias,
-/// with ref's zero-weight skip semantics: a block whose four weights are
-/// all live accumulates fused, otherwise each live row accumulates on
-/// its own and zero rows contribute nothing.
+/// with ref's zero-weight skip semantics and summation order (the
+/// blocking of ref's conv2d_planned): a block whose four weights are all
+/// live adds its four terms in one sweep, otherwise each live row
+/// accumulates on its own and zero rows contribute nothing.
 void conv_gemm(float* __restrict out_base, const float* __restrict weight,
                const float* __restrict bias, const float* __restrict col,
                std::size_t oc, std::size_t col_rows, std::size_t col_cols) {
@@ -68,10 +111,10 @@ void conv_gemm(float* __restrict out_base, const float* __restrict weight,
       std::size_t c = 0;
       for (; c + 8 <= col_cols; c += 8) {
         __m256 o = _mm256_loadu_ps(orow + c);
-        o = _mm256_fmadd_ps(w08, _mm256_loadu_ps(c0 + c), o);
-        o = _mm256_fmadd_ps(w18, _mm256_loadu_ps(c1 + c), o);
-        o = _mm256_fmadd_ps(w28, _mm256_loadu_ps(c2 + c), o);
-        o = _mm256_fmadd_ps(w38, _mm256_loadu_ps(c3 + c), o);
+        o = mul_add(o, w08, _mm256_loadu_ps(c0 + c));
+        o = mul_add(o, w18, _mm256_loadu_ps(c1 + c));
+        o = mul_add(o, w28, _mm256_loadu_ps(c2 + c));
+        o = mul_add(o, w38, _mm256_loadu_ps(c3 + c));
         _mm256_storeu_ps(orow + c, o);
       }
       for (; c < col_cols; ++c) {
@@ -127,14 +170,14 @@ void conv_gemm(float* __restrict out_base, const float* __restrict weight,
           const __m256 v3 = _mm256_loadu_ps(c3 + c);
           __m256 acc0 = _mm256_loadu_ps(o0 + c);
           __m256 acc1 = _mm256_loadu_ps(o1 + c);
-          acc0 = _mm256_fmadd_ps(a08, v0, acc0);
-          acc0 = _mm256_fmadd_ps(a18, v1, acc0);
-          acc0 = _mm256_fmadd_ps(a28, v2, acc0);
-          acc0 = _mm256_fmadd_ps(a38, v3, acc0);
-          acc1 = _mm256_fmadd_ps(b08, v0, acc1);
-          acc1 = _mm256_fmadd_ps(b18, v1, acc1);
-          acc1 = _mm256_fmadd_ps(b28, v2, acc1);
-          acc1 = _mm256_fmadd_ps(b38, v3, acc1);
+          acc0 = mul_add(acc0, a08, v0);
+          acc0 = mul_add(acc0, a18, v1);
+          acc0 = mul_add(acc0, a28, v2);
+          acc0 = mul_add(acc0, a38, v3);
+          acc1 = mul_add(acc1, b08, v0);
+          acc1 = mul_add(acc1, b18, v1);
+          acc1 = mul_add(acc1, b28, v2);
+          acc1 = mul_add(acc1, b38, v3);
           _mm256_storeu_ps(o0 + c, acc0);
           _mm256_storeu_ps(o1 + c, acc1);
         }
@@ -157,6 +200,54 @@ void conv_gemm(float* __restrict out_base, const float* __restrict weight,
     std::size_t r = 0;
     for (; r + 4 <= col_rows; r += 4) rblock_single(orow, wrow, r);
     rtail_single(orow, wrow, r);
+  }
+  canonicalize_nans8(out_base, oc * col_cols);
+}
+
+/// y[0, 4 * kChains) = bias + W x for 4 * kChains consecutive weight rows
+/// of length `in`, one output per double lane.  Each lane starts from its
+/// bias and adds w[i] * x[i] for i = 0, 1, ... in order, as ref's scalar
+/// loop does: a float->double product is exact, so the separate multiply
+/// and add round exactly where ref's do.  Four input steps at a time,
+/// a 4x4 transpose turns four weight rows into four lane vectors.
+template <std::size_t kChains>
+void linear_block(float* __restrict y, const float* __restrict w,
+                  const float* __restrict bias, const float* __restrict x,
+                  std::size_t in) {
+  const auto step = [](__m256d acc, __m128 w4, __m256d xv) {
+    return _mm256_add_pd(acc, _mm256_mul_pd(_mm256_cvtps_pd(w4), xv));
+  };
+  const auto broadcast = [](float v) { return _mm256_set1_pd(static_cast<double>(v)); };
+  __m256d acc[kChains];
+  for (std::size_t c = 0; c < kChains; ++c) {
+    acc[c] = _mm256_cvtps_pd(_mm_loadu_ps(bias + 4 * c));
+  }
+  std::size_t i = 0;
+  for (; i + 4 <= in; i += 4) {
+    const __m256d x0 = broadcast(x[i]), x1 = broadcast(x[i + 1]),
+                  x2 = broadcast(x[i + 2]), x3 = broadcast(x[i + 3]);
+    for (std::size_t c = 0; c < kChains; ++c) {
+      const float* wc = w + 4 * c * in + i;
+      __m128 r0 = _mm_loadu_ps(wc);
+      __m128 r1 = _mm_loadu_ps(wc + in);
+      __m128 r2 = _mm_loadu_ps(wc + 2 * in);
+      __m128 r3 = _mm_loadu_ps(wc + 3 * in);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);  // r_k = the four rows' w[i + k]
+      acc[c] = step(acc[c], r0, x0);
+      acc[c] = step(acc[c], r1, x1);
+      acc[c] = step(acc[c], r2, x2);
+      acc[c] = step(acc[c], r3, x3);
+    }
+  }
+  for (; i < in; ++i) {
+    const __m256d xi = broadcast(x[i]);
+    for (std::size_t c = 0; c < kChains; ++c) {
+      const float* wc = w + 4 * c * in + i;
+      acc[c] = step(acc[c], _mm_setr_ps(wc[0], wc[in], wc[2 * in], wc[3 * in]), xi);
+    }
+  }
+  for (std::size_t c = 0; c < kChains; ++c) {
+    _mm_storeu_ps(y + 4 * c, _mm256_cvtpd_ps(acc[c]));
   }
 }
 
@@ -235,7 +326,7 @@ class Avx2Backend final : public Backend {
     }
   }
 
-  // ---- GEMM: ULP-bounded (8-lane FMA accumulation) -------------------------
+  // ---- GEMM ----------------------------------------------------------------
 
   void matmul(Tensor& dst, const Tensor& a, const Tensor& b) const override {
     ALFI_CHECK(a.rank() == 2 && b.rank() == 2, "matmul expects rank-2 tensors");
@@ -255,6 +346,7 @@ class Avx2Backend final : public Backend {
         accum_row(orow, av, pb + kk * n, n);
       }
     }
+    canonicalize_nans8(po, m * n);
   }
 
   void linear_forward(Tensor& dst, const Tensor& input, const Tensor& weight,
@@ -269,33 +361,31 @@ class Avx2Backend final : public Backend {
     ALFI_CHECK(bias.rank() == 1 && bias.dim(0) == out_features, "linear bias mismatch");
     ALFI_CHECK(dst.numel() == n * out_features,
                "linear_forward_into: destination element count mismatch");
-    // ref accumulates in double; float->double products are exact, so
-    // 4-lane double FMA keeps the only divergence the lane association
-    // of the partial sums (a few ULP at the final float rounding).
+    // Blocks of 16 outputs (four independent lane chains), then 4, then
+    // ref's scalar loop for the last out_features % 4.
+    const float* w = weight.raw();
+    const float* b = bias.raw();
     for (std::size_t row = 0; row < n; ++row) {
       const float* x = input.raw() + row * in;
       float* y = dst.raw() + row * out_features;
-      for (std::size_t o = 0; o < out_features; ++o) {
-        const float* w = weight.raw() + o * in;
-        __m256d acc0 = _mm256_setzero_pd();
-        __m256d acc1 = _mm256_setzero_pd();
-        std::size_t i = 0;
-        for (; i + 8 <= in; i += 8) {
-          const __m128 wlo = _mm_loadu_ps(w + i);
-          const __m128 whi = _mm_loadu_ps(w + i + 4);
-          const __m128 xlo = _mm_loadu_ps(x + i);
-          const __m128 xhi = _mm_loadu_ps(x + i + 4);
-          acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(wlo), _mm256_cvtps_pd(xlo), acc0);
-          acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(whi), _mm256_cvtps_pd(xhi), acc1);
-        }
-        double acc = bias.raw()[o] + hsum_pd(_mm256_add_pd(acc0, acc1));
-        for (; i < in; ++i) acc += static_cast<double>(w[i]) * x[i];
+      std::size_t o = 0;
+      for (; o + 16 <= out_features; o += 16) {
+        linear_block<4>(y + o, w + o * in, b + o, x, in);
+      }
+      for (; o + 4 <= out_features; o += 4) {
+        linear_block<1>(y + o, w + o * in, b + o, x, in);
+      }
+      for (; o < out_features; ++o) {
+        const float* wrow = w + o * in;
+        double acc = b[o];
+        for (std::size_t i = 0; i < in; ++i) acc += static_cast<double>(wrow[i]) * x[i];
         y[o] = static_cast<float>(acc);
       }
+      canonicalize_nans8(y, out_features);
     }
   }
 
-  // ---- convolution: ULP-bounded (shared blocked FMA GEMM) ------------------
+  // ---- convolution (shared blocked GEMM) -----------------------------------
 
   void conv2d_forward(Tensor& dst, const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const ops::Conv2dSpec& spec,
@@ -340,11 +430,7 @@ class Avx2Backend final : public Backend {
     float* __restrict col = col_scratch.data();
     const std::int32_t* __restrict idx = plan.col_index.data();
     for (std::size_t sample = 0; sample < n; ++sample) {
-      const float* __restrict src = input.raw() + sample * ic * h * w;
-      for (std::size_t j = 0; j < col_rows * col_cols; ++j) {
-        const std::int32_t k = idx[j];
-        col[j] = k < 0 ? 0.0f : src[static_cast<std::size_t>(k)];
-      }
+      gather_cols(col, input.raw() + sample * ic * h * w, idx, col_rows * col_cols);
       conv_gemm(dst.raw() + sample * oc * col_cols, weight.raw(), bias.raw(), col,
                 oc, col_rows, col_cols);
     }

@@ -1,26 +1,37 @@
-// Backend campaign identity (DESIGN.md §13): the "ref" backend IS the
-// pre-backend scalar kernel set, so selecting it — explicitly or by
-// default — must leave every campaign artifact byte-identical to a
-// baseline run: results CSVs, fault/trace binaries, journals, KPI
-// counters and the scenario YAML (which omits the `inference` section
-// for default configurations precisely so campaign fingerprints,
-// checkpoints and journals survive this PR unchanged).  Covered axes:
-// --jobs 1/4 x --unit-batch 1/4, both harnesses.
+// Backend campaign identity (DESIGN.md §13).
 //
-// The accelerated backend is held to a weaker, explicit contract:
-// campaigns must complete and record their resolved name in
-// metrics.json, but FMA-accumulating kernels may diverge in final-ULP
-// positions, so only the sweep in test_backend_ops.cpp bounds them.
+// The "ref" backend IS the pre-backend scalar kernel set, so selecting
+// it — explicitly or by default — must leave every campaign artifact
+// byte-identical to a baseline run: results CSVs, fault/trace binaries,
+// journals, KPI counters and the scenario YAML (which omits the
+// `inference` section for default configurations precisely so campaign
+// fingerprints, checkpoints and journals survive unchanged).  Covered
+// axes: --jobs 1/4 x --unit-batch 1/4, both harnesses.
+//
+// Every other backend is bit-exact with ref, so a campaign's artifacts
+// do not depend on the backend either: the *MatchesRefByteForByte grids
+// run ref and avx2 over --jobs 1/4 x --unit-batch 1/4 x diff on/off on
+// imgclass (weight faults with Ranger, packed neuron faults) and objdet,
+// and compare the results and fault-free CSVs (objdet: the detection
+// JSONs), the fault and trace binaries, the journal's unit frames and
+// every counter.  Only the backend's own name differs: it is part of the
+// scenario YAML (so of the fingerprint in the journal header) and of
+// metrics.json's `inference` section.  The grids skip when avx2 is not
+// registered in this build or on this CPU.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/test_img_class.h"
 #include "core/test_obj_det.h"
 #include "data/synthetic.h"
+#include "io/journal.h"
 #include "io/json.h"
 #include "models/classification.h"
 #include "models/train.h"
@@ -43,6 +54,64 @@ io::Json inference_section(const std::string& metrics_path) {
   return io::read_json_file(metrics_path).at("inference");
 }
 
+/// What a backend must not change in a campaign, its own name left out:
+/// output file bytes, the journal's unit frames in file order and the
+/// metrics counters.
+struct BackendFreeArtifacts {
+  std::vector<std::string> outputs;
+  std::vector<std::pair<std::size_t, std::string>> journal_units;
+  std::string counters;
+};
+
+BackendFreeArtifacts backend_free_artifacts(std::vector<std::string> output_paths,
+                                            const std::string& checkpoint_dir,
+                                            const std::string& metrics_path) {
+  BackendFreeArtifacts artifacts;
+  for (const std::string& path : output_paths) {
+    artifacts.outputs.push_back(file_bytes(path));
+  }
+  artifacts.journal_units =
+      io::scan_journal(CampaignExecutor::journal_path(checkpoint_dir)).units;
+  artifacts.counters = io::read_json_file(metrics_path).at("counters").dump();
+  return artifacts;
+}
+
+/// Runs `run(backend, jobs, unit_batch, diff, dir)` for ref and avx2 over
+/// jobs 1/4 x unit-batch 1/4 x diff on/off and expects equal artifacts.
+template <typename RunFn>
+void expect_avx2_matches_ref(const std::string& name, RunFn run) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t unit_batch : {std::size_t{1}, std::size_t{4}}) {
+      for (const bool diff : {true, false}) {
+        const std::string tag = name + "_" + std::to_string(jobs) + "_" +
+                                std::to_string(unit_batch) + (diff ? "_diff" : "_full");
+        SCOPED_TRACE(tag);
+        test::TempDir ref_dir("bkid_" + tag + "_ref");
+        test::TempDir avx_dir("bkid_" + tag + "_avx2");
+        BackendFreeArtifacts want = run("ref", jobs, unit_batch, diff, ref_dir.str());
+        BackendFreeArtifacts got = run("avx2", jobs, unit_batch, diff, avx_dir.str());
+        ASSERT_EQ(want.outputs.size(), got.outputs.size());
+        for (std::size_t i = 0; i < want.outputs.size(); ++i) {
+          EXPECT_TRUE(want.outputs[i] == got.outputs[i]) << "output file " << i;
+        }
+        // Several workers append frames in completion order, so only a
+        // one-worker journal is byte-stable; with more, compare by unit.
+        if (jobs > 1) {
+          std::sort(want.journal_units.begin(), want.journal_units.end());
+          std::sort(got.journal_units.begin(), got.journal_units.end());
+        }
+        EXPECT_FALSE(want.journal_units.empty());
+        ASSERT_EQ(want.journal_units.size(), got.journal_units.size());
+        for (std::size_t i = 0; i < want.journal_units.size(); ++i) {
+          EXPECT_TRUE(want.journal_units[i] == got.journal_units[i])
+              << "journal frame " << i << " (unit " << want.journal_units[i].first << ")";
+        }
+        EXPECT_EQ(want.counters, got.counters);
+      }
+    }
+  }
+}
+
 class BackendIdentity : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -59,9 +128,10 @@ class BackendIdentity : public ::testing::Test {
     model_.reset();
   }
 
-  static Scenario scenario(const std::string& backend) {
+  static Scenario scenario(const std::string& backend,
+                           FaultTarget target = FaultTarget::kNeurons) {
     Scenario s;
-    s.target = FaultTarget::kNeurons;
+    s.target = target;
     s.value_type = ValueType::kBitFlip;
     s.rnd_bit_range_lo = 20;
     s.rnd_bit_range_hi = 30;
@@ -103,6 +173,30 @@ class BackendIdentity : public ::testing::Test {
     run.scenario_yaml = file_bytes(run.result.scenario_yml);
     run.metrics_path = config.metrics_path;
     return run;
+  }
+
+  /// One campaign of the ref-vs-avx2 grid, checkpointed so it journals.
+  BackendFreeArtifacts grid_run(const std::string& backend, FaultTarget target,
+                                std::optional<MitigationKind> mitigation,
+                                std::size_t jobs, std::size_t unit_batch, bool diff,
+                                const std::string& dir) {
+    ImgClassCampaignConfig config;
+    config.model_name = "alexnet";
+    config.output_dir = dir;
+    config.mitigation = mitigation;
+    config.jobs = jobs;
+    config.unit_batch = unit_batch;
+    config.diff = diff;
+    config.metrics_path = dir + "/metrics.json";
+    config.checkpoint_dir = dir + "/ckpt";
+    config.checkpoint_every = 4;
+    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(backend, target),
+                                    config);
+    const ImgClassCampaignResult result = harness.run();
+    EXPECT_EQ(inference_section(config.metrics_path).at("backend").as_string(), backend);
+    return backend_free_artifacts({result.results_csv, result.fault_free_csv,
+                                   result.fault_bin, result.trace_bin},
+                                  config.checkpoint_dir, config.metrics_path);
   }
 
   /// `same_jobs`: journal frames interleave by shard worker, so the
@@ -185,9 +279,9 @@ TEST_F(BackendIdentity, AcceleratedCampaignCompletesAndAgreesOnVerdictCounts) {
   if (tensor::find_backend("avx2") == nullptr) {
     GTEST_SKIP() << "no avx2 backend registered in this build/host";
   }
-  // ULP-level divergence in conv/matmul may flip individual borderline
-  // verdicts, so this asserts structural agreement only: same unit
-  // count, all verdicts accounted for, and the resolved name recorded.
+  // Structural agreement only: same unit count and the resolved name
+  // recorded.  Avx2MatchesRefByteForByteAcrossGrid holds avx2 to byte
+  // identity.
   test::TempDir ref_dir("bkid_vs_ref");
   test::TempDir avx_dir("bkid_vs_avx");
   const Run ref_run = run_campaign("ref", 1, 1, ref_dir.str());
@@ -195,6 +289,28 @@ TEST_F(BackendIdentity, AcceleratedCampaignCompletesAndAgreesOnVerdictCounts) {
   EXPECT_EQ(avx_run.result.kpis.total, ref_run.result.kpis.total);
   EXPECT_EQ(inference_section(avx_run.metrics_path).at("backend").as_string(),
             "avx2");
+}
+
+TEST_F(BackendIdentity, Avx2MatchesRefByteForByteAcrossGrid) {
+  if (tensor::find_backend("avx2") == nullptr) {
+    GTEST_SKIP() << "no avx2 backend registered in this build/host";
+  }
+  // Weight faults with Ranger: the weight mutate/restore path and the
+  // bounds profiled on the campaign's backend.
+  expect_avx2_matches_ref("weights_ranger", [&](const std::string& backend,
+                                                std::size_t jobs, std::size_t unit_batch,
+                                                bool diff, const std::string& dir) {
+    return grid_run(backend, FaultTarget::kWeights, MitigationKind::kRanger, jobs,
+                    unit_batch, diff, dir);
+  });
+  // Neuron faults: num_runs 4 packs the same image under four epochs'
+  // fault groups at unit-batch 4.
+  expect_avx2_matches_ref("neurons_packed", [&](const std::string& backend,
+                                                std::size_t jobs, std::size_t unit_batch,
+                                                bool diff, const std::string& dir) {
+    return grid_run(backend, FaultTarget::kNeurons, std::nullopt, jobs, unit_batch,
+                    diff, dir);
+  });
 }
 
 // ---- object detection ----------------------------------------------------
@@ -225,7 +341,8 @@ class ObjDetBackendIdentity : public ::testing::Test {
   };
 
   static DetRun run_campaign(const std::string& backend, std::size_t jobs,
-                             std::size_t unit_batch, const std::string& dir) {
+                             std::size_t unit_batch, const std::string& dir,
+                             bool diff = true, bool checkpoint = false) {
     Scenario s;
     s.target = FaultTarget::kNeurons;
     s.inj_policy = InjectionPolicy::kPerImage;
@@ -243,7 +360,12 @@ class ObjDetBackendIdentity : public ::testing::Test {
     config.jobs = jobs;
     config.unit_batch = unit_batch;
     config.workspace = true;
+    config.diff = diff;
     config.metrics_path = dir + "/metrics.json";
+    if (checkpoint) {
+      config.checkpoint_dir = dir + "/ckpt";
+      config.checkpoint_every = 4;
+    }
     TestErrorModelsObjDet harness(*detector_, *dataset_, s, config);
     DetRun run;
     run.result = harness.run();
@@ -291,6 +413,22 @@ TEST_F(ObjDetBackendIdentity, ExplicitRefMatchesDefaultAcrossJobsAndPacking) {
       EXPECT_EQ(inference.at("numeric_type").as_string(), "fp32");
     }
   }
+}
+
+TEST_F(ObjDetBackendIdentity, Avx2MatchesRefByteForByteAcrossGrid) {
+  if (tensor::find_backend("avx2") == nullptr) {
+    GTEST_SKIP() << "no avx2 backend registered in this build/host";
+  }
+  expect_avx2_matches_ref("objdet", [&](const std::string& backend, std::size_t jobs,
+                                        std::size_t unit_batch, bool diff,
+                                        const std::string& dir) {
+    const DetRun run = run_campaign(backend, jobs, unit_batch, dir, diff,
+                                    /*checkpoint=*/true);
+    EXPECT_EQ(inference_section(run.metrics_path).at("backend").as_string(), backend);
+    return backend_free_artifacts({run.result.orig_json, run.result.corr_json,
+                                   run.result.fault_bin, run.result.trace_bin},
+                                  dir + "/ckpt", run.metrics_path);
+  });
 }
 
 }  // namespace

@@ -1,16 +1,21 @@
 // Backend-vs-reference sweep (ggml test-backend-ops idiom): every
 // registered backend runs every forward kernel over a shape/stride/
-// batch grid and is compared against the scalar "ref" oracle with
-// per-op tolerances (DESIGN.md §13):
+// batch grid and is compared against the scalar "ref" oracle.  The
+// contract (DESIGN.md §13) is bit-exactness for every op: a backend
+// that disagrees by one bit could change fault-injection verdicts.
 //
-//   * bit-exact (tolerance 0): elementwise, transpose, pooling,
-//     activations, batchnorm, softmax heads, conv3d.  These ops define
-//     campaign identity — a backend that disagrees by one bit would
-//     change fault-injection verdicts.
-//   * ULP-bounded: matmul / conv2d (rel 1e-5 — FMA keeps products
-//     exact but reassociates the K-long accumulation), linear_forward
-//     (rel 1e-6 — both backends accumulate in double, only the lane
-//     association differs).
+//   * GemmConvLinearBitExact compares matmul, linear_forward,
+//     conv2d_forward and conv2d_planned bit for bit over the grids below
+//     plus long reductions (LeNet's IN = 1024, col_rows >= 150), with
+//     differently-signed and payload-carrying NaNs, ±Inf and ±0 sprinkled
+//     through inputs and weights; every NaN output must be the canonical
+//     quiet NaN, whichever NaN operand an add happened to propagate.
+//   * The older MatmulGrid / LinearGrid / Conv2dGrid cases check the same
+//     ops against a per-element relative bound (matmul / conv 1e-5,
+//     linear 1e-6) — weaker than the bit-exact case, kept as they were.
+//   * Every other op (elementwise, transpose, pooling, activations,
+//     batchnorm, softmax heads, conv3d, transformer ops) is compared
+//     bitwise.
 //
 // NaN/Inf inputs and exactly-zero weights are part of the grid: the
 // reference conv/matmul skip zero weights to avoid manufacturing NaNs
@@ -22,8 +27,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -194,7 +202,7 @@ TEST_P(BackendSweep, ActivationAliasSafety) {
   expect_matches(want, got, kExact, "clamp aliased");
 }
 
-// ---- linear algebra (ULP-bounded) -------------------------------------------
+// ---- linear algebra (relative bound) ----------------------------------------
 
 TEST_P(BackendSweep, MatmulGrid) {
   Rng rng(13);
@@ -340,6 +348,136 @@ TEST_P(BackendSweep, Conv2dZeroWeightSkipWithNonFiniteInput) {
   ref().conv2d_forward(want, input, weight, bias, spec, scratch);
   b().conv2d_forward(got, input, weight, bias, spec, scratch);
   expect_matches(want, got, kConvRel, "conv2d zero-skip");
+}
+
+// ---- GEMM / conv / linear (bit-exact) ---------------------------------------
+
+/// Sprinkles every non-finite and signed-zero kind over about 1 in 32
+/// elements: +NaN, -NaN (the sign x86 gives a NaN an invalid operation
+/// makes), a NaN with a payload, ±Inf and -0.  Where two different NaNs
+/// meet in one add, the hardware's pick depends on the operand order the
+/// compiler emitted; only the canonical NaN output hides it.
+void poison_all(Tensor& t, Rng& rng) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            bits::from_bits(0xffc00000u),
+                            bits::from_bits(0x7fc12345u),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            -0.0f};
+  auto data = t.data();
+  const std::size_t count = std::max<std::size_t>(6, data.size() / 32);
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto at = static_cast<std::size_t>(rng.uniform(0.0, 1.0) * 0.999 *
+                                             static_cast<double>(data.size()));
+    data[at] = specials[k % std::size(specials)];
+  }
+}
+
+TEST_P(BackendSweep, GemmConvLinearBitExact) {
+  // Each case runs clean, then with inputs and weights poisoned.
+  // fill() leaves ~5% exact-zero weights, so both the all-live and the
+  // zero-skip paths of the blocked kernels run.  Every NaN these kernels
+  // output is the canonical quiet NaN (detail::canonical_nan).
+  Rng rng(61);
+  std::size_t nan_outputs = 0;
+  const auto expect_bits = [&](const Tensor& want, const Tensor& got,
+                               const std::string& what) {
+    expect_matches(want, got, kExact, what);
+    for (const float v : want.data()) {
+      if (!std::isnan(v)) continue;
+      ++nan_outputs;
+      ASSERT_EQ(bits::to_bits(v), 0x7fc00000u) << what << ": NaN not canonical";
+    }
+  };
+  const auto both = [&](Tensor& a, Tensor& b, bool poisoned) {
+    fill(a, rng);
+    fill(b, rng);
+    if (poisoned) {
+      poison_all(a, rng);
+      poison_all(b, rng);
+    }
+  };
+
+  struct MatmulCase {
+    std::size_t m, k, n;
+  };
+  for (const MatmulCase c : {MatmulCase{1, 1, 1}, MatmulCase{4, 4, 4},
+                             MatmulCase{3, 7, 5}, MatmulCase{8, 16, 8},
+                             MatmulCase{2, 3, 1}, MatmulCase{5, 1, 9},
+                             MatmulCase{16, 33, 17}, MatmulCase{6, 130, 11},
+                             MatmulCase{2, 1024, 37}}) {
+    for (const bool poisoned : {false, true}) {
+      Tensor a(Shape{c.m, c.k}), w(Shape{c.k, c.n});
+      both(a, w, poisoned);
+      Tensor want = sentinel(Shape{c.m, c.n}), got = sentinel(Shape{c.m, c.n});
+      ref().matmul(want, a, w);
+      b().matmul(got, a, w);
+      expect_bits(want, got,
+                  "matmul " + want.shape().to_string() + " k=" +
+                      std::to_string(c.k) + (poisoned ? " poisoned" : ""));
+    }
+  }
+
+  // Linear: the LinearGrid cases, LeNet's two layers (1024 -> 64 and
+  // 64 -> 10), a block-and-tail output count and a rank-3 sequence input.
+  for (const Shape& x_shape :
+       {Shape{1, 8}, Shape{3, 17}, Shape{8, 64}, Shape{2, 1}, Shape{4, 130},
+        Shape{2, 1024}, Shape{3, 64}, Shape{2, 7, 33}}) {
+    const std::size_t in = x_shape[x_shape.rank() - 1];
+    for (const std::size_t out : {std::size_t{1}, std::size_t{10}, std::size_t{64}}) {
+      for (const bool poisoned : {false, true}) {
+        Tensor x(x_shape), w(Shape{out, in}), bias(Shape{out});
+        both(x, w, poisoned);
+        fill(bias, rng);
+        if (poisoned) poison_all(bias, rng);
+        const Shape out_shape{x.numel() / in, out};
+        Tensor want = sentinel(out_shape), got = sentinel(out_shape);
+        ref().linear_forward(want, x, w, bias);
+        b().linear_forward(got, x, w, bias);
+        expect_bits(want, got,
+                    "linear_forward x" + x_shape.to_string() + " out=" +
+                        std::to_string(out) + (poisoned ? " poisoned" : ""));
+      }
+    }
+  }
+
+  // Conv: the Conv2dGrid cases plus LeNet's second conv (col_rows 150)
+  // and two deeper ones (col_rows 144 and 288, odd output-channel count).
+  std::vector<ConvCase> cases(std::begin(kConvGrid), std::end(kConvGrid));
+  cases.push_back({1, 6, 16, 16, 16, 5, 1, 2});
+  cases.push_back({2, 16, 8, 8, 32, 3, 1, 1});
+  cases.push_back({1, 32, 6, 6, 9, 3, 1, 1});
+  for (const ConvCase& c : cases) {
+    for (const bool poisoned : {false, true}) {
+      const ops::Conv2dSpec spec{c.stride, c.padding};
+      Tensor input(Shape{c.n, c.ic, c.h, c.w});
+      Tensor weight(Shape{c.oc, c.ic, c.k, c.k});
+      Tensor bias(Shape{c.oc});
+      both(input, weight, poisoned);
+      fill(bias, rng);
+      const std::size_t oh = ops::conv_out_size(c.h, c.k, c.stride, c.padding);
+      const std::size_t ow = ops::conv_out_size(c.w, c.k, c.stride, c.padding);
+      const Shape out_shape{c.n, c.oc, oh, ow};
+      const std::string what = "conv2d in" + input.shape().to_string() + " w" +
+                               weight.shape().to_string() +
+                               (poisoned ? " poisoned" : "");
+      std::vector<float> scratch(
+          ops::conv2d_scratch_floats(input.shape(), weight.shape(), spec));
+
+      Tensor want = sentinel(out_shape), got = sentinel(out_shape);
+      ref().conv2d_forward(want, input, weight, bias, spec, scratch);
+      b().conv2d_forward(got, input, weight, bias, spec, scratch);
+      expect_bits(want, got, what + " forward");
+
+      const ops::Conv2dPlan plan =
+          ops::make_conv2d_plan(input.shape(), weight.shape(), spec);
+      Tensor want_planned = sentinel(out_shape), got_planned = sentinel(out_shape);
+      ref().conv2d_planned(want_planned, input, weight, bias, plan, scratch);
+      b().conv2d_planned(got_planned, input, weight, bias, plan, scratch);
+      expect_bits(want_planned, got_planned, what + " planned");
+    }
+  }
+  EXPECT_GT(nan_outputs, 0u) << "the poisoned cases must reach NaN outputs";
 }
 
 TEST_P(BackendSweep, Conv3dBitExact) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "nn/layers.h"
 #include "nn/serialize.h"
+#include "tensor/bits.h"
 #include "test_common.h"
 
 namespace alfi::models {
@@ -111,6 +113,36 @@ TEST(Training, StaleCacheRetrainsInsteadOfThrowing) {
   EXPECT_LT(train_classifier_cached(*reloaded, dataset, config, cache), 0.0f);
   const Tensor input = dataset.get(0).image.reshaped(Shape{1, 3, 32, 32});
   EXPECT_EQ(Tensor::max_abs_diff(reloaded->forward(input), cached->forward(input)), 0.0f);
+}
+
+TEST(Training, FailedLoadLeavesModelUntouched) {
+  // A 10-class LeNet file matches a 4-class LeNet by name and shape in
+  // every layer but the head, so its load fails at the last tensor.  The
+  // load is all or nothing: the 4-class model keeps its own weights, and
+  // its outputs stay bit-identical.
+  test::TempDir dir("failed_load");
+  const std::string path = dir.file("lenet10.params");
+  auto ten = make_lenet({.num_classes = 10});
+  Rng ten_rng(5);
+  nn::kaiming_init(*ten, ten_rng);
+  nn::save_parameters(*ten, path);
+
+  auto four = make_lenet({.num_classes = 4});
+  Rng four_rng(6);
+  nn::kaiming_init(*four, four_rng);
+  four->set_training(false);
+  const data::SyntheticShapesClassification dataset(
+      {.size = 4, .num_classes = 4, .seed = 17});
+  const Tensor input = dataset.get(0).image.reshaped(Shape{1, 3, 32, 32});
+  const Tensor before = four->forward(input);
+
+  EXPECT_THROW(nn::load_parameters(*four, path), ParseError);
+  const Tensor after = four->forward(input);
+  ASSERT_EQ(before.shape(), after.shape());
+  for (std::size_t i = 0; i < before.numel(); ++i) {
+    EXPECT_EQ(bits::to_bits(before.data()[i]), bits::to_bits(after.data()[i]))
+        << "logit " << i;
+  }
 }
 
 }  // namespace

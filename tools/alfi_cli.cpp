@@ -7,24 +7,31 @@
 //   analyze        aggregate a results CSV / injection trace (§V.F.1)
 //   show-scenario  parse, validate and echo a scenario YAML
 //
+// `alfi --help` (or --help / -h after any subcommand) prints the usage;
+// a --flag the subcommand does not read is refused before it runs.
+//
 // Examples:
 //   alfi run-imgclass --model vgg --dataset-size 96 --output out/ --mitigation ranger
 //   alfi run-objdet --family yolo --output out/
 //   alfi inspect-faults out/vgg_faults.bin
 //   alfi analyze out/vgg_results.csv --trace out/vgg_trace.bin
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/alficore.h"
 #include "data/synthetic.h"
 #include "models/classification.h"
 #include "models/train.h"
+#include "tensor/backend.h"
 #include "util/drain.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -38,6 +45,24 @@ namespace {
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
+
+  /// True for --help or -h anywhere on the command line.
+  bool wants_help() const {
+    return flags.contains("help") ||
+           std::find(positional.begin(), positional.end(), "-h") != positional.end();
+  }
+
+  /// Refuses a flag outside `known`: a misspelt flag would otherwise run
+  /// the campaign with that option's default.
+  void require_known(const std::string& command,
+                     std::span<const std::string_view> known) const {
+    for (const auto& [key, value] : flags) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        throw ConfigError("unknown option --" + key + " for " + command +
+                          " (see alfi --help)");
+      }
+    }
+  }
 
   static Args parse(int argc, char** argv, int first) {
     Args args;
@@ -265,6 +290,12 @@ core::Scenario load_scenario(const Args& args) {
     }
   }
   scenario.validate();
+  // The CLI computes on the best available backend unless told
+  // otherwise: every backend gives bit-identical results (DESIGN.md
+  // §13).  Installed before training and the accuracy pass so both run
+  // on it too; an unavailable explicit choice fails here, before either.
+  if (scenario.backend.empty()) scenario.backend = "auto";
+  tensor::set_active_backend(tensor::resolve_backend(scenario.backend));
   return scenario;
 }
 
@@ -558,9 +589,9 @@ int cmd_show_scenario(const Args& args) {
   return 0;
 }
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: alfi <command> [options]\n"
+void usage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: alfi <command> [options]   (alfi --help: this text)\n"
                "commands:\n"
                "  run-imgclass   --model <lenet|alexnet|vgg|resnet|transformer>\n"
                "                 [--scenario f.yml]\n"
@@ -590,10 +621,14 @@ void usage() {
                "                  instead of arena-backed buffers, same outputs;\n"
                "                  --no-diff: full recompute instead of replaying\n"
                "                  the fault-free prefix, same outputs;\n"
-               "                  --backend: kernel backend — ref is the scalar\n"
-               "                  oracle, avx2 requires CPU support, auto picks\n"
-               "                  the best available; metrics.json records what\n"
-               "                  actually ran under inference.backend.\n"
+               "                  --backend: kernel backend, a pure speed choice\n"
+               "                  (every backend gives bit-identical results) —\n"
+               "                  auto (default unless the scenario names one)\n"
+               "                  picks the best available, ref is the scalar\n"
+               "                  oracle, avx2 requires CPU support; training,\n"
+               "                  the accuracy pass and the campaign all run on\n"
+               "                  it, and metrics.json records what actually ran\n"
+               "                  under inference.backend.\n"
                "                  --numeric-type: weight representation — bf16/\n"
                "                  fp16 emulate by rounding fp32 weights;\n"
                "                  fp16_stored/int8 store true reduced-width\n"
@@ -624,26 +659,74 @@ void usage() {
                "  show-scenario  [scenario.yml]\n");
 }
 
+// Every option the campaign commands read (load_scenario and the
+// apply_*_flags helpers).
+constexpr std::string_view kCampaignFlags[] = {
+    // scenario (load_scenario)
+    "scenario", "dataset-size", "faults-per-image", "seed", "target", "backend",
+    "numeric-type",
+    // harness configuration
+    "mitigation", "fault-file", "output", "jobs",
+    // apply_checkpoint_flags, apply_telemetry_flags, apply_workspace_flag
+    "checkpoint", "resume", "checkpoint-every", "metrics", "progress",
+    "no-workspace", "no-diff", "unit-batch",
+    // apply_fleet_flags
+    "fleet-workers", "fleet-coordinator", "fleet-worker", "lease-units",
+    // apply_steering_flags
+    "budget", "steer", "vuln-map", "steer-half-width", "steer-z",
+    "steer-min-samples", "steer-round"};
+
+std::vector<std::string_view> campaign_flags(std::string_view model_flag) {
+  std::vector<std::string_view> flags(std::begin(kCampaignFlags), std::end(kCampaignFlags));
+  flags.push_back(model_flag);
+  return flags;
+}
+
+/// A subcommand and the options it reads; any other --flag is refused
+/// before the command runs (so before any training or data rendering).
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"run-imgclass", cmd_run_imgclass, campaign_flags("model")},
+      {"run-objdet", cmd_run_objdet, campaign_flags("family")},
+      {"list-targets", cmd_list_targets, {"model"}},
+      {"inspect-faults", cmd_inspect_faults, {"json", "limit"}},
+      {"analyze", cmd_analyze, {"trace"}},
+      {"diff", cmd_diff, {}},
+      {"show-scenario", cmd_show_scenario, {}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   set_log_level(LogLevel::kWarn);
   if (argc < 2) {
-    usage();
+    usage(stderr);
     return 2;
   }
   const std::string command = argv[1];
   const Args args = Args::parse(argc, argv, 2);
-  try {
-    if (command == "run-imgclass") return cmd_run_imgclass(args);
-    if (command == "run-objdet") return cmd_run_objdet(args);
-    if (command == "list-targets") return cmd_list_targets(args);
-    if (command == "inspect-faults") return cmd_inspect_faults(args);
-    if (command == "analyze") return cmd_analyze(args);
-    if (command == "diff") return cmd_diff(args);
-    if (command == "show-scenario") return cmd_show_scenario(args);
-    usage();
+  if (command == "--help" || command == "-h" || args.wants_help()) {
+    usage(stdout);
+    return 0;
+  }
+  const auto& table = commands();
+  const auto it = std::find_if(table.begin(), table.end(),
+                               [&](const Command& c) { return c.name == command; });
+  if (it == table.end()) {
+    usage(stderr);
     return 2;
+  }
+  try {
+    args.require_known(command, it->flags);
+    return it->run(args);
   } catch (const core::CampaignInterrupted& e) {
     std::fprintf(stderr, "alfi: %s\n", e.what());
     std::fprintf(stderr,
