@@ -81,7 +81,6 @@ struct CampaignRun {
 
 CampaignRun run_campaign_once(std::size_t jobs,
                               const std::string& checkpoint_dir = "",
-                              std::size_t checkpoint_every = 8,
                               bool workspace = true, bool diff = true,
                               const core::Scenario* scenario = nullptr,
                               std::size_t unit_batch = 1,
@@ -91,7 +90,6 @@ CampaignRun run_campaign_once(std::size_t jobs,
   config.model_name = "alexnet";
   config.jobs = jobs;  // output_dir stays empty: KPIs only, no file IO
   config.checkpoint_dir = checkpoint_dir;
-  config.checkpoint_every = checkpoint_every;
   config.workspace = workspace;
   config.diff = diff;
   config.unit_batch = unit_batch;
@@ -164,36 +162,27 @@ BENCHMARK(BM_CampaignJobs)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Crash-safety overhead: the same campaign with journaling + periodic
-/// checkpoints enabled.  "overhead" reports the slowdown vs the
-/// checkpoint-free serial baseline — the per-unit fsync'd journal
-/// append plus one atomic checkpoint write every `checkpoint_every`
-/// units.  The arg sweeps checkpoint frequency (1 = checkpoint after
-/// every unit, the worst case).
+/// Crash-safety overhead: the same campaign journaled to a checkpoint
+/// directory.  "overhead" reports the slowdown vs the journal-free
+/// serial baseline — one journal frame per unit plus an fsync every
+/// CampaignProgress::kSyncEvery frames, after the header and at close.
 void BM_CampaignCheckpointOverhead(benchmark::State& state) {
-  const auto every = static_cast<std::size_t>(state.range(0));
+  const std::string dir = "bench_ckpt_" + std::to_string(::getpid());
   CampaignRun last;
   for (auto _ : state) {
     state.PauseTiming();
-    const std::string dir =
-        "bench_ckpt_" + std::to_string(::getpid()) + "_" + std::to_string(every);
     std::filesystem::remove_all(dir);  // fresh journal each iteration
     state.ResumeTiming();
-    last = run_campaign_once(1, dir, every);
+    last = run_campaign_once(1, dir);
     state.PauseTiming();
     std::filesystem::remove_all(dir);
     state.ResumeTiming();
   }
   state.counters["overhead"] = last.seconds / serial_baseline();
-  state.counters["checkpoint_every"] = static_cast<double>(every);
   state.counters["unit_p50_ms"] = last.unit_p50_ms;
   state.counters["unit_p95_ms"] = last.unit_p95_ms;
 }
 BENCHMARK(BM_CampaignCheckpointOverhead)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(32)
-    ->ArgName("every")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -208,11 +197,11 @@ void BM_CampaignUnitBatch(benchmark::State& state) {
   static const core::Scenario mid = mid_network_scenario();
   CampaignRun last;
   for (auto _ : state) {
-    last = run_campaign_once(1, "", 8, true, true, &mid, unit_batch);
+    last = run_campaign_once(1, "", true, true, &mid, unit_batch);
   }
+  // Shared unit-at-a-time baseline.
   static const double serial_unit_ms =
-      run_campaign_once(1, "", 8, true, true, &mid)
-          .unit_mean_ms;  // shared unit-at-a-time baseline
+      run_campaign_once(1, "", true, true, &mid).unit_mean_ms;
   state.counters["batched_speedup"] =
       last.unit_mean_ms > 0.0 ? serial_unit_ms / last.unit_mean_ms : 0.0;
   state.counters["unit_batch"] = static_cast<double>(unit_batch);
@@ -394,9 +383,9 @@ void write_bench_json(const std::string& path) {
   // measuring the arena effect alone; the diff effect is reported
   // separately below on the workload where it matters.
   const CampaignRun ws_serial =
-      best_of(3, [] { return run_campaign_once(1, "", 8, true, /*diff=*/false); });
+      best_of(3, [] { return run_campaign_once(1, "", true, /*diff=*/false); });
   const CampaignRun alloc_serial =
-      best_of(3, [] { return run_campaign_once(1, "", 8, /*workspace=*/false); });
+      best_of(3, [] { return run_campaign_once(1, "", /*workspace=*/false); });
   const CampaignRun ws_jobs4 = run_campaign_once(4);
 
   // Differential inference on mid/late-network faults: diff-on vs
@@ -404,10 +393,10 @@ void write_bench_json(const std::string& path) {
   // path, so the ratio isolates the prefix-reuse saving.
   const core::Scenario mid = mid_network_scenario();
   const CampaignRun diff_on = best_of(3, [&mid] {
-    return run_campaign_once(1, "", 8, true, /*diff=*/true, &mid);
+    return run_campaign_once(1, "", true, /*diff=*/true, &mid);
   });
   const CampaignRun diff_off = best_of(3, [&mid] {
-    return run_campaign_once(1, "", 8, true, /*diff=*/false, &mid);
+    return run_campaign_once(1, "", true, /*diff=*/false, &mid);
   });
 
   // Batched unit execution on the same mid/late-network workload:
@@ -416,7 +405,7 @@ void write_bench_json(const std::string& path) {
   // With 16 epochs the packs are same-image (stride = dataset_size) and
   // each pack computes the fault-free pass once for all 16 units.
   const CampaignRun batched = best_of(3, [&mid] {
-    return run_campaign_once(1, "", 8, true, /*diff=*/true, &mid,
+    return run_campaign_once(1, "", true, /*diff=*/true, &mid,
                              /*unit_batch=*/16);
   });
 
@@ -431,9 +420,9 @@ void write_bench_json(const std::string& path) {
   const std::string fleet_dir =
       "bench_fleet_" + std::to_string(::getpid());
   std::filesystem::remove_all(fleet_dir);
-  const CampaignRun serial_ckpt = run_campaign_once(1, fleet_dir, 8);
+  const CampaignRun serial_ckpt = run_campaign_once(1, fleet_dir);
   std::filesystem::remove_all(fleet_dir);
-  const CampaignRun fleet = run_campaign_once(1, fleet_dir, 8, true, true,
+  const CampaignRun fleet = run_campaign_once(1, fleet_dir, true, true,
                                               nullptr, /*unit_batch=*/1,
                                               /*fleet_workers=*/4);
   std::filesystem::remove_all(fleet_dir);
@@ -467,14 +456,14 @@ void write_bench_json(const std::string& path) {
   core::SteeringOptions exhaustive_opts;
   exhaustive_opts.map_path = full_map_path;  // map-only: uncapped, unsteered
   const CampaignRun steer_exhaustive = run_campaign_once(
-      1, "", 8, true, true, &steer_scenario, 1, 0, &exhaustive_opts);
+      1, "", true, true, &steer_scenario, 1, 0, &exhaustive_opts);
   core::SteeringOptions budget_opts;
   budget_opts.steer = true;
   budget_opts.map_path = budget_map_path;
   budget_opts.budget =
       steer_scenario.dataset_size * steer_scenario.num_runs / 2;
   const CampaignRun steer_budgeted = run_campaign_once(
-      1, "", 8, true, true, &steer_scenario, 1, 0, &budget_opts);
+      1, "", true, true, &steer_scenario, 1, 0, &budget_opts);
   const io::VulnerabilityMapFile full_map =
       io::read_vulnerability_map(full_map_path);
   const io::VulnerabilityMapFile budget_map =

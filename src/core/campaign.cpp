@@ -4,34 +4,16 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <thread>
 
-#include "io/atomic_file.h"
 #include "io/vulnerability_map.h"
 #include "util/drain.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace alfi::core {
-
-namespace {
-
-/// Shard stream seed: mixes the campaign seed with the shard's first
-/// global work-unit index so the stream depends on *what* the shard
-/// covers, never on how many workers the operator chose.
-std::uint64_t shard_seed(std::uint64_t seed, std::size_t begin) {
-  std::uint64_t state = seed ^ 0xa1f1'c0de'5eed'0001ULL;
-  const std::uint64_t mixed = splitmix64_next(state);
-  return mixed ^ (0x9e37'79b9'7f4a'7c15ULL * (static_cast<std::uint64_t>(begin) + 1));
-}
-
-constexpr char kCheckpointMagic[4] = {'A', 'C', 'K', 'P'};
-constexpr std::uint32_t kCheckpointVersion = 1;
-
-}  // namespace
 
 CampaignRunner::CampaignRunner(std::size_t jobs)
     : jobs_(jobs == 0 ? default_job_count() : jobs) {}
@@ -42,8 +24,7 @@ std::size_t CampaignRunner::default_job_count() {
 }
 
 std::vector<CampaignShard> CampaignRunner::shard_columns(std::size_t count,
-                                                         std::size_t jobs,
-                                                         std::uint64_t seed) {
+                                                         std::size_t jobs) {
   ALFI_CHECK(jobs > 0, "shard_columns needs at least one job");
   std::vector<CampaignShard> shards;
   if (count == 0) return shards;
@@ -54,12 +35,7 @@ std::vector<CampaignShard> CampaignRunner::shard_columns(std::size_t count,
   shards.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     const std::size_t size = base + (i < extra ? 1 : 0);
-    CampaignShard shard;
-    shard.index = i;
-    shard.begin = begin;
-    shard.end = begin + size;
-    shard.rng = Rng(shard_seed(seed, begin));
-    shards.push_back(std::move(shard));
+    shards.push_back({i, begin, begin + size});
     begin += size;
   }
   ALFI_CHECK(begin == count, "shard partition must cover every work unit");
@@ -92,7 +68,7 @@ void CampaignRunner::run_shards(
   }
 }
 
-// ---- checkpoint file --------------------------------------------------------
+// ---- drain ------------------------------------------------------------------
 
 CampaignInterrupted::CampaignInterrupted(std::size_t completed, std::size_t total,
                                          std::string checkpoint_dir)
@@ -102,60 +78,6 @@ CampaignInterrupted::CampaignInterrupted(std::size_t completed, std::size_t tota
       completed_(completed),
       total_(total),
       checkpoint_dir_(std::move(checkpoint_dir)) {}
-
-void CampaignCheckpoint::save(const std::string& path) const {
-  io::ByteWriter w;
-  w.write_bytes(std::string_view(kCheckpointMagic, 4));
-  w.write_u32(kCheckpointVersion);
-  w.write_u64(fingerprint);
-  w.write_string(task_kind);
-  w.write_u64(unit_count);
-  w.write_u64(completed_units);
-  w.write_u64(rnd_seed);
-  w.write_u64(journal_valid_bytes);
-  w.write_u32(static_cast<std::uint32_t>(shards.size()));
-  for (const ShardWaterMark& shard : shards) {
-    w.write_u64(shard.begin);
-    w.write_u64(shard.end);
-    w.write_u64(shard.high_water);
-  }
-  // sync=true: the checkpoint must never reference journal bytes the
-  // kernel has not made durable.
-  io::write_file_atomic(path, w.bytes(), /*sync=*/true);
-}
-
-CampaignCheckpoint CampaignCheckpoint::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open checkpoint: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  io::ByteReader r(bytes);
-  char magic[4];
-  for (char& c : magic) c = static_cast<char>(r.read_u8());
-  if (std::string_view(magic, 4) != std::string_view(kCheckpointMagic, 4)) {
-    throw ParseError("bad magic in checkpoint file: " + path);
-  }
-  const std::uint32_t version = r.read_u32();
-  if (version != kCheckpointVersion) {
-    throw ParseError("unsupported checkpoint version in " + path);
-  }
-  CampaignCheckpoint cp;
-  cp.fingerprint = r.read_u64();
-  cp.task_kind = r.read_string();
-  cp.unit_count = r.read_u64();
-  cp.completed_units = r.read_u64();
-  cp.rnd_seed = r.read_u64();
-  cp.journal_valid_bytes = r.read_u64();
-  const std::uint32_t shard_count = r.read_u32();
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    ShardWaterMark shard;
-    shard.begin = r.read_u64();
-    shard.end = r.read_u64();
-    shard.high_water = r.read_u64();
-    cp.shards.push_back(shard);
-  }
-  return cp;
-}
 
 // ---- shared progress bookkeeping --------------------------------------------
 
@@ -174,9 +96,7 @@ CampaignProgress::CampaignProgress(CampaignTask& task,
     units_replayed_ = &metrics_->counter("units.replayed");
     journal_frames_ = &metrics_->counter("journal.frames");
     journal_payload_bytes_ = &metrics_->counter("journal.payload_bytes");
-    checkpoint_writes_ = &metrics_->counter("checkpoint.writes");
     journal_append_ms_ = &metrics_->histogram("journal.append_ms");
-    checkpoint_write_ms_ = &metrics_->histogram("checkpoint.write_ms");
   }
   if (units_total_ != nullptr) units_total_->add(units_);
 }
@@ -189,24 +109,17 @@ void CampaignProgress::recover() {
     if (checkpointing_) std::filesystem::create_directories(config.checkpoint_dir);
     return;
   }
-  const std::string cp_path =
-      CampaignExecutor::checkpoint_path(config.checkpoint_dir);
   const std::string jn_path =
       CampaignExecutor::journal_path(config.checkpoint_dir);
-  const CampaignCheckpoint checkpoint = CampaignCheckpoint::load(cp_path);
-  if (checkpoint.fingerprint != fingerprint_ ||
-      checkpoint.task_kind != task_.task_kind() ||
-      checkpoint.unit_count != units_) {
-    throw ConfigError(
-        "refusing to resume: checkpoint was written by a different campaign "
-        "(scenario, fault matrix, seed or workload changed) — delete " +
-        config.checkpoint_dir + " to start over");
-  }
   io::JournalScan scan = io::scan_journal(jn_path);
   if (scan.header.fingerprint != fingerprint_ ||
-      scan.header.task_kind != task_.task_kind()) {
-    throw ConfigError("refusing to resume: journal fingerprint mismatch in " +
-                      jn_path);
+      scan.header.task_kind != task_.task_kind() ||
+      scan.header.unit_count != units_) {
+    throw ConfigError(
+        "refusing to resume: " + jn_path +
+        " was written by a different campaign (scenario, fault matrix, seed "
+        "or workload changed) — delete " + config.checkpoint_dir +
+        " to start over");
   }
   if (scan.torn_tail) {
     ALFI_LOG(kWarn) << "journal has a torn tail at byte " << scan.valid_bytes
@@ -224,7 +137,7 @@ void CampaignProgress::recover() {
   if (units_replayed_ != nullptr) units_replayed_->add(done_);
 }
 
-void CampaignProgress::open(const WaterMarks& marks) {
+void CampaignProgress::open() {
   const CampaignConfigBase& config = task_.base_config();
   if (!checkpointing_) return;
   io::JournalHeader header;
@@ -234,7 +147,9 @@ void CampaignProgress::open(const WaterMarks& marks) {
   journal_ = std::make_unique<io::JournalWriter>(
       CampaignExecutor::journal_path(config.checkpoint_dir), header,
       config.resume);
-  if (!config.resume) write_checkpoint(marks);
+  // A fresh header (or a resume's tail repair) is durable before the
+  // first unit frame lands behind it.
+  journal_->sync();
 }
 
 bool CampaignProgress::store(std::size_t unit, std::string payload) {
@@ -254,86 +169,62 @@ bool CampaignProgress::store(std::size_t unit, std::string payload) {
   return true;
 }
 
-void CampaignProgress::absorb_one(std::size_t t, const WaterMarks& marks) {
-  const CampaignConfigBase& config = task_.base_config();
-  pending_[t] = 0;
+void CampaignProgress::append(std::size_t t) {
   const std::string& payload = payloads_[t];
+  const Stopwatch append_watch;
+  journal_->append_unit(t, payload);
+  if (journal_append_ms_ != nullptr) {
+    journal_append_ms_->record(append_watch.elapsed_ms());
+  }
+  if (journal_frames_ != nullptr) journal_frames_->add();
+  if (journal_payload_bytes_ != nullptr) {
+    journal_payload_bytes_->add(payload.size());
+  }
+}
+
+void CampaignProgress::absorb_one(std::size_t t) {
+  pending_[t] = 0;
   if (journal_) {
-    const Stopwatch append_watch;
-    journal_->append_unit(t, payload);
-    if (journal_append_ms_ != nullptr) {
-      journal_append_ms_->record(append_watch.elapsed_ms());
-    }
-    if (journal_frames_ != nullptr) journal_frames_->add();
-    if (journal_payload_bytes_ != nullptr) {
-      journal_payload_bytes_->add(payload.size());
+    append(t);
+    if (++appended_since_sync_ >= kSyncEvery) {
+      appended_since_sync_ = 0;
+      journal_->sync();
     }
   }
   ++done_;
   if (units_computed_ != nullptr) units_computed_->add();
-  if (checkpointing_ && ++done_since_checkpoint_ >= config.checkpoint_every) {
-    done_since_checkpoint_ = 0;
-    write_checkpoint(marks);
-  }
 }
 
 std::size_t CampaignProgress::absorb_ascending(std::size_t cursor,
-                                               std::size_t end,
-                                               const WaterMarks& marks) {
+                                               std::size_t end) {
   while (cursor < end && completed_[cursor]) {
-    if (pending_[cursor]) absorb_one(cursor, marks);
+    if (pending_[cursor]) absorb_one(cursor);
     ++cursor;
   }
   return cursor;
 }
 
-void CampaignProgress::absorb_units(const std::vector<std::size_t>& units,
-                                    const WaterMarks& marks) {
+void CampaignProgress::absorb_units(const std::vector<std::size_t>& units) {
   for (const std::size_t t : units) {
     ALFI_CHECK(t < units_ && completed_[t],
                "absorb_units expects completed units");
-    if (pending_[t]) absorb_one(t, marks);
+    if (pending_[t]) absorb_one(t);
   }
 }
 
-void CampaignProgress::drain(const WaterMarks& marks) {
+void CampaignProgress::drain() {
   for (std::size_t t = 0; journal_ && t < units_; ++t) {
     if (!pending_[t]) continue;
     pending_[t] = 0;
-    journal_->append_unit(t, payloads_[t]);
-    if (journal_frames_ != nullptr) journal_frames_->add();
-    if (journal_payload_bytes_ != nullptr) {
-      journal_payload_bytes_->add(payloads_[t].size());
-    }
+    append(t);
   }
-  close(marks);
+  close();
   throw CampaignInterrupted(done_, units_, task_.base_config().checkpoint_dir);
 }
 
-void CampaignProgress::write_checkpoint(const WaterMarks& marks) {
-  if (!checkpointing_) return;
-  const CampaignConfigBase& config = task_.base_config();
-  Stopwatch cp_watch;
+void CampaignProgress::close() {
+  if (!journal_) return;
   journal_->sync();
-  CampaignCheckpoint cp;
-  cp.fingerprint = fingerprint_;
-  cp.task_kind = task_.task_kind();
-  cp.unit_count = units_;
-  cp.completed_units = done_;
-  cp.rnd_seed = task_.task_scenario().rnd_seed;
-  cp.journal_valid_bytes = std::filesystem::file_size(
-      CampaignExecutor::journal_path(config.checkpoint_dir));
-  cp.shards = marks();
-  cp.save(CampaignExecutor::checkpoint_path(config.checkpoint_dir));
-  if (checkpoint_writes_ != nullptr) checkpoint_writes_->add();
-  if (checkpoint_write_ms_ != nullptr) {
-    checkpoint_write_ms_->record(cp_watch.elapsed_ms());
-  }
-}
-
-void CampaignProgress::close(const WaterMarks& marks) {
-  if (!checkpointing_ || !journal_) return;
-  write_checkpoint(marks);
   journal_->close();
 }
 
@@ -423,13 +314,12 @@ SteeredPlan::SteeredPlan(CampaignTask& task)
       policy_(checked_steering_cells(task), task.base_config().steering) {}
 
 bool SteeredPlan::absorb_round(const std::vector<std::size_t>& round,
-                               CampaignProgress& progress,
-                               const CampaignProgress::WaterMarks& marks) {
+                               CampaignProgress& progress) {
   std::vector<std::size_t> ready;
   for (const std::size_t t : round) {
     if (progress.unit_completed(t)) ready.push_back(t);
   }
-  progress.absorb_units(ready, marks);
+  progress.absorb_units(ready);
   for (const std::size_t t : ready) {
     policy_.record(t, task_.classify_unit(t, progress.payload(t)));
   }
@@ -470,10 +360,6 @@ std::string CampaignExecutor::journal_path(const std::string& checkpoint_dir) {
   return checkpoint_dir + "/journal.bin";
 }
 
-std::string CampaignExecutor::checkpoint_path(const std::string& checkpoint_dir) {
-  return checkpoint_dir + "/checkpoint.bin";
-}
-
 std::unique_lock<std::mutex> CampaignExecutor::compute_pack(
     CampaignUnitRunner& runner, const std::vector<std::size_t>& pack,
     CampaignProgress& progress, std::mutex& merge_mutex) {
@@ -497,7 +383,6 @@ void CampaignExecutor::execute() {
     return;
   }
   const CampaignConfigBase& config = task_.base_config();
-  const Scenario& scenario = task_.task_scenario();
   const std::size_t units = task_.unit_count();
   const std::function<bool()> interrupted = drain_predicate(config);
 
@@ -510,39 +395,22 @@ void CampaignExecutor::execute() {
   // prepare() after resume validation: meta-files are (re)written
   // identically, calibration bounds recomputed deterministically.
   task_.prepare();
+  progress.open();
 
   const CampaignRunner runner(config.jobs);
   const std::vector<CampaignShard> shards =
-      CampaignRunner::shard_columns(units, runner.jobs(), scenario.rnd_seed);
-
-  const CampaignProgress::WaterMarks marks = [&] {
-    std::vector<ShardWaterMark> ms;
-    ms.reserve(shards.size());
-    for (const CampaignShard& shard : shards) {
-      ShardWaterMark mark{shard.begin, shard.end, shard.begin};
-      while (mark.high_water < shard.end && progress.unit_completed(mark.high_water)) {
-        ++mark.high_water;
-      }
-      ms.push_back(mark);
-    }
-    return ms;
-  };
-
-  // Opens the journal and — on a fresh run — writes the initial
-  // checkpoint, so a crash before the first periodic write still
-  // leaves a resumable directory.
-  progress.open(marks);
+      CampaignRunner::shard_columns(units, runner.jobs());
 
   // Everything the workers publish goes through this mutex: journal
-  // appends, payload/completion bookkeeping, checkpoint writes and the
-  // progress line.
+  // appends and fsyncs, payload/completion bookkeeping and the progress
+  // line.
   std::mutex merge_mutex;
   ProgressLine line(config, units);
   const PackScheduler packs(task_);
 
   // Deferred absorb (DESIGN.md §12): a pack holds units {t, t+stride,
   // ...}, so units complete out of ascending order.  Journal frames,
-  // unit counters and checkpoint cadence must still match
+  // unit counters and fsync cadence must still match
   // unit-at-a-time execution, so each shard absorbs from its own
   // ascending cursor (progress.absorb_ascending) and payloads the
   // cursor has not reached yet stay pending inside progress.
@@ -568,7 +436,7 @@ void CampaignExecutor::execute() {
       packs.gather(t, open, pack);
       shard_computed += pack.size();
       const auto lock = compute_pack(*unit_runner, pack, progress, merge_mutex);
-      absorb_cursor = progress.absorb_ascending(absorb_cursor, shard.end, marks);
+      absorb_cursor = progress.absorb_ascending(absorb_cursor, shard.end);
       line.update(progress.done());
     }
     if (metrics_ != nullptr && shard_computed > 0) {
@@ -580,8 +448,8 @@ void CampaignExecutor::execute() {
   line.update(progress.done(), /*final_line=*/true);
 
   // Drained: persist progress and surface the preemption.
-  if (!progress.all_done()) progress.drain(marks);
-  progress.close(marks);  // final: high-water == end on every shard
+  if (!progress.all_done()) progress.drain();
+  progress.close();
 
   // ---- merge: ascending unit order restores the serial output order --------
   progress.merge();
@@ -591,7 +459,6 @@ void CampaignExecutor::execute() {
 
 void CampaignExecutor::execute_steered() {
   const CampaignConfigBase& config = task_.base_config();
-  const Scenario& scenario = task_.task_scenario();
   const std::size_t units = task_.unit_count();
   const std::function<bool()> interrupted = drain_predicate(config);
 
@@ -599,18 +466,7 @@ void CampaignExecutor::execute_steered() {
   CampaignProgress progress(task_, metrics_);
   progress.recover();
   task_.prepare();
-
-  // Steered completion is not a prefix of [0, units), so the checkpoint
-  // carries one global mark whose high-water is the first incomplete
-  // unit; resume recovers from the journal frames, not the marks.
-  const CampaignProgress::WaterMarks marks = [&] {
-    ShardWaterMark mark{0, units, 0};
-    while (mark.high_water < units && progress.unit_completed(mark.high_water)) {
-      ++mark.high_water;
-    }
-    return std::vector<ShardWaterMark>{mark};
-  };
-  progress.open(marks);
+  progress.open();
 
   const CampaignRunner runner(config.jobs);
   std::mutex merge_mutex;
@@ -646,7 +502,7 @@ void CampaignExecutor::execute_steered() {
       if (!progress.unit_completed(t)) todo.push_back(t);
     }
     const std::vector<CampaignShard> shards =
-        CampaignRunner::shard_columns(todo.size(), runner.jobs(), scenario.rnd_seed);
+        CampaignRunner::shard_columns(todo.size(), runner.jobs());
     runner.run_shards(shards, [&](const CampaignShard& shard) {
       std::unique_ptr<CampaignUnitRunner>& unit_runner = runners[shard.index];
       // The shard's share of the round: todo[shard.begin, shard.end),
@@ -666,12 +522,12 @@ void CampaignExecutor::execute_steered() {
         line.update(progress.done());
       }
     });
-    drained = !plan.absorb_round(round, progress, marks);
+    drained = !plan.absorb_round(round, progress);
   }
   line.update(progress.done(), /*final_line=*/true);
 
-  if (drained) progress.drain(marks);
-  progress.close(marks);
+  if (drained) progress.drain();
+  progress.close();
   plan.finish(progress, metrics_);
 }
 

@@ -1,30 +1,28 @@
 // CampaignRunner — deterministic sharded execution of fault-injection
 // campaigns across worker threads — and CampaignExecutor, the
 // crash-safe driver that runs any CampaignTask with journaling,
-// checkpoint/resume and graceful drain.
+// resume and graceful drain.
 //
 // Per-fault-config independence makes FI campaigns embarrassingly
 // parallel (the pre-generated fault matrix fixes every fault location
 // before the first inference), so a campaign of N work units can be
 // split into contiguous shards, each executed by one worker against its
-// own deep-cloned model replica (nn::Module::clone()), its own Injector
-// and its own child RNG stream, and merged back in shard order.
+// own deep-cloned model replica (nn::Module::clone()) and its own
+// Injector, and merged back in shard order.
 //
 // Determinism guarantee: the shard boundaries depend only on (count,
 // jobs), every work unit carries its global index, and the merge
 // concatenates shard outputs in ascending shard order — so the merged
 // result of `--jobs N` is byte-identical to the serial `--jobs 1` run.
-// The per-shard RNG is derived from (seed, shard.begin) alone, keeping
-// any future stochastic per-shard behavior reproducible as well.
 //
 // Crash safety (DESIGN.md §8): with a checkpoint directory configured,
 // every completed unit's serialized result is appended to a
-// CRC32-framed journal and a checkpoint (atomic temp+rename) records
-// the campaign fingerprint and per-shard high-water marks.  A resumed
-// run validates the fingerprint, truncates any torn journal tail,
-// replays intact units from the journal and computes only the rest —
-// the merged outputs are byte-identical to an uninterrupted run for any
-// job count, because final outputs are only ever produced from unit
+// CRC32-framed journal (`journal.bin`), the campaign's only durable
+// record: its header frame carries the fingerprint, task kind and unit
+// count a resume validates.  A resumed run truncates any torn journal
+// tail, replays intact units and computes only the rest — the merged
+// outputs are byte-identical to an uninterrupted run for any job
+// count, because final outputs are only ever produced from unit
 // payloads absorbed in ascending unit order.
 #pragma once
 
@@ -40,21 +38,15 @@
 #include "core/steering.h"
 #include "util/error.h"
 #include "util/metrics.h"
-#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace alfi::core {
 
-/// One contiguous range of campaign work units, [begin, end), plus the
-/// worker's independent child RNG stream.
+/// One contiguous range of campaign work units, [begin, end).
 struct CampaignShard {
   std::size_t index = 0;  ///< merge position (ascending = serial order)
   std::size_t begin = 0;  ///< first global work-unit index (inclusive)
   std::size_t end = 0;    ///< one past the last work-unit index
-
-  /// Child stream seeded from (campaign seed, begin): identical for the
-  /// same range regardless of how many workers run the campaign.
-  Rng rng;
 
   std::size_t size() const { return end - begin; }
 };
@@ -72,10 +64,9 @@ class CampaignRunner {
   /// Partitions [0, count) into at most `jobs` contiguous shards of
   /// near-equal size (the first count % jobs shards get one extra unit).
   /// Every unit is covered exactly once; shards come back in merge
-  /// order.  `seed` feeds each shard's child RNG stream.
+  /// order.  A pure function of (count, jobs).
   static std::vector<CampaignShard> shard_columns(std::size_t count,
-                                                  std::size_t jobs,
-                                                  std::uint64_t seed);
+                                                  std::size_t jobs);
 
   /// Executes `work` once per shard: inline on the calling thread when
   /// there is a single shard, otherwise one std::thread per shard.  If
@@ -88,11 +79,11 @@ class CampaignRunner {
   std::size_t jobs_;
 };
 
-/// Thrown when a campaign drains to its checkpoint instead of
+/// Thrown when a campaign drains to its checkpoint directory instead of
 /// finishing: a drain request (SIGINT/SIGTERM or the config's interrupt
-/// callback) stopped workers between units.  The journal and checkpoint
-/// are durable at throw time; re-running with resume=true completes the
-/// campaign with byte-identical outputs.
+/// callback) stopped workers between units.  The journal is durable at
+/// throw time; re-running with resume=true completes the campaign with
+/// byte-identical outputs.
 class CampaignInterrupted : public Error {
  public:
   CampaignInterrupted(std::size_t completed, std::size_t total,
@@ -108,34 +99,9 @@ class CampaignInterrupted : public Error {
   std::string checkpoint_dir_;
 };
 
-/// Per-shard progress recorded in the checkpoint file: the shard's
-/// range at checkpoint time plus its high-water mark (first unit not
-/// yet completed).  On resume the executor re-derives shards for the
-/// *current* job count and re-arms each shard's RNG fork at its first
-/// incomplete unit; the persisted marks are validation/telemetry.
-struct ShardWaterMark {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t high_water = 0;
-};
-
-/// Checkpoint file contents (checkpoint.bin, atomic temp+rename).
-struct CampaignCheckpoint {
-  std::uint64_t fingerprint = 0;
-  std::string task_kind;
-  std::uint64_t unit_count = 0;
-  std::uint64_t completed_units = 0;
-  std::uint64_t rnd_seed = 0;
-  std::uint64_t journal_valid_bytes = 0;
-  std::vector<ShardWaterMark> shards;
-
-  void save(const std::string& path) const;
-  static CampaignCheckpoint load(const std::string& path);
-};
-
 /// Crash-safety bookkeeping shared by the threaded executor and the
 /// fleet coordinator (core/fleet.h): payload/completion state, resume
-/// recovery, the journal writer, checkpoint cadence and the final
+/// recovery, the journal writer and its fsync cadence, and the final
 /// ordered merge.  Not thread-safe — the executor serializes calls
 /// under its merge mutex; the single-threaded coordinator needs no
 /// lock.
@@ -145,26 +111,26 @@ struct CampaignCheckpoint {
 /// merge(), or drain() for a run stopped early.
 class CampaignProgress {
  public:
-  /// Watermark provider for checkpoint writes: the executor reports
-  /// per-shard high-water marks, the fleet coordinator one global mark.
-  using WaterMarks = std::function<std::vector<ShardWaterMark>()>;
+  /// Unit frames appended between journal fsyncs: a power loss costs at
+  /// most this many absorbed units, which resume recomputes.
+  static constexpr std::size_t kSyncEvery = 8;
 
-  /// Resolves all journal/checkpoint/unit telemetry handles up front
-  /// (counters exist at zero even when an event never fires).
+  /// Resolves all journal/unit telemetry handles up front (counters
+  /// exist at zero even when an event never fires).
   CampaignProgress(CampaignTask& task, util::MetricsRegistry* metrics);
 
-  /// Phase 1, before task.prepare(): on resume, validates checkpoint +
-  /// journal identity (throws ConfigError on fingerprint mismatch),
-  /// repairs a torn journal tail and replays intact unit frames; on a
-  /// fresh checkpointing run, creates the checkpoint directory.
+  /// Phase 1, before task.prepare(): on resume, validates the journal
+  /// header's fingerprint, task kind and unit count (throws ConfigError
+  /// on a mismatch), repairs a torn journal tail and replays intact unit
+  /// frames; on a fresh checkpointing run, creates the checkpoint
+  /// directory.
   void recover();
 
-  /// Phase 2, after task.prepare(): opens the journal writer and — on a
-  /// fresh run — publishes the initial checkpoint so a crash before the
-  /// first periodic write still leaves a resumable directory.
-  void open(const WaterMarks& marks);
+  /// Phase 2, after task.prepare(): opens the journal writer and fsyncs
+  /// it, so a fresh run's header frame is durable before the first unit
+  /// frame is appended.
+  void open();
 
-  bool checkpointing() const { return checkpointing_; }
   std::size_t units() const { return units_; }
   std::size_t done() const { return done_; }
   bool all_done() const { return done_ == units_; }
@@ -178,31 +144,26 @@ class CampaignProgress {
   bool store(std::size_t unit, std::string payload);
 
   /// Advances a cursor over completed units in [cursor, end): journals
-  /// each stored-but-unjournaled payload, counts it done and writes a
-  /// checkpoint every config.checkpoint_every completions — exactly as
+  /// each stored-but-unjournaled payload and counts it done — exactly as
   /// unit-at-a-time execution would, no matter what order the payloads
   /// were stored in.  Returns the new cursor (first incomplete unit).
-  std::size_t absorb_ascending(std::size_t cursor, std::size_t end,
-                               const WaterMarks& marks);
+  std::size_t absorb_ascending(std::size_t cursor, std::size_t end);
 
   /// Journals/counts exactly the given completed units (must be
   /// ascending).  The steered round barrier (SteeredPlan): a round's
   /// payloads are absorbed in plan order, so journal bytes do not depend on
   /// which worker computed what.  Units that were never stored pending
   /// (journal-replayed on resume) are skipped, like absorb_ascending.
-  void absorb_units(const std::vector<std::size_t>& units,
-                    const WaterMarks& marks);
+  void absorb_units(const std::vector<std::size_t>& units);
 
-  void write_checkpoint(const WaterMarks& marks);
-
-  /// Final checkpoint + journal close (no-op without checkpointing).
-  void close(const WaterMarks& marks);
+  /// Final journal fsync + close (no-op without checkpointing).
+  void close();
 
   /// Ends a drained run: journals every computed-but-still-pending
   /// payload, out of ascending order (scan_journal accepts any frame
   /// order on resume) — a preempted strided pack loses nothing already
   /// computed — then close()s and throws CampaignInterrupted.
-  [[noreturn]] void drain(const WaterMarks& marks);
+  [[noreturn]] void drain();
 
   /// Ascending absorb_unit over every COMPLETED payload, then
   /// task.finalize().  A budgeted campaign legitimately completes a
@@ -212,8 +173,10 @@ class CampaignProgress {
   void merge();
 
  private:
-  /// Journals + counts one pending unit (checkpoint cadence included).
-  void absorb_one(std::size_t t, const WaterMarks& marks);
+  /// Journals + counts one pending unit (fsync cadence included).
+  void absorb_one(std::size_t t);
+  /// Appends one unit frame to the journal.
+  void append(std::size_t t);
 
   CampaignTask& task_;
   util::MetricsRegistry* metrics_;
@@ -225,7 +188,7 @@ class CampaignProgress {
   /// completed but not yet journaled/counted (deferred absorb, §12)
   std::vector<char> pending_;
   std::size_t done_ = 0;
-  std::size_t done_since_checkpoint_ = 0;
+  std::size_t appended_since_sync_ = 0;
   std::unique_ptr<io::JournalWriter> journal_;
 
   util::Counter* units_total_ = nullptr;
@@ -233,9 +196,7 @@ class CampaignProgress {
   util::Counter* units_replayed_ = nullptr;
   util::Counter* journal_frames_ = nullptr;
   util::Counter* journal_payload_bytes_ = nullptr;
-  util::Counter* checkpoint_writes_ = nullptr;
   util::Histogram* journal_append_ms_ = nullptr;
-  util::Histogram* checkpoint_write_ms_ = nullptr;
 };
 
 // ---- what every campaign loop shares -----------------------------------------
@@ -295,11 +256,10 @@ class SteeredPlan {
   /// computed what — then feeds their outcomes to the policy.  False
   /// when a drain left part of the round uncomputed.
   bool absorb_round(const std::vector<std::size_t>& round,
-                    CampaignProgress& progress,
-                    const CampaignProgress::WaterMarks& marks);
+                    CampaignProgress& progress);
 
-  /// After the final checkpoint: the steering.units_executed gauge, the
-  /// merge over the executed units and vulnerability_map.json.
+  /// After the final journal fsync: the steering.units_executed gauge,
+  /// the merge over the executed units and vulnerability_map.json.
   void finish(CampaignProgress& progress, util::MetricsRegistry* metrics);
 
  private:
@@ -319,21 +279,21 @@ class SteeredPlan {
 /// SAME image under different fault groups and shares one fault-free
 /// pass across the pack).  Payloads come back in pack order; each shard
 /// then journals / counts them from an ascending cursor (out-of-order
-/// pack-mates wait as pending), so journal frames, counters and
-/// checkpoint cadence match unit-at-a-time execution and outputs stay
+/// pack-mates wait as pending), so journal frames, counters and fsync
+/// cadence match unit-at-a-time execution and outputs stay
 /// byte-identical for every --unit-batch / --jobs combination.
 class CampaignExecutor {
  public:
   /// `metrics` (optional) receives campaign telemetry: unit counters
   /// (units.total/computed/replayed — commutative, so identical for any
-  /// --jobs), the campaign.unit_ms latency histogram, journal/checkpoint
-  /// write latency + bytes and per-worker units/sec gauges.
+  /// --jobs), the campaign.unit_ms latency histogram, journal append
+  /// latency + bytes and per-worker units/sec gauges.
   explicit CampaignExecutor(CampaignTask& task,
                             util::MetricsRegistry* metrics = nullptr);
 
-  /// Paths used inside a checkpoint directory.
+  /// The journal inside a checkpoint directory — the campaign's only
+  /// durable record.
   static std::string journal_path(const std::string& checkpoint_dir);
-  static std::string checkpoint_path(const std::string& checkpoint_dir);
 
   /// Executes the campaign.  Throws CampaignInterrupted on graceful
   /// drain, ConfigError when a resume's fingerprints do not match.

@@ -132,17 +132,15 @@ struct CampaignConfigBase {
   std::size_t unit_batch = 1;
 
   // ---- crash safety --------------------------------------------------------
-  /// Directory for the result journal + checkpoint; empty disables
-  /// checkpointing.
+  /// Directory for the result journal (`journal.bin`, the campaign's
+  /// only durable record); empty disables checkpointing.
   std::string checkpoint_dir;
-  /// Continue a prior run from checkpoint_dir: validate fingerprints,
-  /// repair the journal tail, skip completed units.
+  /// Continue a prior run from checkpoint_dir: validate the journal
+  /// header, repair the journal tail, skip completed units.
   bool resume = false;
-  /// Completed units between checkpoint writes (journal frames are
-  /// appended on every unit regardless).
-  std::size_t checkpoint_every = 8;
   /// Polled between units; returning true requests a graceful drain
-  /// (finish in-flight units, checkpoint, throw CampaignInterrupted).
+  /// (finish in-flight units, fsync the journal, throw
+  /// CampaignInterrupted).
   /// Defaults to alfi::drain_requested() — the SIGINT/SIGTERM flag.
   std::function<bool()> interrupt;
 

@@ -96,9 +96,10 @@ FaultMatrix FaultMatrix::load(const std::string& path) {
   io::BinaryReader reader(path);
   const std::uint32_t version = reader.read_header(kFaultMagic);
   if (version != kVersion) throw ParseError("unsupported fault file version: " + path);
+  // No reserve(count): a corrupt count must hit end-of-file (ParseError)
+  // after reading the bytes present, not allocate first.
   const std::uint64_t count = reader.read_u64();
   std::vector<Fault> faults;
-  faults.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) faults.push_back(read_fault(reader));
   return FaultMatrix(std::move(faults));
 }
@@ -144,9 +145,8 @@ std::vector<InjectionRecord> load_injection_records(const std::string& path) {
   if (version != kVersion) {
     throw ParseError("unsupported injection record file version: " + path);
   }
-  const std::uint64_t count = reader.read_u64();
+  const std::uint64_t count = reader.read_u64();  // untrusted: no reserve
   std::vector<InjectionRecord> records;
-  records.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     InjectionRecord record;
     record.fault = read_fault(reader);

@@ -106,8 +106,7 @@ std::pair<std::string, std::uint16_t> parse_host_port(const std::string& spec) {
 
 // ---- lease table ------------------------------------------------------------
 
-LeaseTable::LeaseTable(std::size_t units, std::size_t lease_units,
-                       std::uint64_t seed)
+LeaseTable::LeaseTable(std::size_t units, std::size_t lease_units)
     : lease_units_(std::max<std::size_t>(1, lease_units)) {
   if (units == 0) return;
   // Reuse the executor's deterministic contiguous sharding so lease
@@ -115,7 +114,7 @@ LeaseTable::LeaseTable(std::size_t units, std::size_t lease_units,
   // of worker count or arrival order.
   const std::size_t ranges = (units + lease_units_ - 1) / lease_units_;
   for (const CampaignShard& shard :
-       CampaignRunner::shard_columns(units, ranges, seed)) {
+       CampaignRunner::shard_columns(units, ranges)) {
     queue_.push_back({shard.begin, shard.end});
   }
 }
@@ -285,7 +284,7 @@ void FleetCoordinator::execute() {
   const std::size_t units = task_.unit_count();
   if (config.checkpoint_dir.empty()) {
     throw ConfigError(
-        "fleet coordinator mode requires --checkpoint-dir: shipped unit "
+        "fleet coordinator mode requires --checkpoint: shipped unit "
         "frames are merged through the journal");
   }
   const std::function<bool()> interrupted = drain_predicate(config);
@@ -314,16 +313,7 @@ void FleetCoordinator::execute() {
   CampaignProgress progress(task_, metrics_);
   progress.recover();
   task_.prepare();
-
-  // One global ascending absorb cursor: the coordinator journals unit
-  // frames in strictly ascending order no matter how leases interleave,
-  // so the journal is byte-identical to a checkpointed --jobs 1 run.
-  std::size_t cursor = 0;
-  const CampaignProgress::WaterMarks marks = [&] {
-    return std::vector<ShardWaterMark>{
-        {0, units, cursor}};
-  };
-  progress.open(marks);
+  progress.open();
 
   io::Listener listener(fleet.listen_port);
   ALFI_LOG(kInfo) << "fleet coordinator listening on 127.0.0.1:"
@@ -332,8 +322,7 @@ void FleetCoordinator::execute() {
   if (fleet.on_listen) fleet.on_listen(listener.port());
 
   // Steered: start empty, refill with each planned round.
-  LeaseTable table(plan ? 0 : units, fleet.lease_units,
-                   task_.task_scenario().rnd_seed);
+  LeaseTable table(plan ? 0 : units, fleet.lease_units);
   const auto completed_fn = [&](std::size_t unit) {
     return progress.unit_completed(unit);
   };
@@ -410,7 +399,7 @@ void FleetCoordinator::execute() {
         } else if (fingerprint != task_.fingerprint()) {
           refuse =
               "campaign fingerprint mismatch (scenario, fault matrix, seed "
-              "or binary differs)";
+              "or payload-affecting config differs)";
         }
         if (!refuse.empty()) {
           ALFI_LOG(kWarn) << "fleet: refusing worker: " << refuse;
@@ -531,19 +520,20 @@ void FleetCoordinator::execute() {
                 conns.end());
   };
 
-  // A resumed campaign starts with a replayed prefix: advance the
-  // cursor over it before the first worker frame arrives.
-  cursor = progress.absorb_ascending(cursor, units, marks);
-
   bool drained = false;
   if (!plan) {
+    // One global ascending absorb cursor: the coordinator journals unit
+    // frames in strictly ascending order no matter how leases
+    // interleave, so the journal is byte-identical to a checkpointed
+    // --jobs 1 run.
+    std::size_t cursor = 0;
     while (!progress.all_done()) {
       if (interrupted()) {
         drained = true;
         break;
       }
       pump();
-      cursor = progress.absorb_ascending(cursor, units, marks);
+      cursor = progress.absorb_ascending(cursor, units);
       if (fleet.on_progress) fleet.on_progress(progress.done());
       line.update(progress.done());
     }
@@ -581,8 +571,7 @@ void FleetCoordinator::execute() {
         }
         line.update(progress.done());
       }
-      if (!plan->absorb_round(round, progress, marks)) drained = true;
-      while (cursor < units && progress.unit_completed(cursor)) ++cursor;
+      if (!plan->absorb_round(round, progress)) drained = true;
       if (fleet.on_progress) fleet.on_progress(progress.done());
     }
   }
@@ -606,9 +595,9 @@ void FleetCoordinator::execute() {
 
   // Drained: whatever was stored past the cursor (holes from re-leased
   // ranges) is journaled so resume replays instead of recomputing it.
-  if (drained) progress.drain(marks);
+  if (drained) progress.drain();
 
-  progress.close(marks);  // final checkpoint (steered: over executed units)
+  progress.close();
   if (plan) {
     plan->finish(progress, metrics_);
   } else {

@@ -5,7 +5,7 @@
 //
 // Roles:
 //   * FleetCoordinator — owns the campaign: resume recovery, the
-//     journal, checkpoints and the final ordered merge (all through
+//     journal and the final ordered merge (all through
 //     CampaignProgress, shared with the threaded executor).  It leases
 //     unit ranges to workers over a CRC32-framed TCP protocol
 //     (io/socket.h), re-issues leases held by dead workers, and
@@ -13,11 +13,12 @@
 //     — so the journal it writes is byte-for-byte the journal a
 //     checkpointed `--jobs 1` run would have written.
 //   * FleetWorker — joins a coordinator, proves it is running the SAME
-//     campaign (fingerprint + task kind + unit count handshake; a
-//     mismatched scenario or binary is refused), then loops: request a
-//     lease, compute its units with the ordinary CampaignUnitRunner
-//     pack machinery, and stream each completed unit back as a frame
-//     byte-identical to the journal's kUnit frames.
+//     campaign (protocol version + fingerprint + task kind + unit count
+//     handshake; a mismatched scenario, fault matrix or seed is
+//     refused — nothing identifies the worker's binary), then loops:
+//     request a lease, compute its units with the ordinary
+//     CampaignUnitRunner pack machinery, and stream each completed unit
+//     back as a frame byte-identical to the journal's kUnit frames.
 //
 // Failure model: any frame from a worker counts as liveness; a worker
 // silent past lease_timeout_ms — or whose connection drops (SIGKILL
@@ -98,7 +99,7 @@ class LeaseTable {
 
   /// `units == 0` builds an empty table a steered coordinator refills
   /// round by round through seed().
-  LeaseTable(std::size_t units, std::size_t lease_units, std::uint64_t seed);
+  LeaseTable(std::size_t units, std::size_t lease_units);
 
   /// Appends ranges to the back of the queue.  The steered round loop
   /// leases exactly the round's planned units: workers block on their
@@ -171,7 +172,7 @@ class FleetCoordinator {
   explicit FleetCoordinator(CampaignTask& task,
                             util::MetricsRegistry* metrics = nullptr);
 
-  /// Runs the campaign to completion (or drains to checkpoint, throwing
+  /// Runs the campaign to completion (or drains to its journal, throwing
   /// CampaignInterrupted — re-run with resume=true to finish).
   void execute();
 

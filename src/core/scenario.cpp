@@ -265,8 +265,8 @@ io::Json Scenario::to_yaml() const {
   // The inference section is emitted only when it deviates from the
   // defaults (ref backend, fp32 weights).  Default scenarios therefore
   // serialize byte-identically to earlier framework versions, which
-  // keeps campaign fingerprints — and with them journals, checkpoints
-  // and resumability of existing runs — unchanged.
+  // keeps campaign fingerprints — and with them journals and the
+  // resumability of existing runs — unchanged.
   const bool default_backend = backend.empty() || backend == "ref";
   if (!default_backend || numeric_type != nn::NumericType::kFloat32) {
     io::Json inf = io::Json::object();

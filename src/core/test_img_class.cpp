@@ -65,11 +65,13 @@ void write_row(io::ByteWriter& w, const std::vector<std::string>& row) {
   for (const std::string& field : row) w.write_string(field);
 }
 
+/// Grows as fields parse, so a corrupt count underruns (ParseError)
+/// after reading at most the bytes present instead of sizing first.
 std::vector<std::vector<std::string>> read_rows(io::ByteReader& r) {
-  std::vector<std::vector<std::string>> rows(r.read_u64());
-  for (auto& row : rows) {
-    row.resize(r.read_u64());
-    for (std::string& field : row) field = r.read_string();
+  std::vector<std::vector<std::string>> rows;
+  for (std::uint64_t n = r.read_u64(); n > 0; --n) {
+    std::vector<std::string>& row = rows.emplace_back();
+    for (std::uint64_t k = r.read_u64(); k > 0; --k) row.push_back(r.read_string());
   }
   return rows;
 }

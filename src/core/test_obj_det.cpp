@@ -50,9 +50,12 @@ void write_detections(io::ByteWriter& w,
   }
 }
 
+/// Grows as detections parse, so a corrupt count underruns (ParseError)
+/// after reading at most the bytes present instead of sizing first.
 std::vector<models::Detection> read_detections(io::ByteReader& r) {
-  std::vector<models::Detection> dets(r.read_u64());
-  for (models::Detection& det : dets) {
+  std::vector<models::Detection> dets;
+  for (std::uint64_t n = r.read_u64(); n > 0; --n) {
+    models::Detection& det = dets.emplace_back();
     det.box.x = r.read_f32();
     det.box.y = r.read_f32();
     det.box.w = r.read_f32();

@@ -1,7 +1,7 @@
 // Write-temp-then-rename file commits.
 //
-// Campaign outputs (KPI CSVs, detection JSONs, binary traces,
-// checkpoints) must never be observable half-written: a crash mid-write
+// Campaign outputs (KPI CSVs, detection JSONs, binary traces, metrics)
+// must never be observable half-written: a crash mid-write
 // would otherwise leave a truncated file at the final path that a
 // resumed run — or a downstream analysis script — happily consumes.
 // Every campaign artifact is therefore written to `<path>.tmp` and
@@ -17,11 +17,12 @@ namespace alfi::io {
 
 // ---- durability probe (write-fault shim for tests) --------------------------
 
-/// The durability-relevant file operations, in the order they must
-/// happen for a checkpoint to never reference unsynced journal bytes:
-/// journal appends are fsync'ed (kJournalSync) and the journal's
-/// directory entry made durable (kDirSync) BEFORE the checkpoint temp
-/// file is synced (kTempSync) and renamed into place (kRename).
+/// The durability-relevant file operations: the journal's directory
+/// entry is made durable (kDirSync) before its first frame is appended
+/// (kJournalAppend), and the journal fd is fsync'ed (kJournalSync)
+/// after its header, at least every few unit frames and at close; an
+/// atomic commit syncs its temp file (kTempSync, when asked to) before
+/// renaming it into place (kRename).
 enum class FileOp {
   kJournalAppend,  ///< journal frame write
   kJournalSync,    ///< fsync of the journal fd
@@ -68,7 +69,7 @@ void atomic_commit(const std::string& temp, const std::string& path,
 void atomic_discard(const std::string& temp);
 
 /// Whole-file convenience: writes `contents` to the temp path, then
-/// commits.  Used by the JSON/YAML emitters and the checkpoint writer.
+/// commits.  Used by the JSON/YAML emitters.
 void write_file_atomic(const std::string& path, const std::string& contents,
                        bool sync = false);
 

@@ -107,7 +107,7 @@ JournalWriter::JournalWriter(const std::string& path, const JournalHeader& heade
   if (fd_ < 0) throw IoError("cannot open journal: " + path);
   if (!resume) {
     // A fresh journal's directory entry must itself be durable before
-    // any checkpoint can reference the file by name.
+    // any frame is appended, or a crash could lose the whole file.
     sync_parent_directory(path);
     append_frame(encode_header(header));
   }
@@ -173,6 +173,9 @@ JournalScan scan_journal(const std::string& path) {
     if (size > kMaxFrameSize || bytes.size() - pos - 8 < size) break;
     const std::string_view payload(bytes.data() + pos + 8, size);
     if (crc32(payload) != crc) break;  // corrupted frame
+    // crc32("") == 0, so a zero-filled tail (a crash can extend the file
+    // before its data blocks land) reads as empty frames: corruption.
+    if (payload.empty()) break;
 
     ByteReader r(payload);
     const auto kind = static_cast<JournalFrameKind>(r.read_u8());
@@ -182,12 +185,12 @@ JournalScan scan_journal(const std::string& path) {
       scan.header.unit_count = r.read_u64();
       scan.header.task_kind = r.read_string();
       saw_header = true;
-    } else if (kind == JournalFrameKind::kUnit) {
+    } else if (kind == JournalFrameKind::kUnit && r.remaining() >= 8) {
       const std::uint64_t unit = r.read_u64();
       scan.units.emplace_back(static_cast<std::size_t>(unit),
                               std::string(payload.substr(1 + 8)));
     } else {
-      break;  // unknown frame kind: treat as corruption
+      break;  // unknown frame kind or a short unit frame: corruption
     }
     pos += 8 + size;
   }

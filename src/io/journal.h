@@ -1,12 +1,14 @@
-// Append-only, CRC32-framed result journal for crash-safe campaigns.
+// Append-only, CRC32-framed result journal for crash-safe campaigns —
+// the only durable record a campaign keeps.
 //
 // Each campaign worker spools the serialized result of every completed
 // work unit into the journal; a crash (OOM, SIGKILL, power loss) can
 // then only lose the units whose frames never reached the disk.  On
-// resume the journal is scanned front to back, the first torn or
-// corrupted frame truncates the tail (a crash mid-append leaves at most
-// a broken suffix, never a broken middle), and every intact unit is
-// replayed into the merge step instead of being recomputed.
+// resume the header frame identifies the campaign (fingerprint, task
+// kind, unit count), the journal is scanned front to back, the first
+// torn or corrupted frame truncates the tail (a crash mid-append leaves
+// at most a broken suffix, never a broken middle), and every intact
+// unit is replayed into the merge step instead of being recomputed.
 //
 // File layout — a sequence of frames, each:
 //
@@ -19,7 +21,7 @@
 // task-defined result bytes).  All integers little-endian.
 //
 // ByteWriter/ByteReader are the in-memory little-endian packers used to
-// build frame payloads (and the checkpoint file) before framing.
+// build frame payloads before framing.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +104,7 @@ class JournalWriter {
   /// Appends one completed unit's serialized result.
   void append_unit(std::size_t unit, std::string_view payload);
 
-  /// fsync — call before publishing a checkpoint that references the
-  /// journal's current length.
+  /// fsync: every frame appended so far survives a crash.
   void sync();
 
   void close();

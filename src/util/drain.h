@@ -2,8 +2,8 @@
 //
 // A SIGINT/SIGTERM received mid-campaign should not kill the process in
 // the middle of a work unit: with checkpointing enabled the run can
-// instead *drain* — finish the in-flight columns, flush the journal,
-// write a final checkpoint, and exit with a distinct code so schedulers
+// instead *drain* — finish the in-flight columns, flush and fsync the
+// journal, and exit with a distinct code so schedulers
 // (and humans) know the campaign is resumable, not failed.
 //
 // The handler only sets a flag; the campaign executor polls

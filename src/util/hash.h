@@ -1,7 +1,7 @@
 // Content hashing for campaign integrity checks.
 //
 // Two small, portable hashes with stable outputs across platforms and
-// library versions (campaign checkpoints written by one build must be
+// library versions (a campaign journal written by one build must be
 // readable by another):
 //   * CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) frames every
 //     journal record so a resumed campaign can detect torn or corrupted

@@ -163,7 +163,6 @@ class BackendIdentity : public ::testing::Test {
     config.diff = true;
     config.metrics_path = dir + "/metrics.json";
     config.checkpoint_dir = dir + "/ckpt";
-    config.checkpoint_every = 4;
     TestErrorModelsImgClass harness(*model_, *dataset_, scenario(backend),
                                     config);
     Run run;
@@ -189,7 +188,6 @@ class BackendIdentity : public ::testing::Test {
     config.diff = diff;
     config.metrics_path = dir + "/metrics.json";
     config.checkpoint_dir = dir + "/ckpt";
-    config.checkpoint_every = 4;
     TestErrorModelsImgClass harness(*model_, *dataset_, scenario(backend, target),
                                     config);
     const ImgClassCampaignResult result = harness.run();
@@ -364,7 +362,6 @@ class ObjDetBackendIdentity : public ::testing::Test {
     config.metrics_path = dir + "/metrics.json";
     if (checkpoint) {
       config.checkpoint_dir = dir + "/ckpt";
-      config.checkpoint_every = 4;
     }
     TestErrorModelsObjDet harness(*detector_, *dataset_, s, config);
     DetRun run;

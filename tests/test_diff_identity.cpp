@@ -109,7 +109,6 @@ class DiffIdentity : public ::testing::Test {
     config.metrics_path = dir + "/metrics.json";
     if (journal) {
       config.checkpoint_dir = dir + "/ckpt";
-      config.checkpoint_every = 4;
     }
     TestErrorModelsImgClass harness(*model_, *dataset_, scenario(target),
                                     config);

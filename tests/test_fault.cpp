@@ -169,6 +169,25 @@ TEST(FaultMatrix, LoadRejectsWrongMagic) {
   EXPECT_THROW(FaultMatrix::load(dir.file("bad.bin")), ParseError);
 }
 
+/// Overwrites the u64 element count that follows a fault file's magic
+/// and version.
+void corrupt_count(const std::string& path, std::uint64_t count) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekp(8);
+  file.write(reinterpret_cast<const char*>(&count), sizeof count);
+}
+
+constexpr std::uint64_t kCorruptCount = std::uint64_t{1} << 40;
+
+TEST(FaultMatrix, LoadRejectsCorruptCount) {
+  // A count far past the bytes present must hit end-of-file (ParseError)
+  // instead of reserving storage for it first.
+  test::TempDir dir("faults");
+  sample_matrix().save(dir.file("faults.bin"));
+  corrupt_count(dir.file("faults.bin"), kCorruptCount);
+  EXPECT_THROW(FaultMatrix::load(dir.file("faults.bin")), ParseError);
+}
+
 TEST(FaultMatrix, TableRowsMatchTableI) {
   const FaultMatrix matrix = sample_matrix();
   const auto rows = matrix.table_rows();
@@ -216,6 +235,16 @@ TEST(InjectionRecords, BinaryRoundTrip) {
   EXPECT_EQ(loaded[0].fault, records[0].fault);
   EXPECT_EQ(loaded[1].corrupted_value, -7.5f);
   EXPECT_TRUE(loaded[1].flip_direction.empty());
+}
+
+TEST(InjectionRecords, LoadRejectsCorruptCount) {
+  test::TempDir dir("records");
+  std::vector<InjectionRecord> records(2);
+  records[0].fault = sample_matrix().at(0);
+  records[1].fault = sample_matrix().at(1);
+  save_injection_records(records, dir.file("trace.bin"));
+  corrupt_count(dir.file("trace.bin"), kCorruptCount);
+  EXPECT_THROW(load_injection_records(dir.file("trace.bin")), ParseError);
 }
 
 }  // namespace

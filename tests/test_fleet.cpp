@@ -1,16 +1,18 @@
 // Distributed campaign fleet (core/fleet.h): wire framing, lease-table
 // bookkeeping, local-fork fleet byte-identity vs --jobs 1 for both
 // harnesses, chaos SIGKILL with lease re-issue, handshake refusal,
-// duplicate-completion dedupe, drain re-arming and the journal-before-
-// checkpoint durability ordering.
+// duplicate-completion dedupe, drain re-arming and the journal's fsync
+// points.
 #include "core/fleet.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <set>
@@ -160,7 +162,7 @@ TEST(FleetProtocol, ParseHostPort) {
 const LeaseTable::CompletedFn kNoneDone = [](std::size_t) { return false; };
 
 TEST(LeaseTable, GrantsCoverEveryUnitExactlyOnce) {
-  LeaseTable table(24, 5, 99);
+  LeaseTable table(24, 5);
   std::vector<char> covered(24, 0);
   for (LeaseRange lease = table.grant(kNoneDone); !lease.empty();
        lease = table.grant(kNoneDone)) {
@@ -176,7 +178,7 @@ TEST(LeaseTable, GrantsCoverEveryUnitExactlyOnce) {
 
 TEST(LeaseTable, TrimsLeadingAndSplitsAtInteriorCompletedUnits) {
   // One big queued range; units 0, 1 and 4 already completed (resume).
-  LeaseTable table(10, 10, 1);
+  LeaseTable table(10, 10);
   const std::set<std::size_t> done{0, 1, 4};
   const auto completed = [&](std::size_t t) { return done.count(t) > 0; };
 
@@ -192,7 +194,7 @@ TEST(LeaseTable, TrimsLeadingAndSplitsAtInteriorCompletedUnits) {
 }
 
 TEST(LeaseTable, RecycledRangeIsRegrantedFirst) {
-  LeaseTable table(20, 5, 7);
+  LeaseTable table(20, 5);
   const LeaseRange first = table.grant(kNoneDone);
   EXPECT_EQ(first.begin, 0u);
   // The worker died after shipping units 0 and 1.
@@ -205,7 +207,7 @@ TEST(LeaseTable, RecycledRangeIsRegrantedFirst) {
 }
 
 TEST(LeaseTable, CapsGrantsAtLeaseUnits) {
-  LeaseTable table(16, 4, 3);
+  LeaseTable table(16, 4);
   for (LeaseRange lease = table.grant(kNoneDone); !lease.empty();
        lease = table.grant(kNoneDone)) {
     EXPECT_LE(lease.size(), 4u);
@@ -277,12 +279,11 @@ class FleetImgClass : public ::testing::Test {
     ImgClassCampaignConfig c;
     c.model_name = "alexnet";
     c.output_dir = out_dir;
-    c.checkpoint_every = 2;
     return c;
   }
 
   /// Serial checkpointed reference: the byte-level ground truth the
-  /// fleet merge (outputs AND journal AND final checkpoint) must match.
+  /// fleet merge (outputs AND journal) must match.
   static ImgClassCampaignResult reference(const std::string& out_dir,
                                           const std::string& ckp_dir) {
     auto c = config(out_dir);
@@ -306,12 +307,10 @@ class FleetImgClass : public ::testing::Test {
     EXPECT_EQ(a.kpis.faulty_correct, b.kpis.faulty_correct);
   }
 
-  static void expect_identical_checkpoint_dirs(const std::string& a,
-                                               const std::string& b) {
+  static void expect_identical_journals(const std::string& a,
+                                        const std::string& b) {
     EXPECT_EQ(file_bytes(CampaignExecutor::journal_path(a)),
               file_bytes(CampaignExecutor::journal_path(b)));
-    EXPECT_EQ(file_bytes(CampaignExecutor::checkpoint_path(a)),
-              file_bytes(CampaignExecutor::checkpoint_path(b)));
   }
 
   static data::SyntheticShapesClassification* dataset_;
@@ -337,9 +336,9 @@ TEST_F(FleetImgClass, LocalFleetMatchesSerialByteForByte) {
   const auto fleet = harness.run();
 
   expect_identical(serial, fleet);
-  // The merge gate: the coordinator's journal and final checkpoint are
-  // byte-identical to what the serial checkpointed run wrote.
-  expect_identical_checkpoint_dirs(ref_ckp.str(), ckp_dir.str());
+  // The merge gate: the coordinator's journal is byte-identical to what
+  // the serial checkpointed run wrote.
+  expect_identical_journals(ref_ckp.str(), ckp_dir.str());
   EXPECT_EQ(counter_value(harness.metrics(), "fleet.workers_joined"), 3u);
   EXPECT_GE(counter_value(harness.metrics(), "fleet.leases_granted"), 12u);
   EXPECT_EQ(counter_value(harness.metrics(), "fleet.worker_deaths"), 0u);
@@ -379,7 +378,7 @@ TEST_F(FleetImgClass, ChaosSigkilledWorkersAreReleased) {
 
   EXPECT_EQ(*killed, 2u);
   expect_identical(serial, fleet);
-  expect_identical_checkpoint_dirs(ref_ckp.str(), ckp_dir.str());
+  expect_identical_journals(ref_ckp.str(), ckp_dir.str());
   EXPECT_EQ(counter_value(harness.metrics(), "fleet.worker_deaths"), 2u);
   EXPECT_GE(counter_value(harness.metrics(), "fleet.leases_granted"), 12u);
 }
@@ -416,7 +415,7 @@ TEST_F(FleetImgClass, RemoteWorkerCompletesCampaign) {
   coordinator_thread.join();
 
   expect_identical(serial, fleet);
-  expect_identical_checkpoint_dirs(ref_ckp.str(), ckp_dir.str());
+  expect_identical_journals(ref_ckp.str(), ckp_dir.str());
   EXPECT_EQ(counter_value(coordinator.metrics(), "fleet.workers_joined"), 1u);
 }
 
@@ -503,7 +502,7 @@ TEST_F(FleetImgClass, FleetRejectsBatchedPolicies) {
   TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
   const auto fleet = harness.run();
   expect_identical(serial, fleet);
-  expect_identical_checkpoint_dirs(ref_ckp.str(), ckp_dir.str());
+  expect_identical_journals(ref_ckp.str(), ckp_dir.str());
   EXPECT_EQ(fleet.kpis.total, 24u);
 }
 
@@ -567,85 +566,138 @@ TEST_F(FleetImgClass, DrainMidPackFlushesComputedPayloadsPastCursor) {
             scan.units.size());
 }
 
-// ---- durability ordering (satellite: journal fsync before checkpoint) ------
+// ---- durability: the journal's fsync points ---------------------------------
+
+/// Runs the serial campaign under the file-ops probe and returns the
+/// journal's durability operations in order: its directory fsync and
+/// every frame append and fsync.
+std::vector<io::FileOp> journal_ops(ImgClassCampaignConfig c,
+                                    const std::shared_ptr<nn::Sequential>& model,
+                                    const data::SyntheticShapesClassification& dataset,
+                                    const Scenario& scenario) {
+  std::vector<io::FileOp> ops;
+  io::set_file_ops_probe_for_testing([&](io::FileOp op, const std::string&) {
+    if (op == io::FileOp::kDirSync || op == io::FileOp::kJournalAppend ||
+        op == io::FileOp::kJournalSync) {
+      ops.push_back(op);
+    }
+  });
+  c.jobs = 1;  // single shard runs inline: the probe stays single-threaded
+  try {
+    TestErrorModelsImgClass harness(*model, dataset, scenario, c);
+    harness.run();
+  } catch (const CampaignInterrupted&) {
+  }
+  io::set_file_ops_probe_for_testing(nullptr);
+  return ops;
+}
 
 TEST_F(FleetImgClass, JournalIsSyncedBeforeEveryCheckpointPublication) {
+  // journal.bin is the only durable record, so its fsyncs are the whole
+  // durability story.  Four points, on a finished and a drained run.
   test::TempDir out_dir("durable_out");
-  test::TempDir ckp_dir("durable_ckp");
-  std::vector<std::pair<io::FileOp, std::string>> ops;
-  io::set_file_ops_probe_for_testing(
-      [&](io::FileOp op, const std::string& path) { ops.emplace_back(op, path); });
-
+  test::TempDir done_ckp("durable_ckp");
+  test::TempDir drained_ckp("durable_drained_ckp");
   auto c = config(out_dir.str());
-  c.jobs = 1;  // single shard runs inline: the probe stays single-threaded
-  c.checkpoint_dir = ckp_dir.str();
-  TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
-  harness.run();
-  io::set_file_ops_probe_for_testing(nullptr);
+  c.checkpoint_dir = done_ckp.str();
+  const std::vector<io::FileOp> done = journal_ops(c, model_, *dataset_, scenario());
+  c.checkpoint_dir = drained_ckp.str();
+  c.interrupt = interrupt_after(5);
+  const std::vector<io::FileOp> drained =
+      journal_ops(c, model_, *dataset_, scenario());
 
-  const std::string cp_path = CampaignExecutor::checkpoint_path(ckp_dir.str());
-  // The journal's directory entry is made durable before anything is
-  // appended to it.
-  std::size_t first_dir_sync = ops.size();
-  std::size_t first_append = ops.size();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].first == io::FileOp::kDirSync && first_dir_sync == ops.size()) {
-      first_dir_sync = i;
-    }
-    if (ops[i].first == io::FileOp::kJournalAppend && first_append == ops.size()) {
-      first_append = i;
-    }
-  }
-  ASSERT_LT(first_dir_sync, ops.size());
-  ASSERT_LT(first_append, ops.size());
-  EXPECT_LT(first_dir_sync, first_append);
-
-  // For every checkpoint publication: journal fsync, then temp-file
-  // fsync, then the rename — in that order, every time.  12 absorbs at
-  // checkpoint_every=2 plus the initial and final writes.
-  std::size_t publications = 0;
-  std::size_t last_rename = 0;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].first != io::FileOp::kRename || ops[i].second != cp_path) continue;
-    ++publications;
-    std::size_t journal_sync = ops.size();
-    std::size_t temp_sync = ops.size();
-    for (std::size_t j = last_rename; j < i; ++j) {
-      if (ops[j].first == io::FileOp::kJournalSync) journal_sync = j;
-      if (ops[j].first == io::FileOp::kTempSync &&
-          ops[j].second == io::atomic_temp_path(cp_path)) {
-        temp_sync = j;
+  for (const std::vector<io::FileOp>* run : {&done, &drained}) {
+    const std::vector<io::FileOp>& ops = *run;
+    ASSERT_GE(ops.size(), 4u);
+    // 1. The directory entry is durable before the first (header) append.
+    EXPECT_EQ(ops[0], io::FileOp::kDirSync);
+    EXPECT_EQ(ops[1], io::FileOp::kJournalAppend);
+    // 2. A journal fsync sits between the header and the first unit frame.
+    EXPECT_EQ(ops[2], io::FileOp::kJournalSync);
+    // 3. At most kSyncEvery unit frames between fsyncs.
+    std::size_t frames = 0;
+    std::size_t unsynced = 0;
+    for (std::size_t i = 3; i < ops.size(); ++i) {
+      EXPECT_NE(ops[i], io::FileOp::kDirSync);
+      if (ops[i] == io::FileOp::kJournalAppend) {
+        ++frames;
+        EXPECT_LE(++unsynced, CampaignProgress::kSyncEvery) << "frame " << frames;
+      } else if (ops[i] == io::FileOp::kJournalSync) {
+        unsynced = 0;
       }
     }
-    ASSERT_LT(journal_sync, ops.size()) << "checkpoint " << publications
-                                        << " published without a journal fsync";
-    ASSERT_LT(temp_sync, ops.size());
-    EXPECT_LT(journal_sync, temp_sync);
-    last_rename = i;
+    EXPECT_GT(frames, 0u);
+    // 4. A final fsync at close (finished) or drain (interrupted).
+    EXPECT_EQ(ops.back(), io::FileOp::kJournalSync);
   }
-  EXPECT_GE(publications, 7u);  // initial + 12/2 periodic + final
+  // The finished run journaled every unit; the drained one fewer.
+  EXPECT_EQ(std::count(done.begin(), done.end(), io::FileOp::kJournalAppend), 25);
+  EXPECT_LT(std::count(drained.begin(), drained.end(), io::FileOp::kJournalAppend), 25);
 }
 
 TEST_F(FleetImgClass, FailedJournalSyncPreventsCheckpointPublication) {
-  test::TempDir out_dir("fault_out");
-  test::TempDir ckp_dir("fault_ckp");
-  // Write-fault shim: the first journal fsync fails, as a dying disk
-  // would.  The checkpoint must never be published after that — a
-  // checkpoint referencing unsynced journal bytes is the exact
-  // corruption the ordering exists to prevent.
-  io::set_file_ops_probe_for_testing([](io::FileOp op, const std::string&) {
-    if (op == io::FileOp::kJournalSync) {
-      throw IoError("injected journal fsync failure");
+  // Write-fault shim: a journal fsync fails, as a dying disk would.  The
+  // campaign must surface IoError and publish no final output — results
+  // that outlive their journal could never be resumed or re-derived.
+  // Fail the header fsync, then the close fsync (the header and three
+  // periodic fsyncs of 24 units pass).
+  for (const int syncs_before_failure : {0, 4}) {
+    test::TempDir out_dir("fault_out");
+    test::TempDir ckp_dir("fault_ckp");
+    int syncs = 0;
+    io::set_file_ops_probe_for_testing([&](io::FileOp op, const std::string&) {
+      if (op == io::FileOp::kJournalSync && syncs++ == syncs_before_failure) {
+        throw IoError("injected journal fsync failure");
+      }
+    });
+    auto c = config(out_dir.str());
+    c.jobs = 1;
+    c.checkpoint_dir = ckp_dir.str();
+    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
+    EXPECT_THROW(harness.run(), IoError) << syncs_before_failure;
+    io::set_file_ops_probe_for_testing(nullptr);
+    EXPECT_EQ(syncs, syncs_before_failure + 1);
+    EXPECT_FALSE(std::filesystem::exists(out_dir.file("alexnet_results.csv")));
+    EXPECT_FALSE(std::filesystem::exists(out_dir.file("alexnet_fault_free.csv")));
+    EXPECT_FALSE(std::filesystem::exists(out_dir.file("alexnet_trace.bin")));
+  }
+}
+
+TEST_F(FleetImgClass, CheckpointDirHoldsOnlyTheJournal) {
+  // Local, steered, fleet and drained checkpointing runs all leave
+  // exactly journal.bin in the checkpoint directory.
+  const auto expect_only_journal = [](const test::TempDir& dir) {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir.str())) {
+      names.push_back(entry.path().filename().string());
     }
+    EXPECT_EQ(names, std::vector<std::string>{"journal.bin"}) << dir.str();
+  };
+  test::TempDir out_dir("only_journal_out");
+  const auto run_in = [&](const test::TempDir& ckp,
+                          const std::function<void(ImgClassCampaignConfig&)>& tweak) {
+    auto c = config(out_dir.str());
+    c.checkpoint_dir = ckp.str();
+    tweak(c);
+    try {
+      TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
+      harness.run();
+    } catch (const CampaignInterrupted&) {
+    }
+    expect_only_journal(ckp);
+  };
+  test::TempDir local("only_journal_local");
+  run_in(local, [](ImgClassCampaignConfig& c) { c.jobs = 2; });
+  test::TempDir steered("only_journal_steered");
+  run_in(steered, [](ImgClassCampaignConfig& c) { c.steering.budget = 12; });
+  test::TempDir fleet("only_journal_fleet");
+  run_in(fleet, [](ImgClassCampaignConfig& c) {
+    c.fleet.local_workers = 2;
+    c.fleet.lease_units = 4;
+    c.fleet.heartbeat_ms = 50.0;
   });
-  auto c = config(out_dir.str());
-  c.jobs = 1;
-  c.checkpoint_dir = ckp_dir.str();
-  TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
-  EXPECT_THROW(harness.run(), IoError);
-  io::set_file_ops_probe_for_testing(nullptr);
-  EXPECT_FALSE(std::filesystem::exists(
-      CampaignExecutor::checkpoint_path(ckp_dir.str())));
+  test::TempDir drained("only_journal_drained");
+  run_in(drained, [](ImgClassCampaignConfig& c) { c.interrupt = interrupt_after(4); });
 }
 
 // ---- object detection fleet -------------------------------------------------
@@ -685,7 +737,6 @@ class FleetObjDet : public ::testing::Test {
     ObjDetCampaignConfig c;
     c.model_name = "yolo";
     c.output_dir = out_dir;
-    c.checkpoint_every = 2;
     return c;
   }
 
@@ -734,8 +785,6 @@ TEST_F(FleetObjDet, LocalFleetMatchesSerialByteForByte) {
   expect_identical(serial, fleet);
   EXPECT_EQ(file_bytes(CampaignExecutor::journal_path(ref_ckp.str())),
             file_bytes(CampaignExecutor::journal_path(ckp_dir.str())));
-  EXPECT_EQ(file_bytes(CampaignExecutor::checkpoint_path(ref_ckp.str())),
-            file_bytes(CampaignExecutor::checkpoint_path(ckp_dir.str())));
   EXPECT_EQ(counter_value(harness.metrics(), "fleet.workers_joined"), 2u);
   EXPECT_EQ(counter_value(harness.metrics(), "units.computed"), 16u);
 }

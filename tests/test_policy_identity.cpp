@@ -102,7 +102,6 @@ class PolicyIdentity : public ::testing::Test {
     c.model_name = "alexnet";
     c.output_dir = dir;
     c.metrics_path = dir + "/metrics.json";
-    c.checkpoint_every = 4;
     return c;
   }
 
@@ -224,8 +223,6 @@ class PolicyIdentity : public ::testing::Test {
     EXPECT_EQ(file_bytes(reference.result.trace_bin),
               file_bytes(fleet.result.trace_bin));
     EXPECT_EQ(reference.journal_bytes, fleet.journal_bytes);
-    EXPECT_EQ(file_bytes(CampaignExecutor::checkpoint_path(ref_config.checkpoint_dir)),
-              file_bytes(CampaignExecutor::checkpoint_path(c.checkpoint_dir)));
   }
 
   static data::SyntheticShapesClassification* dataset_;

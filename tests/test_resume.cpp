@@ -1,12 +1,15 @@
-// Crash-safe checkpoint/resume: kill-and-resume byte-identity for both
-// harnesses and several job counts, torn-tail recovery, fingerprint
-// mismatch refusal, checkpoint file roundtrip, and CampaignTask
+// Crash-safe resume from the journal alone: kill-and-resume
+// byte-identity for both harnesses and several job counts, torn-tail
+// recovery, refusal of a journal from another campaign, the journal
+// header round trip, seeded journal mutations, and CampaignTask
 // conformance.
 #include "core/campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -15,6 +18,7 @@
 #include "core/test_img_class.h"
 #include "core/test_obj_det.h"
 #include "data/synthetic.h"
+#include "io/journal.h"
 #include "models/classification.h"
 #include "models/yolo_lite.h"
 #include "nn/layers.h"
@@ -44,39 +48,32 @@ void truncate_file(const std::string& path, std::size_t drop_bytes) {
   std::filesystem::resize_file(path, size - drop_bytes);
 }
 
-// ---- checkpoint file roundtrip ----------------------------------------------
+// ---- journal header: the identity a resume validates ------------------------
 
 TEST(CheckpointFile, SaveLoadRoundTrip) {
+  // The journal's header frame carries everything a resume checks:
+  // fingerprint, task kind and unit count.
   test::TempDir dir("ckp_rt");
-  CampaignCheckpoint cp;
-  cp.fingerprint = 0xABCDEF0011223344ull;
-  cp.task_kind = "imgclass";
-  cp.unit_count = 24;
-  cp.completed_units = 9;
-  cp.rnd_seed = 4242;
-  cp.journal_valid_bytes = 1234;
-  cp.shards = {{0, 12, 9}, {12, 24, 12}};
-  const std::string path = dir.file("checkpoint.bin");
-  cp.save(path);
-
-  const auto loaded = CampaignCheckpoint::load(path);
-  EXPECT_EQ(loaded.fingerprint, cp.fingerprint);
-  EXPECT_EQ(loaded.task_kind, cp.task_kind);
-  EXPECT_EQ(loaded.unit_count, cp.unit_count);
-  EXPECT_EQ(loaded.completed_units, cp.completed_units);
-  EXPECT_EQ(loaded.rnd_seed, cp.rnd_seed);
-  EXPECT_EQ(loaded.journal_valid_bytes, cp.journal_valid_bytes);
-  ASSERT_EQ(loaded.shards.size(), 2u);
-  EXPECT_EQ(loaded.shards[1].begin, 12u);
-  EXPECT_EQ(loaded.shards[1].high_water, 12u);
+  const std::string path = dir.file("journal.bin");
+  io::JournalHeader header;
+  header.fingerprint = 0xABCDEF0011223344ull;
+  header.unit_count = 24;
+  header.task_kind = "imgclass";
+  io::JournalWriter(path, header, /*resume=*/false);
+  const io::JournalScan scan = io::scan_journal(path);
+  EXPECT_EQ(scan.header.fingerprint, header.fingerprint);
+  EXPECT_EQ(scan.header.task_kind, header.task_kind);
+  EXPECT_EQ(scan.header.unit_count, header.unit_count);
+  EXPECT_TRUE(scan.units.empty());
+  EXPECT_FALSE(scan.torn_tail);
 }
 
 TEST(CheckpointFile, RejectsGarbage) {
   test::TempDir dir("ckp_bad");
-  const std::string path = dir.file("checkpoint.bin");
-  std::ofstream(path, std::ios::binary) << "not a checkpoint";
-  EXPECT_THROW(CampaignCheckpoint::load(path), ParseError);
-  EXPECT_THROW(CampaignCheckpoint::load(dir.file("missing.bin")), IoError);
+  const std::string path = dir.file("journal.bin");
+  std::ofstream(path, std::ios::binary) << "not a journal";
+  EXPECT_THROW(io::scan_journal(path), ParseError);
+  EXPECT_THROW(io::scan_journal(dir.file("missing.bin")), IoError);
 }
 
 // ---- classification ---------------------------------------------------------
@@ -118,7 +115,6 @@ class ResumeImgClass : public ::testing::Test {
     ImgClassCampaignConfig c;
     c.model_name = "alexnet";
     c.output_dir = out_dir;
-    c.checkpoint_every = 2;
     return c;
   }
 
@@ -168,15 +164,14 @@ class ResumeImgClass : public ::testing::Test {
       EXPECT_EQ(e.total_units(), 24u);
       EXPECT_EQ(e.checkpoint_dir(), ckp_dir.str());
     }
-    EXPECT_TRUE(std::filesystem::exists(
-        CampaignExecutor::checkpoint_path(ckp_dir.str())));
-    EXPECT_TRUE(
-        std::filesystem::exists(CampaignExecutor::journal_path(ckp_dir.str())));
-    const auto cp =
-        CampaignCheckpoint::load(CampaignExecutor::checkpoint_path(ckp_dir.str()));
-    EXPECT_EQ(cp.task_kind, "imgclass");
-    EXPECT_EQ(cp.unit_count, 24u);
-    EXPECT_EQ(cp.completed_units, completed);
+    // The journal alone records the drained campaign: its header names
+    // it, and one unit frame per completed unit survives the drain.
+    const io::JournalScan scan =
+        io::scan_journal(CampaignExecutor::journal_path(ckp_dir.str()));
+    EXPECT_EQ(scan.header.task_kind, "imgclass");
+    EXPECT_EQ(scan.header.unit_count, 24u);
+    EXPECT_EQ(scan.units.size(), completed);
+    EXPECT_FALSE(scan.torn_tail);
 
     auto second = config(out_dir.str());
     second.jobs = jobs_second;
@@ -251,6 +246,63 @@ TEST_F(ResumeImgClass, ResumeRefusesDifferentCampaign) {
   second.resume = true;
   TestErrorModelsImgClass harness(*model_, *dataset_, scenario(4243), second);
   EXPECT_THROW(harness.run(), ConfigError);
+}
+
+TEST_F(ResumeImgClass, ResumeRefusesJournalWithDifferentUnitCount) {
+  // The right fingerprint and task kind but a different unit count in
+  // the journal header: resume refuses before trusting a single frame.
+  test::TempDir ref_dir("imgclass_count_ref");
+  test::TempDir out_dir("imgclass_count_out");
+  test::TempDir ckp_dir("imgclass_count_ckp");
+  auto c = config(out_dir.str());
+  c.checkpoint_dir = ckp_dir.str();
+  c.resume = true;
+  const auto write_header = [&](std::uint64_t unit_count) {
+    TestErrorModelsImgClass probe(*model_, *dataset_, scenario(), c);
+    const CampaignTask& task = probe;
+    io::JournalHeader header;
+    header.fingerprint = task.fingerprint();
+    header.task_kind = task.task_kind();
+    header.unit_count = unit_count;
+    io::JournalWriter(CampaignExecutor::journal_path(ckp_dir.str()), header,
+                      /*resume=*/false);
+  };
+  write_header(25);
+  {
+    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
+    EXPECT_THROW(harness.run(), ConfigError);
+  }
+  // Control: the same header with the campaign's own count resumes.
+  write_header(24);
+  TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
+  expect_identical(baseline(ref_dir.str()), harness.run());
+}
+
+TEST_F(ResumeImgClass, ResumeIgnoresLeftoverCheckpointFile) {
+  // Checkpoint directories from older builds also hold a checkpoint.bin.
+  // Resume reads the journal alone, so even a garbage one is ignored.
+  test::TempDir ref_dir("imgclass_leftover_ref");
+  test::TempDir out_dir("imgclass_leftover_out");
+  test::TempDir ckp_dir("imgclass_leftover_ckp");
+  const auto reference = baseline(ref_dir.str());
+
+  auto first = config(out_dir.str());
+  first.checkpoint_dir = ckp_dir.str();
+  first.interrupt = interrupt_after(5);
+  try {
+    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), first);
+    harness.run();
+    FAIL() << "expected CampaignInterrupted";
+  } catch (const CampaignInterrupted&) {
+  }
+  std::ofstream(ckp_dir.file("checkpoint.bin"), std::ios::binary)
+      << "left behind by an older build";
+
+  auto second = config(out_dir.str());
+  second.checkpoint_dir = ckp_dir.str();
+  second.resume = true;
+  TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), second);
+  expect_identical(reference, harness.run());
 }
 
 TEST_F(ResumeImgClass, ResumingCompletedCampaignReplaysEverything) {
@@ -345,6 +397,183 @@ TEST_F(ResumeImgClass, CheckpointingRejectsBatchedPolicies) {
   EXPECT_EQ(resumed.kpis.total, 24u);
 }
 
+// ---- corrupt counts in unit payloads ----------------------------------------
+
+constexpr std::uint64_t kCorruptCount = std::uint64_t{1} << 40;
+
+TEST_F(ResumeImgClass, CorruptPayloadCountsThrowParseError) {
+  // A payload from a journal or a remote worker whose row or field count
+  // is corrupt must underrun (ParseError), not size a vector first.
+  TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), config(""));
+  CampaignTask& task = harness;
+  const auto payload = [](std::uint64_t rows, std::uint64_t fields) {
+    io::ByteWriter w;
+    for (int i = 0; i < 7; ++i) w.write_u64(0);  // KPI deltas
+    w.write_u64(rows);
+    if (rows == 1) w.write_u64(fields);
+    return w.take();
+  };
+  for (const std::string& bytes : {payload(kCorruptCount, 0), payload(1, kCorruptCount)}) {
+    EXPECT_THROW(task.classify_unit(0, bytes), ParseError);
+    EXPECT_THROW(task.absorb_unit(0, bytes), ParseError);
+  }
+}
+
+// ---- seeded journal mutations -----------------------------------------------
+
+/// One damaged copy of a journal: `first_damaged` is the offset of its
+/// first byte that differs from (or is missing from) the intact file.
+struct JournalMutation {
+  std::string name;
+  std::string bytes;
+  std::size_t first_damaged = 0;
+};
+
+/// End offset of every frame of an intact journal, in file order.
+std::vector<std::size_t> frame_ends(const std::string& bytes) {
+  std::vector<std::size_t> ends;
+  std::size_t pos = 0;
+  while (pos + 8 <= bytes.size()) {
+    std::uint32_t size = 0;
+    std::memcpy(&size, bytes.data() + pos, 4);
+    pos += 8 + size;
+    ends.push_back(pos);
+  }
+  EXPECT_EQ(pos, bytes.size()) << "intact journal must end on a frame boundary";
+  return ends;
+}
+
+/// Seeded single-bit flips (random, plus one in every frame's size and
+/// CRC fields), truncations at and around every frame boundary, and
+/// trailing garbage (random bytes, a zero-filled tail, a torn copy of
+/// the last frame).
+std::vector<JournalMutation> mutate_journal(const std::string& intact,
+                                            std::uint64_t seed) {
+  const std::vector<std::size_t> ends = frame_ends(intact);
+  std::vector<JournalMutation> out;
+  const auto flip = [&](std::size_t byte, int bit) {
+    JournalMutation m{"flip byte " + std::to_string(byte) + " bit " + std::to_string(bit),
+                      intact, byte};
+    m.bytes[byte] = static_cast<char>(m.bytes[byte] ^ (1 << bit));
+    out.push_back(std::move(m));
+  };
+  Rng rng(seed);
+  for (int i = 0; i < 48; ++i) {
+    flip(rng.next_below(intact.size()), static_cast<int>(rng.next_below(8)));
+  }
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    flip(begin + rng.next_below(4), static_cast<int>(rng.next_below(8)));      // size
+    flip(begin + 4 + rng.next_below(4), static_cast<int>(rng.next_below(8)));  // crc
+    begin = end;
+  }
+  std::vector<std::size_t> cuts = {0, 1, 7, 8, 9};
+  for (const std::size_t end : ends) {
+    for (const std::size_t cut : {end - 1, end, end + 1}) cuts.push_back(cut);
+  }
+  for (const std::size_t cut : cuts) {
+    if (cut >= intact.size()) continue;
+    out.push_back({"truncate to " + std::to_string(cut), intact.substr(0, cut), cut});
+  }
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 64u}) {
+    std::string garbage;
+    for (std::size_t i = 0; i < n; ++i) {
+      garbage.push_back(static_cast<char>(rng.next_below(256)));
+    }
+    out.push_back({"append " + std::to_string(n) + " random bytes", intact + garbage,
+                   intact.size()});
+  }
+  for (const std::size_t n : {8u, 64u}) {
+    out.push_back({"append " + std::to_string(n) + " zero bytes",
+                   intact + std::string(n, '\0'), intact.size()});
+  }
+  const std::size_t last_begin = ends.size() > 1 ? ends[ends.size() - 2] : 0;
+  out.push_back({"append a torn copy of the last frame",
+                 intact + intact.substr(last_begin, 12), intact.size()});
+  return out;
+}
+
+TEST_F(ResumeImgClass, SeededJournalMutationsScanToTheIntactPrefix) {
+  test::TempDir out_dir("mutation_scan_out");
+  test::TempDir ckp_dir("mutation_scan_ckp");
+  auto c = config(out_dir.str());
+  c.checkpoint_dir = ckp_dir.str();
+  {
+    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
+    harness.run();
+  }
+  const std::string path = CampaignExecutor::journal_path(ckp_dir.str());
+  const std::string intact = file_bytes(path);
+  const io::JournalScan reference = io::scan_journal(path);
+  ASSERT_EQ(reference.units.size(), 24u);
+  const std::vector<std::size_t> ends = frame_ends(intact);
+
+  const std::vector<JournalMutation> mutations = mutate_journal(intact, 2501);
+  ASSERT_GT(mutations.size(), 100u);
+  for (const JournalMutation& m : mutations) {
+    SCOPED_TRACE(m.name);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << m.bytes;
+    // Frames ending at or before the first damaged byte are intact.
+    const auto intact_frames = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), m.first_damaged) - ends.begin());
+    if (intact_frames == 0) {  // the header itself is damaged
+      EXPECT_THROW(io::scan_journal(path), ParseError);
+      continue;
+    }
+    const io::JournalScan scan = io::scan_journal(path);
+    EXPECT_EQ(scan.header.fingerprint, reference.header.fingerprint);
+    EXPECT_EQ(scan.valid_bytes, ends[intact_frames - 1]);
+    EXPECT_EQ(scan.torn_tail, m.bytes.size() > ends[intact_frames - 1]);
+    ASSERT_EQ(scan.units.size(), intact_frames - 1);
+    for (std::size_t i = 0; i < scan.units.size(); ++i) {
+      EXPECT_EQ(scan.units[i], reference.units[i]) << "frame " << i + 1;
+    }
+  }
+}
+
+TEST_F(ResumeImgClass, SeededJournalMutationsResumeIdenticallyOrRefuse) {
+  test::TempDir ref_dir("mutation_ref");
+  test::TempDir out_dir("mutation_out");
+  test::TempDir ckp_dir("mutation_ckp");
+  const auto reference = baseline(ref_dir.str());
+  auto c = config(out_dir.str());
+  c.checkpoint_dir = ckp_dir.str();
+  {
+    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), c);
+    harness.run();
+  }
+  const std::string path = CampaignExecutor::journal_path(ckp_dir.str());
+  const std::string intact = file_bytes(path);
+  const std::size_t header_end = frame_ends(intact).front();
+
+  // Every fifth mutation: a few dozen resumes over every mutation kind.
+  const std::vector<JournalMutation> mutations = mutate_journal(intact, 2501);
+  std::size_t resumed = 0;
+  std::size_t refused = 0;
+  for (std::size_t i = 0; i < mutations.size(); i += 5) {
+    const JournalMutation& m = mutations[i];
+    SCOPED_TRACE(m.name);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << m.bytes;
+    auto again = config(out_dir.str());
+    again.checkpoint_dir = ckp_dir.str();
+    again.resume = true;
+    try {
+      TestErrorModelsImgClass harness(*model_, *dataset_, scenario(), again);
+      expect_identical(reference, harness.run());
+      EXPECT_GE(m.first_damaged, header_end) << "resumed from a damaged header";
+      ++resumed;
+    } catch (const Error& e) {
+      // Only a damaged header may refuse; anything past it is a torn
+      // tail that resume truncates and recomputes.
+      EXPECT_LT(m.first_damaged, header_end) << "refused: " << e.what();
+      ++refused;
+    }
+  }
+  EXPECT_GE(resumed + refused, 24u);
+  EXPECT_GT(resumed, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
 // ---- object detection -------------------------------------------------------
 
 class ResumeObjDet : public ::testing::Test {
@@ -382,7 +611,6 @@ class ResumeObjDet : public ::testing::Test {
     ObjDetCampaignConfig c;
     c.model_name = "yolo";
     c.output_dir = out_dir;
-    c.checkpoint_every = 2;
     return c;
   }
 
@@ -444,6 +672,21 @@ TEST_F(ResumeObjDet, KillAndResumeSerial) { kill_and_resume(1, 1, 4); }
 TEST_F(ResumeObjDet, KillAndResumeParallel) { kill_and_resume(4, 4, 5); }
 
 TEST_F(ResumeObjDet, ResumeWithDifferentJobCount) { kill_and_resume(4, 1, 5); }
+
+TEST_F(ResumeObjDet, CorruptPayloadCountsThrowParseError) {
+  // An epoch-0 payload whose detection count is corrupt must underrun
+  // (ParseError), not size a vector first.
+  TestErrorModelsObjDet harness(*detector_, *dataset_, scenario(), config(""));
+  CampaignTask& task = harness;
+  io::ByteWriter w;
+  for (int i = 0; i < 3; ++i) w.write_u8(0);  // due, sde, resil_sde
+  w.write_u8(1);                              // detections present
+  w.write_i64(0);                             // image id
+  w.write_u64(kCorruptCount);                 // orig detection count
+  const std::string bytes = w.take();
+  EXPECT_THROW(task.classify_unit(0, bytes), ParseError);
+  EXPECT_THROW(task.absorb_unit(0, bytes), ParseError);
+}
 
 TEST_F(ResumeObjDet, ResumeRefusesDifferentTaskKind) {
   // An objdet checkpoint directory must not satisfy an imgclass resume

@@ -277,7 +277,6 @@ class SteeredImgClass : public ::testing::Test {
     ImgClassCampaignConfig c;
     c.model_name = "alexnet";
     c.output_dir = out_dir;
-    c.checkpoint_every = 2;
     return c;
   }
 

@@ -115,7 +115,6 @@ class TransformerCampaign : public ::testing::Test {
     config.metrics_path = dir + "/metrics.json";
     if (journal) {
       config.checkpoint_dir = dir + "/ckpt";
-      config.checkpoint_every = 4;
     }
     TestErrorModelsImgClass harness(*model_, *dataset_, s, config);
     CampaignRun run;
@@ -256,7 +255,6 @@ TEST_F(TransformerCampaign, LocalFleetMatchesSerialByteForByte) {
     c.output_dir = ref_dir.str();
     c.jobs = 1;
     c.checkpoint_dir = ref_ckp.str();
-    c.checkpoint_every = 2;
     TestErrorModelsImgClass harness(*model_, *dataset_, s, c);
     serial = harness.run();
   }
@@ -265,7 +263,6 @@ TEST_F(TransformerCampaign, LocalFleetMatchesSerialByteForByte) {
   c.model_name = "transformer";
   c.output_dir = out_dir.str();
   c.checkpoint_dir = ckp_dir.str();
-  c.checkpoint_every = 2;
   c.fleet.local_workers = 3;
   c.fleet.lease_units = 2;
   c.fleet.heartbeat_ms = 50.0;
@@ -278,8 +275,6 @@ TEST_F(TransformerCampaign, LocalFleetMatchesSerialByteForByte) {
   EXPECT_EQ(file_bytes(serial.trace_bin), file_bytes(fleet.trace_bin));
   EXPECT_EQ(file_bytes(CampaignExecutor::journal_path(ref_ckp.str())),
             file_bytes(CampaignExecutor::journal_path(ckp_dir.str())));
-  EXPECT_EQ(file_bytes(CampaignExecutor::checkpoint_path(ref_ckp.str())),
-            file_bytes(CampaignExecutor::checkpoint_path(ckp_dir.str())));
   EXPECT_EQ(serial.kpis.total, fleet.kpis.total);
   EXPECT_EQ(serial.kpis.sde, fleet.kpis.sde);
   EXPECT_EQ(serial.kpis.due, fleet.kpis.due);

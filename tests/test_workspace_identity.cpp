@@ -86,7 +86,6 @@ class WorkspaceIdentity : public ::testing::Test {
     config.metrics_path = dir + "/metrics.json";
     if (journal) {
       config.checkpoint_dir = dir + "/ckpt";
-      config.checkpoint_every = 4;
     }
     TestErrorModelsImgClass harness(*model_, *dataset_, scenario(target),
                                     config);

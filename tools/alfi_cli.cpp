@@ -104,22 +104,15 @@ std::size_t parse_jobs(const Args& args) {
   return static_cast<std::size_t>(*parsed);
 }
 
-/// --checkpoint <dir> / --resume <dir> / --checkpoint-every N: shared
-/// crash-safety flags of both run commands.  --resume implies the
-/// checkpoint directory, so `alfi run-... --resume out/ckpt` both
-/// continues the interrupted campaign and keeps checkpointing it.
+/// --checkpoint <dir> / --resume <dir>: shared crash-safety flags of both
+/// run commands.  --resume implies the checkpoint directory, so
+/// `alfi run-... --resume out/ckpt` both continues the interrupted
+/// campaign and keeps journaling it.
 void apply_checkpoint_flags(core::CampaignConfigBase& config, const Args& args) {
   if (const auto dir = args.get("checkpoint")) config.checkpoint_dir = *dir;
   if (const auto dir = args.get("resume")) {
     config.checkpoint_dir = *dir;
     config.resume = true;
-  }
-  if (const auto v = args.get("checkpoint-every")) {
-    const auto parsed = parse_int(*v);
-    if (!parsed || *parsed < 1) {
-      throw ConfigError("--checkpoint-every must be a positive integer, got: " + *v);
-    }
-    config.checkpoint_every = static_cast<std::size_t>(*parsed);
   }
   if (!config.checkpoint_dir.empty()) install_drain_handlers();
 }
@@ -598,7 +591,7 @@ void usage(std::FILE* out) {
                "                 [--dataset-size N] [--faults-per-image N] [--seed N]\n"
                "                 [--target neurons|weights] [--mitigation ranger|clipper]\n"
                "                 [--fault-file f.bin] [--output dir] [--jobs N]\n"
-               "                 [--checkpoint dir] [--resume dir] [--checkpoint-every N]\n"
+               "                 [--checkpoint dir] [--resume dir]\n"
                "                 [--metrics out.json] [--progress] [--no-workspace]\n"
                "                 [--no-diff] [--unit-batch K] [--backend ref|avx2|auto]\n"
                "                 [--numeric-type fp32|bf16|fp16|fp16_stored|int8]\n"
@@ -638,9 +631,9 @@ void usage(std::FILE* out) {
                "                  --fleet-coordinator: also/only accept remote\n"
                "                  workers; --fleet-worker: join a coordinator —\n"
                "                  run the SAME campaign command elsewhere with\n"
-               "                  this flag; a mismatched scenario or binary is\n"
-               "                  refused.  Fleet outputs are byte-identical to\n"
-               "                  --jobs 1; see DESIGN.md §14.\n"
+               "                  this flag; a mismatched scenario, fault matrix\n"
+               "                  or seed is refused.  Fleet outputs are\n"
+               "                  byte-identical to --jobs 1; see DESIGN.md §14.\n"
                "                  --budget: cap executed units, spent where the\n"
                "                  vulnerability map is least certain; --steer:\n"
                "                  stop sampling statistically decided cells;\n"
@@ -668,7 +661,7 @@ constexpr std::string_view kCampaignFlags[] = {
     // harness configuration
     "mitigation", "fault-file", "output", "jobs",
     // apply_checkpoint_flags, apply_telemetry_flags, apply_workspace_flag
-    "checkpoint", "resume", "checkpoint-every", "metrics", "progress",
+    "checkpoint", "resume", "metrics", "progress",
     "no-workspace", "no-diff", "unit-batch",
     // apply_fleet_flags
     "fleet-workers", "fleet-coordinator", "fleet-worker", "lease-units",
