@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -381,15 +382,18 @@ class UnitInjectionStack {
   std::unique_ptr<Protection> protection_;
 };
 
-/// Execution-order prefix boundary for one unit's differential passes:
-/// the smallest leaf execution index (in `baseline`'s recorded order)
-/// among the injector's armed layers.  Leaves running strictly before it
-/// are bit-identical to the fault-free pass and may be replayed.
-/// Conservative by construction: an unplanned baseline or an armed layer
-/// the baseline never executed (e.g. a detector head running under a
-/// separate workspace) returns 0 — full recompute; no armed layers at
-/// all returns InferenceWorkspace::kSkipAllLeaves.
-std::size_t diff_prefix_boundary(const Injector& injector,
+/// Execution-order prefix boundary for the differential passes of the
+/// faults `armed` (a unit's, or a whole pack's): the smallest leaf
+/// execution index (in `baseline`'s recorded order) among their layers
+/// (`profile` indices), counting every fault that arms — a neuron fault
+/// pushed past the pass still runs its layer's skip accounting.  Leaves
+/// running strictly before it are bit-identical to the fault-free pass
+/// and may be replayed.  Conservative by construction: an unplanned
+/// baseline or a fault layer the baseline never executed (e.g. a
+/// detector head running under a separate workspace) returns 0 — full
+/// recompute; no faults at all returns InferenceWorkspace::kSkipAllLeaves.
+std::size_t diff_prefix_boundary(const ModelProfile& profile,
+                                 std::span<const Fault> armed,
                                  const nn::InferenceWorkspace& baseline);
 
 }  // namespace alfi::core

@@ -129,20 +129,6 @@ std::vector<std::vector<InjectionRecord>> Injector::split_records_by_slot(
   return per_slot;
 }
 
-void Injector::for_each_armed_layer(const std::function<void(std::size_t)>& fn) const {
-  std::vector<bool> armed(profile_.layer_count(), false);
-  for (std::size_t i = 0; i < neuron_faults_by_layer_.size(); ++i) {
-    // Count every armed fault, including ones aimed past the batch: the
-    // layer's hook still runs skip accounting for them, so the layer
-    // must recompute even though its values stay fault-free.
-    if (!neuron_faults_by_layer_[i].empty()) armed[i] = true;
-  }
-  for (const WeightRestore& restore : weight_restores_) armed[restore.layer] = true;
-  for (std::size_t i = 0; i < armed.size(); ++i) {
-    if (armed[i]) fn(i);
-  }
-}
-
 void Injector::apply_weight_fault(const Fault& fault) {
   const LayerInfo& layer = profile_.layer(static_cast<std::size_t>(fault.layer));
   nn::Parameter* weight = layer.weight;  // inventory-advertised weight site

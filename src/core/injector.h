@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "core/fault_matrix.h"
@@ -73,10 +72,6 @@ class Injector {
 
   std::size_t armed_neuron_fault_count() const;
   std::size_t pending_weight_restores() const { return weight_restores_.size(); }
-
-  /// Invokes `fn` once per injectable-layer index currently armed
-  /// (neuron faults or weight corruptions), in ascending order.
-  void for_each_armed_layer(const std::function<void(std::size_t)>& fn) const;
 
   /// The model profile the injector's layer indices refer to.
   const ModelProfile& profile() const { return profile_; }

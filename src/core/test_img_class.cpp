@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
+#include <numeric>
 #include <span>
 
 #include "io/csv.h"
@@ -182,6 +183,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       if (stack_.protection() != nullptr) ws->add_prefix_observer(stack_.protection());
     }
     diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
+    diff_rows_skipped_ = &h_.metrics_.counter("campaign.diff.rows_skipped");
     diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
     diff_misses_ = &h_.metrics_.counter("campaign.diff.prefix_misses");
   }
@@ -196,10 +198,11 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   /// (DESIGN.md §12).  Packs are strided by dataset_size, so a
   /// pack normally holds the SAME image under different epochs' fault
   /// groups — the fault-free pass then runs batch-1 and is shared by
-  /// every slot (via the broadcast prefix replay when diff is on).
+  /// every slot, and with diff on each slot replays that pass up to its
+  /// own unit's earliest armed leaf (the broadcast prefix replay).
   /// Per-slot outputs are scored and serialized exactly as count
   /// one-unit packs would have been — same rows, same KPIs, same
-  /// records, same counters.
+  /// records, same counters — in pack order.
   std::vector<std::string> run_unit_pack(
       const std::vector<std::size_t>& units) override {
     const std::size_t count = units.size();
@@ -220,26 +223,19 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     // A same-image pack computes the fault-free pass once, batch-1.
     const Tensor orig_input = same_image ? stack_images({images[0]}) : Tensor();
 
-    Injector& injector = stack_.injector();
     const TripleLogits logits =
-        triple(same_image ? orig_input : packed, packed, count, [&] {
-          std::vector<Fault> armed;
-          for (std::size_t i = 0; i < count; ++i) {
-            append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addrs[i], i,
-                               count, armed);
-          }
-          injector.set_inference_index(units[0]);
-          injector.arm(std::move(armed));
-        });
+        triple(same_image ? orig_input : packed, packed, count,
+               [&] { arm_pack(units, addrs, same_image); });
     const std::vector<std::vector<InjectionRecord>> records =
-        injector.split_records_by_slot(units);
+        stack_.injector().split_records_by_slot(slot_units_);
 
     std::vector<std::string> payloads;
     payloads.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      payloads.push_back(score_unit(h_.config_.top_k, logits, same_image ? 0 : i, i,
-                                    due_[i] != 0, samples[i], addrs[i].epoch,
-                                    group_of(addrs[i]), records[i]));
+      const std::size_t slot = slot_of_[i];
+      payloads.push_back(score_unit(h_.config_.top_k, logits, same_image ? 0 : i, slot,
+                                    due_[slot] != 0, samples[i], addrs[i].epoch,
+                                    group_of(addrs[i]), records[slot]));
     }
     return payloads;
   }
@@ -248,6 +244,55 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   std::vector<Fault> group_of(const UnitAddress& addr) const {
     return h_.wrapper_.fault_matrix().slice(
         addr.group_start, h_.wrapper_.get_scenario().max_faults_per_image);
+  }
+
+  /// Arms the pack's faults, unit by unit on its own batch slot, and
+  /// fills slot_of_, slot_units_ and (diff on) row_boundaries_.  Runs
+  /// right after the fault-free pass, so ws_orig_ is planned even on a
+  /// runner's first pack.  Each unit's boundary is its earliest armed
+  /// leaf (kSkipAllLeaves when none of its faults lands).  A same-image
+  /// pack orders its slots by boundary (stable), so the rows that still
+  /// replay at any leaf are a row suffix of the pass; a gather pack of
+  /// different images keeps pack order and replays up to its smallest
+  /// boundary (same-shape replay).
+  void arm_pack(const std::vector<std::size_t>& units,
+                const std::vector<UnitAddress>& addrs, bool same_image) {
+    const std::size_t count = units.size();
+    const Scenario& scenario = h_.wrapper_.get_scenario();
+    const FaultMatrix& matrix = h_.wrapper_.fault_matrix();
+    Injector& injector = stack_.injector();
+
+    std::vector<std::size_t> boundary(count, 0);
+    std::vector<Fault> armed;
+    if (diff_) {
+      for (std::size_t i = 0; i < count; ++i) {
+        armed.clear();
+        append_unit_faults(scenario, matrix, addrs[i], i, count, armed);
+        boundary[i] = diff_prefix_boundary(injector.profile(), armed, ws_orig_);
+      }
+    }
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (same_image) {
+      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return boundary[a] < boundary[b];
+      });
+    }
+    const std::size_t smallest = *std::min_element(boundary.begin(), boundary.end());
+
+    armed.clear();
+    slot_of_.resize(count);
+    slot_units_.resize(count);
+    row_boundaries_.resize(count);
+    for (std::size_t slot = 0; slot < count; ++slot) {
+      const std::size_t i = order[slot];
+      append_unit_faults(scenario, matrix, addrs[i], slot, count, armed);
+      slot_of_[i] = slot;
+      slot_units_[slot] = units[i];
+      row_boundaries_[slot] = same_image ? boundary[i] : smallest;
+    }
+    injector.set_inference_index(units[0]);
+    injector.arm(std::move(armed));
   }
 
   /// Runs the coupled triple: the fault-free pass on `orig_images`, then
@@ -282,19 +327,16 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     const std::size_t slots = count > 1 ? count : 0;
     monitor.set_slot_count(slots);
     monitor.reset();
-    // The armed set is fixed for both remaining passes, so one boundary
-    // serves corr and resil alike; 0 (diff off or nothing replayable)
-    // makes forward_from a plain full recompute.
-    const std::size_t boundary =
-        diff_ ? diff_prefix_boundary(injector, ws_orig_) : 0;
-    out.corr = armed_pass(faulty_images, boundary, ws_corr_, corr_hold_);
+    // The armed set is fixed for both remaining passes, so the same row
+    // boundaries serve corr and resil alike.
+    out.corr = armed_pass(faulty_images, ws_corr_, corr_hold_);
     due_.assign(count, 0);
     for (std::size_t s = 0; s < count; ++s) {
       due_[s] = (slots == 0 ? monitor.due_detected() : monitor.slot_due(s)) ? 1 : 0;
     }
     if (protection != nullptr) {
       protection->set_enabled(true);
-      out.resil = armed_pass(faulty_images, boundary, ws_resil_, resil_hold_);
+      out.resil = armed_pass(faulty_images, ws_resil_, resil_hold_);
       protection->set_enabled(false);
     }
     injector.disarm();
@@ -307,19 +349,22 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     return out;
   }
 
-  /// One armed pass: through `ws`, replaying the fault-free prefix up to
-  /// `boundary`, or (workspace off) the allocating forward into `hold`.
-  const Tensor* armed_pass(const Tensor& images, std::size_t boundary,
-                           nn::InferenceWorkspace& ws, Tensor& hold) {
+  /// One armed pass: through `ws`, each row replaying the fault-free
+  /// prefix up to its row_boundaries_ entry (diff on), or (workspace
+  /// off) the allocating forward into `hold`.
+  const Tensor* armed_pass(const Tensor& images, nn::InferenceWorkspace& ws,
+                           Tensor& hold) {
     if (!h_.config_.workspace) {
       hold = model_.forward(images);
       return &hold;
     }
-    const Tensor* out = &model_.forward_from(boundary, images, ws);
+    if (diff_) ws.set_prefix_row_boundaries(row_boundaries_);
+    const Tensor* out = &ws.run(model_, images);
     if (diff_) {
-      const std::size_t reused = ws.prefix_reused_last_run();
-      diff_skipped_->add(reused);
-      (reused > 0 ? diff_hits_ : diff_misses_)->add();
+      const std::size_t rows = ws.prefix_rows_reused_last_run();
+      diff_skipped_->add(ws.prefix_reused_last_run());
+      diff_rows_skipped_->add(rows);
+      (rows > 0 ? diff_hits_ : diff_misses_)->add();
     }
     return out;
   }
@@ -331,11 +376,17 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   // One workspace per pass so the three output tensors coexist.
   nn::InferenceWorkspace ws_orig_, ws_corr_, ws_resil_;
   Tensor orig_hold_, corr_hold_, resil_hold_;  // allocating-path storage
+  // The current pack, by slot: DUE verdicts, units and (ascending)
+  // prefix boundaries; slot_of_ maps pack position to slot.
   std::vector<std::uint8_t> due_;
+  std::vector<std::size_t> slot_units_;
+  std::vector<std::size_t> row_boundaries_;
+  std::vector<std::size_t> slot_of_;
   util::Gauge* arena_gauge_ = nullptr;
   bool diff_ = false;
-  util::Counter* diff_skipped_ = nullptr;  // campaign.diff.layers_skipped
-  util::Counter* diff_hits_ = nullptr;     // passes that replayed >= 1 leaf
+  util::Counter* diff_skipped_ = nullptr;       // campaign.diff.layers_skipped
+  util::Counter* diff_rows_skipped_ = nullptr;  // campaign.diff.rows_skipped
+  util::Counter* diff_hits_ = nullptr;     // passes that replayed >= 1 row-leaf
   util::Counter* diff_misses_ = nullptr;   // passes that fully recomputed
 };
 

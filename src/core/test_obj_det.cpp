@@ -99,6 +99,7 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     ws_.add_prefix_observer(&monitor_);
     if (protection_ != nullptr) ws_.add_prefix_observer(protection_);
     diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
+    diff_rows_skipped_ = &h_.metrics_.counter("campaign.diff.rows_skipped");
     diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
     diff_misses_ = &h_.metrics_.counter("campaign.diff.prefix_misses");
   }
@@ -128,14 +129,14 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     }
     const Tensor packed = stack_images(images);
 
+    std::vector<Fault> armed;
+    for (std::size_t i = 0; i < count; ++i) {
+      append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addrs[i], i, count,
+                         armed);
+    }
     const auto arm = [&] {
       injector_.set_inference_index(units[0]);
-      std::vector<Fault> armed;
-      for (std::size_t i = 0; i < count; ++i) {
-        append_unit_faults(scenario, h_.wrapper_.fault_matrix(), addrs[i], i, count,
-                           armed);
-      }
-      injector_.arm(std::move(armed));
+      injector_.arm(armed);
     };
 
     // Per-slot monitoring for a multi-unit pack; a one-unit pack
@@ -156,12 +157,13 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     // boundary serves pass 2 and pass 3 — which also guarantees pass 3
     // never replays a slot pass 2 overwrote.
     std::size_t boundary = 0;
-    if (diff_) boundary = diff_prefix_boundary(injector_, ws_);
+    if (diff_) boundary = diff_prefix_boundary(injector_.profile(), armed, ws_);
     const auto note_diff = [this] {
       if (!diff_) return;
-      const std::size_t reused = ws_.prefix_reused_last_run();
-      diff_skipped_->add(reused);
-      (reused > 0 ? diff_hits_ : diff_misses_)->add();
+      const std::size_t rows = ws_.prefix_rows_reused_last_run();
+      diff_skipped_->add(ws_.prefix_reused_last_run());
+      diff_rows_skipped_->add(rows);
+      (rows > 0 ? diff_hits_ : diff_misses_)->add();
     };
     ws_.set_prefix_boundary(boundary);
     auto corr = detector_->detect(packed, h_.config_.conf_threshold);
@@ -237,6 +239,7 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
   util::Gauge* arena_gauge_ = nullptr;
   bool diff_ = false;
   util::Counter* diff_skipped_ = nullptr;
+  util::Counter* diff_rows_skipped_ = nullptr;
   util::Counter* diff_hits_ = nullptr;
   util::Counter* diff_misses_ = nullptr;
 };

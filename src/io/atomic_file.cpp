@@ -36,31 +36,18 @@ void sync_parent_directory(const std::string& path) {
 
 std::string atomic_temp_path(const std::string& path) { return path + ".tmp"; }
 
-void atomic_commit(const std::string& temp, const std::string& path, bool sync) {
-  if (sync) {
-    notify_file_op(FileOp::kTempSync, temp);
-    const int fd = ::open(temp.c_str(), O_RDONLY);
-    if (fd < 0) throw IoError("cannot open temp file for fsync: " + temp);
-    const int rc = ::fsync(fd);
-    ::close(fd);
-    if (rc != 0) throw IoError("fsync failed on temp file: " + temp);
-  }
+void atomic_commit(const std::string& temp, const std::string& path) {
   notify_file_op(FileOp::kRename, path);
   if (std::rename(temp.c_str(), path.c_str()) != 0) {
     throw IoError("cannot commit " + temp + " -> " + path);
   }
-  // Make the rename itself durable: without a directory fsync a power
-  // loss can roll the directory entry back to the old file even though
-  // the new contents were synced.
-  if (sync) sync_parent_directory(path);
 }
 
 void atomic_discard(const std::string& temp) {
   std::remove(temp.c_str());
 }
 
-void write_file_atomic(const std::string& path, const std::string& contents,
-                       bool sync) {
+void write_file_atomic(const std::string& path, const std::string& contents) {
   const std::string temp = atomic_temp_path(path);
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -73,7 +60,7 @@ void write_file_atomic(const std::string& path, const std::string& contents,
     }
   }
   try {
-    atomic_commit(temp, path, sync);
+    atomic_commit(temp, path);
   } catch (...) {
     atomic_discard(temp);
     throw;

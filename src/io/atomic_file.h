@@ -21,13 +21,11 @@ namespace alfi::io {
 /// entry is made durable (kDirSync) before its first frame is appended
 /// (kJournalAppend), and the journal fd is fsync'ed (kJournalSync)
 /// after its header, at least every few unit frames and at close; an
-/// atomic commit syncs its temp file (kTempSync, when asked to) before
-/// renaming it into place (kRename).
+/// atomic commit renames its temp file into place (kRename).
 enum class FileOp {
   kJournalAppend,  ///< journal frame write
   kJournalSync,    ///< fsync of the journal fd
   kDirSync,        ///< fsync of a containing directory
-  kTempSync,       ///< fsync of an atomic-commit temp file
   kRename,         ///< atomic-commit rename into the final path
 };
 
@@ -57,20 +55,16 @@ enum class WriteMode {
 /// The sibling temp path used while the file is being written.
 std::string atomic_temp_path(const std::string& path);
 
-/// Renames `temp` onto `path`; throws IoError on failure.  When
-/// `sync` is true the temp file's contents are fsync'ed first so the
-/// rename never promotes data the kernel has not made durable, and the
-/// containing directory is fsync'ed afterwards so the rename itself
-/// survives power loss.
-void atomic_commit(const std::string& temp, const std::string& path,
-                   bool sync = false);
+/// Renames `temp` onto `path`; throws IoError on failure.  Nothing is
+/// fsync'ed: a commit only keeps readers from seeing a half-written
+/// file, and surviving power loss is the journal's job (DESIGN.md §8).
+void atomic_commit(const std::string& temp, const std::string& path);
 
 /// Removes a leftover temp file, ignoring errors (crash cleanup).
 void atomic_discard(const std::string& temp);
 
 /// Whole-file convenience: writes `contents` to the temp path, then
 /// commits.  Used by the JSON/YAML emitters.
-void write_file_atomic(const std::string& path, const std::string& contents,
-                       bool sync = false);
+void write_file_atomic(const std::string& path, const std::string& contents);
 
 }  // namespace alfi::io

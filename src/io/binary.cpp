@@ -1,5 +1,6 @@
 #include "io/binary.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -70,15 +71,28 @@ BinaryWriter::~BinaryWriter() {
 }
 
 BinaryReader::BinaryReader(const std::string& path)
-    : in_(path, std::ios::binary), path_(path) {
+    : in_(path, std::ios::binary | std::ios::ate), path_(path) {
   if (!in_) throw IoError("cannot open binary file: " + path);
+  const std::streamoff size = in_.tellg();
+  in_.seekg(0);
+  if (size < 0 || !in_) throw IoError("cannot size binary file: " + path);
+  remaining_ = static_cast<std::uint64_t>(size);
 }
 
 void BinaryReader::get(void* data, std::size_t size) {
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  if (static_cast<std::size_t>(in_.gcount()) != size) {
-    throw ParseError("unexpected end of binary file: " + path_);
+  const std::size_t got = static_cast<std::size_t>(in_.gcount());
+  remaining_ -= std::min<std::uint64_t>(got, remaining_);
+  if (got != size) throw ParseError("unexpected end of binary file: " + path_);
+}
+
+std::size_t BinaryReader::read_length(std::size_t item_size) {
+  const std::uint64_t count = read_u64();
+  if (count > remaining_ / item_size) {
+    throw ParseError("length " + std::to_string(count) + " exceeds the " +
+                     std::to_string(remaining_) + " bytes left in " + path_);
   }
+  return static_cast<std::size_t>(count);
 }
 
 std::uint8_t BinaryReader::read_u8() {
@@ -118,26 +132,20 @@ double BinaryReader::read_f64() {
 }
 
 std::string BinaryReader::read_string() {
-  const std::uint64_t size = read_u64();
-  if (size > (1ULL << 32)) throw ParseError("unreasonable string size in " + path_);
-  std::string s(static_cast<std::size_t>(size), '\0');
-  if (size > 0) get(s.data(), s.size());
+  std::string s(read_length(1), '\0');
+  if (!s.empty()) get(s.data(), s.size());
   return s;
 }
 
 std::vector<float> BinaryReader::read_f32_array() {
-  const std::uint64_t size = read_u64();
-  if (size > (1ULL << 34)) throw ParseError("unreasonable array size in " + path_);
-  std::vector<float> values(static_cast<std::size_t>(size));
-  if (size > 0) get(values.data(), values.size() * sizeof(float));
+  std::vector<float> values(read_length(sizeof(float)));
+  if (!values.empty()) get(values.data(), values.size() * sizeof(float));
   return values;
 }
 
 std::vector<std::int64_t> BinaryReader::read_i64_array() {
-  const std::uint64_t size = read_u64();
-  if (size > (1ULL << 34)) throw ParseError("unreasonable array size in " + path_);
-  std::vector<std::int64_t> values(static_cast<std::size_t>(size));
-  if (size > 0) get(values.data(), values.size() * sizeof(std::int64_t));
+  std::vector<std::int64_t> values(read_length(sizeof(std::int64_t)));
+  if (!values.empty()) get(values.data(), values.size() * sizeof(std::int64_t));
   return values;
 }
 

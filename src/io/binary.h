@@ -62,6 +62,8 @@ class BinaryReader {
   std::int64_t read_i64();
   float read_f32();
   double read_f64();
+  /// Length-prefixed reads.  A length claiming more bytes than the file
+  /// has left throws ParseError before anything is allocated.
   std::string read_string();
 
   std::vector<float> read_f32_array();
@@ -74,8 +76,12 @@ class BinaryReader {
 
  private:
   void get(void* data, std::size_t size);
+  /// Reads a u64 count of `item_size`-byte items and checks that many
+  /// bytes are left in the file.
+  std::size_t read_length(std::size_t item_size);
   std::ifstream in_;
   std::string path_;
+  std::uint64_t remaining_ = 0;  ///< bytes not yet read
 };
 
 }  // namespace alfi::io

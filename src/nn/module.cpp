@@ -69,12 +69,15 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
       case InferenceWorkspace::PrefixAction::kBroadcast: {
         // Same-image unit pack (DESIGN.md §12): the baseline cached a
         // batch-1 fault-free row and this pass runs N identical copies
-        // of that input.  Replicate the row into this module's own
-        // N-row slot and run the real hooks — each row sees exactly the
-        // data a batch-1 recompute would have produced.
+        // of that input, sorted by prefix boundary.  Rows [0, computing)
+        // reached theirs and compute through row views; the others get
+        // the cached row.  The real hooks then run on all N rows — each
+        // row sees exactly the data a batch-1 recompute would have
+        // produced, and per-slot hooks see the whole pack.
         ALFI_CHECK(cached->shape().rank() > 0 && cached->shape()[0] == 1,
                    "broadcast replay requires a batch-1 baseline slot");
-        const std::size_t rows = input.shape()[0];
+        const std::size_t rows = ws.prefix_row_count();
+        const std::size_t computing = ws.prefix_rows_computing();
         Tensor& slot = ws.slot(*this, [&] {
           std::vector<std::size_t> dims = cached->shape().dims();
           dims[0] = rows;
@@ -84,7 +87,14 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
         const std::span<float> out = slot.data();
         ALFI_CHECK(out.size() == row.size() * rows,
                    "broadcast replay slot shape mismatch");
-        for (std::size_t r = 0; r < rows; ++r) {
+        if (computing > 0) {
+          InferenceWorkspace::RowViews& views =
+              ws.row_views(*this, input, slot, computing);
+          ws.redirect_slot(this, &views.output);
+          compute_ws(views.input, ws);
+          ws.redirect_slot(nullptr, nullptr);
+        }
+        for (std::size_t r = computing; r < rows; ++r) {
           std::copy(row.begin(), row.end(), out.begin() + r * row.size());
         }
         for (auto& [handle, hook] : hooks_) {

@@ -32,10 +32,11 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
     input_shape_ = input.shape();
   }
 
-  // The boundary is one-shot: consume it now so a plain run() after a
-  // forward_from() never inherits a stale prefix.
-  const std::size_t boundary = prefix_boundary_;
-  prefix_boundary_ = 0;
+  // The boundaries are one-shot: consume them now so a plain run()
+  // after a forward_from() never inherits a stale prefix.
+  run_rows_.swap(armed_rows_);
+  armed_rows_.clear();
+  row_module_ = nullptr;
 
   recording_exec_ = !planned();
   if (recording_exec_) {
@@ -49,26 +50,45 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
   // order is unambiguous.  Anything else degrades to full recompute.
   // Broadcast replay (opt-in, set_prefix_broadcast) additionally
   // accepts a batch-1 baseline under an N-row pass: the caller promised
-  // every input row equals the baseline's row, so prefix leaves
-  // replicate the cached row N ways and run their real hooks
-  // (DESIGN.md §12).
+  // every input row equals the baseline's row, so each row replays the
+  // cached row up to its own boundary (DESIGN.md §12).  A same-shape
+  // replay keeps one boundary, the smallest.
   const InferenceWorkspace* base = prefix_baseline_;
-  const bool baseline_ok = boundary > 0 && base != nullptr &&
+  const bool baseline_ok = !run_rows_.empty() && base != nullptr &&
                            base->root_ == &root && base->planned() &&
                            base->exec_valid_;
   prefix_broadcast_ = baseline_ok && prefix_broadcast_allowed_ &&
                       broadcast_compatible(base->input_shape_, input.shape());
-  prefix_active_ =
-      baseline_ok && (base->input_shape_ == input.shape() || prefix_broadcast_);
-  prefix_boundary_run_ = boundary;
+  if (prefix_broadcast_) {
+    const std::size_t rows = input.shape()[0];
+    if (run_rows_.size() == 1) {
+      const std::size_t shared = run_rows_.front();
+      run_rows_.assign(rows, shared);
+    }
+    ALFI_CHECK(run_rows_.size() == rows,
+               "prefix row boundaries must cover every row of the pass");
+  } else if (!run_rows_.empty()) {
+    run_rows_.resize(1);  // ascending: the front is the smallest
+  }
+  prefix_active_ = baseline_ok && run_rows_.back() > 0 &&
+                   (base->input_shape_ == input.shape() || prefix_broadcast_);
+  rows_computing_ = 0;
   prefix_cursor_ = 0;
   prefix_reused_last_run_ = 0;
+  prefix_rows_reused_last_run_ = 0;
 
   Tensor& out = root.forward_ws(input, *this);
   recording_exec_ = false;
   prefix_active_ = false;
   prefix_broadcast_ = false;
   return out;
+}
+
+void InferenceWorkspace::set_prefix_row_boundaries(
+    std::span<const std::size_t> boundaries) {
+  ALFI_CHECK(std::is_sorted(boundaries.begin(), boundaries.end()),
+             "prefix row boundaries must be ascending");
+  armed_rows_.assign(boundaries.begin(), boundaries.end());
 }
 
 std::span<float> InferenceWorkspace::scratch(const Module& m, std::size_t floats) {
@@ -81,6 +101,7 @@ void InferenceWorkspace::invalidate() {
   slots_.clear();
   aux_slots_.clear();
   scratch_.clear();
+  row_views_.clear();
   arena_.reset();
   root_ = nullptr;
   input_shape_ = Shape();
@@ -109,12 +130,36 @@ void InferenceWorkspace::record_leaf(const Module& m) {
   }
 }
 
+InferenceWorkspace::RowViews& InferenceWorkspace::row_views(const Module& m,
+                                                            const Tensor& input,
+                                                            Tensor& slot,
+                                                            std::size_t rows) {
+  const auto first_rows = [rows](const Tensor& full) {
+    std::vector<std::size_t> dims = full.shape().dims();
+    const std::size_t floats = full.numel() / dims[0] * rows;
+    dims[0] = rows;
+    return Tensor(Shape(std::move(dims)),
+                  std::span<float>(const_cast<float*>(full.raw()), floats));
+  };
+  const AuxKey key{&m, rows};
+  auto it = row_views_.find(key);
+  if (it == row_views_.end()) {
+    it = row_views_.emplace(key, RowViews{first_rows(input), first_rows(slot)}).first;
+  } else if (it->second.input.raw() != input.raw()) {
+    it->second.input = first_rows(input);  // the pass input's storage moved
+  }
+  return it->second;
+}
+
 InferenceWorkspace::PrefixAction InferenceWorkspace::prefix_action(const Module& m,
                                                                    Tensor** cached) {
   if (!prefix_active_) return PrefixAction::kCompute;
   const std::size_t index = prefix_cursor_++;
-  if (index >= prefix_boundary_run_) {
-    prefix_active_ = false;  // reached the suffix: recompute from here on
+  while (rows_computing_ < run_rows_.size() && run_rows_[rows_computing_] <= index) {
+    ++rows_computing_;
+  }
+  if (rows_computing_ == run_rows_.size()) {
+    prefix_active_ = false;  // every row reached its suffix: recompute from here on
     return PrefixAction::kCompute;
   }
   const auto it = prefix_baseline_->slots_.find(&m);
@@ -127,19 +172,21 @@ InferenceWorkspace::PrefixAction InferenceWorkspace::prefix_action(const Module&
   Tensor& slot = const_cast<Tensor&>(it->second);
   *cached = &slot;
   if (prefix_broadcast_) {
-    // Broadcast replay replicates the batch-1 row into this workspace's
-    // own N-row slot and runs the REAL hooks there, so no on_replay
+    // The replayed rows get the batch-1 row in this workspace's own
+    // N-row slot and the REAL hooks run there, so no on_replay
     // side-effect reproduction is needed.  An observer veto still means
-    // the hooks will alter the data (e.g. protection clamping), so the
-    // suffix must recompute from the hooked rows — deactivate, exactly
-    // like the kMaterialize path, but keep the broadcast copy.
+    // the hooks will alter the replayed data (e.g. protection
+    // clamping), so the suffix of every row must recompute from the
+    // hooked rows — deactivate, exactly like the kMaterialize path, but
+    // keep this leaf's copy.
     for (PrefixObserver* observer : prefix_observers_) {
       if (!observer->can_replay(m, slot)) {
         prefix_active_ = false;
         return PrefixAction::kBroadcast;
       }
     }
-    ++prefix_reused_last_run_;
+    if (rows_computing_ == 0) ++prefix_reused_last_run_;
+    prefix_rows_reused_last_run_ += run_rows_.size() - rows_computing_;
     return PrefixAction::kBroadcast;
   }
   for (PrefixObserver* observer : prefix_observers_) {
@@ -152,6 +199,7 @@ InferenceWorkspace::PrefixAction InferenceWorkspace::prefix_action(const Module&
   }
   for (PrefixObserver* observer : prefix_observers_) observer->on_replay(m, slot);
   ++prefix_reused_last_run_;
+  prefix_rows_reused_last_run_ += input_shape_.rank() > 0 ? input_shape_[0] : 1;
   return PrefixAction::kSkip;
 }
 

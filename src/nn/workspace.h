@@ -27,11 +27,14 @@
 //
 // Broadcast replay (DESIGN.md §12): when the baseline ran a batch-1
 // pass and the current pass packs N identical copies of that input
-// along dim 0 (a same-image unit pack), prefix leaves replicate the
-// baseline's single cached row into this workspace's N-row slot and run
-// the leaf's REAL hooks on the replicated tensor — computing the
-// fault-free prefix once per pack instead of once per row.  The mode is
-// opt-in (set_prefix_broadcast): the shapes alone cannot prove the data
+// along dim 0 (a same-image unit pack), every row replays the
+// fault-free prefix up to its OWN boundary (set_prefix_row_boundaries,
+// ascending).  At leaf L the rows [0, r_L) whose boundary is <= L
+// compute, through cached row views of the leaf's input and of its own
+// N-row slot; the rows [r_L, N) receive the baseline's single cached
+// row; then the leaf's REAL hooks run on the whole N-row slot.  r_L = 0
+// is a pure replicate-and-hook leaf.  The mode is opt-in
+// (set_prefix_broadcast): the shapes alone cannot prove the data
 // contract — every row of the pass input must equal the baseline's row
 // — so the caller must promise it; a mismatched baseline otherwise
 // degrades to full recompute as usual.
@@ -83,10 +86,18 @@ class PrefixObserver {
 class InferenceWorkspace {
  public:
   /// What forward_ws should do with a leaf under an armed prefix.
-  /// kBroadcast replicates a batch-1 baseline row into this workspace's
-  /// own N-row slot and runs the leaf's real hooks on it (same-image
-  /// unit packs, DESIGN.md §12).
+  /// kBroadcast computes the first prefix_rows_computing() rows into
+  /// this workspace's own N-row slot (through row_views()), fills the
+  /// other rows with the batch-1 baseline row and runs the leaf's real
+  /// hooks on the whole slot (same-image unit packs, DESIGN.md §12).
   enum class PrefixAction { kCompute, kSkip, kMaterialize, kBroadcast };
+
+  /// Views of the first rows of one leaf's input and of its own slot, used
+  /// while a broadcast pass computes only a row prefix of the leaf.
+  struct RowViews {
+    Tensor input;
+    Tensor output;
+  };
 
   /// set_prefix_boundary() value meaning "replay every leaf".
   static constexpr std::size_t kSkipAllLeaves = static_cast<std::size_t>(-1);
@@ -108,6 +119,7 @@ class InferenceWorkspace {
   /// free of Shape construction (which heap-allocates).
   template <typename ShapeFn>
   Tensor& slot(const Module& m, ShapeFn&& make_shape) {
+    if (&m == row_module_) return *row_slot_;  // row-prefix compute (kBroadcast)
     const auto it = slots_.find(&m);
     if (it != slots_.end()) return it->second;
     return slots_.emplace(&m, arena_.make(make_shape())).first->second;
@@ -156,12 +168,13 @@ class InferenceWorkspace {
   void clear_prefix_observers() { prefix_observers_.clear(); }
 
   /// Opts into broadcast replay: when the armed prefix finds a batch-1
-  /// baseline under an N-row pass (other dims equal), prefix leaves
-  /// replicate the baseline row N ways and run their real hooks instead
-  /// of degrading to full recompute.  CALLER PROMISE: every row of the
-  /// pass input equals the baseline's single input row — the workspace
-  /// can only check shapes, and replaying unequal data would silently
-  /// corrupt the pass.  Off (the default) never broadcasts.
+  /// baseline under an N-row pass (other dims equal), each row replays
+  /// the baseline row up to its own boundary and the leaves run their
+  /// real hooks instead of degrading to full recompute.  CALLER PROMISE:
+  /// every row of the pass input equals the baseline's single input row
+  /// — the workspace can only check shapes, and replaying unequal data
+  /// would silently corrupt the pass.  Off (the default) never
+  /// broadcasts.
   void set_prefix_broadcast(bool allow) { prefix_broadcast_allowed_ = allow; }
 
   /// Arms the prefix for the NEXT run() only (consumed and reset): leaves
@@ -170,10 +183,19 @@ class InferenceWorkspace {
   /// (full recompute); kSkipAllLeaves replays the whole pass.  The run
   /// silently degrades to full recompute whenever replay cannot be proven
   /// equivalent (unplanned or mismatched baseline, a leaf missing from
-  /// the baseline, an observer veto).
+  /// the baseline, an observer veto).  The same boundary for every row
+  /// of a broadcast pass.
   void set_prefix_boundary(std::size_t first_recomputed_leaf) {
-    prefix_boundary_ = first_recomputed_leaf;
+    set_prefix_row_boundaries({&first_recomputed_leaf, 1});
   }
+
+  /// Per-row form of set_prefix_boundary(), one-shot likewise: row r of
+  /// the next pass replays leaves with execution index < boundaries[r].
+  /// Ascending (a same-image pack sorts its units by boundary), and one
+  /// entry per row of the pass — or a single entry shared by every row.
+  /// A broadcast pass honours every row's boundary; a same-shape replay
+  /// uses the smallest (boundaries.front()) for the whole pass.
+  void set_prefix_row_boundaries(std::span<const std::size_t> boundaries);
 
   /// Execution index of `m` among this workspace's leaves, recorded on
   /// the planning pass; nullopt for modules this workspace never ran
@@ -183,17 +205,45 @@ class InferenceWorkspace {
   /// Leaves executed by one planned pass (0 before planning).
   std::size_t leaf_count() const { return leaf_exec_.size(); }
 
-  /// Leaves replayed from the baseline during the most recent run().
+  /// Leaves replayed from the baseline during the most recent run():
+  /// leaves no row of the pass computed.
   std::size_t prefix_reused_last_run() const { return prefix_reused_last_run_; }
+
+  /// (row, leaf) pairs replayed from the baseline during the most recent
+  /// run(); equals prefix_reused_last_run() times the batch size for a
+  /// same-shape replay, and prefix_reused_last_run() at batch 1.
+  std::size_t prefix_rows_reused_last_run() const {
+    return prefix_rows_reused_last_run_;
+  }
 
   // -- forward_ws plumbing (called by Module, not by harness code) ---------
 
   bool recording_exec() const { return recording_exec_; }
   void record_leaf(const Module& m);
 
-  /// Decides the fate of the next leaf in execution order.  On kSkip and
-  /// kMaterialize, `*cached` points at the baseline's slot for `m`.
+  /// Decides the fate of the next leaf in execution order.  On kSkip,
+  /// kMaterialize and kBroadcast, `*cached` points at the baseline's
+  /// slot for `m`.
   PrefixAction prefix_action(const Module& m, Tensor** cached);
+
+  /// Rows of the current broadcast pass: its dim 0.
+  std::size_t prefix_row_count() const { return run_rows_.size(); }
+
+  /// Rows [0, n) of the current kBroadcast leaf compute; the rest replay.
+  std::size_t prefix_rows_computing() const { return rows_computing_; }
+
+  /// Views of the first `rows` rows of `input` and of `slot` (m's own
+  /// slot), cached per (m, rows) so a steady-state pass stays heap-free;
+  /// the input view follows `input`'s storage if it moved.
+  RowViews& row_views(const Module& m, const Tensor& input, Tensor& slot,
+                      std::size_t rows);
+
+  /// While set, slot(m) returns `rows` instead of m's own slot, so the
+  /// leaf's compute_ws writes a row prefix; pass nullptr to end it.
+  void redirect_slot(const Module* m, Tensor* rows) {
+    row_module_ = m;
+    row_slot_ = rows;
+  }
 
  private:
   using AuxKey = std::pair<const Module*, std::size_t>;
@@ -208,6 +258,9 @@ class InferenceWorkspace {
   std::unordered_map<const Module*, Tensor> slots_;
   std::unordered_map<AuxKey, Tensor, AuxKeyHash> aux_slots_;
   std::unordered_map<const Module*, std::span<float>> scratch_;
+  std::unordered_map<AuxKey, RowViews, AuxKeyHash> row_views_;  // (leaf, rows)
+  const Module* row_module_ = nullptr;  // redirect_slot() target
+  Tensor* row_slot_ = nullptr;
   const Module* root_ = nullptr;
   Shape input_shape_;
 
@@ -220,13 +273,18 @@ class InferenceWorkspace {
   bool recording_exec_ = false;
   const InferenceWorkspace* prefix_baseline_ = nullptr;
   std::vector<PrefixObserver*> prefix_observers_;
-  std::size_t prefix_boundary_ = 0;       // armed for the next run (one-shot)
-  std::size_t prefix_boundary_run_ = 0;   // boundary of the run in flight
+  // Row boundaries armed for the next run (one-shot), and those of the
+  // run in flight: one per row of a broadcast pass, else the single
+  // smallest.  Swapped, never reallocated, in steady state.
+  std::vector<std::size_t> armed_rows_;
+  std::vector<std::size_t> run_rows_;
+  std::size_t rows_computing_ = 0;  // run_rows_ entries <= the current leaf
   bool prefix_active_ = false;
   bool prefix_broadcast_allowed_ = false;  // caller opted in (set_prefix_broadcast)
   bool prefix_broadcast_ = false;  // batch-1 baseline under an N-row pass
   std::size_t prefix_cursor_ = 0;
   std::size_t prefix_reused_last_run_ = 0;
+  std::size_t prefix_rows_reused_last_run_ = 0;
 };
 
 }  // namespace alfi::nn

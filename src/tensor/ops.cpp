@@ -174,7 +174,9 @@ Conv2dPlan make_conv2d_plan(const Shape& input, const Shape& weight,
   const std::size_t ow = conv_out_size(w, kw, spec.stride, spec.padding);
 
   Conv2dPlan plan;
-  plan.input_shape = input;
+  plan.channels = ic;
+  plan.height = h;
+  plan.width = w;
   plan.col_rows = ic * kh * kw;
   plan.col_cols = oh * ow;
   plan.col_index.resize(plan.col_rows * plan.col_cols);

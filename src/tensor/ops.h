@@ -93,17 +93,22 @@ void conv2d_forward_into(Tensor& dst, const Tensor& input, const Tensor& weight,
                          std::span<float> col_scratch);
 
 /// Plan-time conv2d addressing for the workspace path: the im2col
-/// gather indices depend only on the geometry, so they are computed
-/// once when buffers are planned and reused every run (-1 = padding
-/// zero).  Building a plan allocates; using it does not.
+/// gather indices depend only on the per-sample geometry, so they are
+/// computed once when buffers are planned and reused every run (-1 =
+/// padding zero).  The key is the per-sample [C, H, W]: the gather map
+/// addresses one sample and the kernels loop over dim 0, so one plan
+/// serves every batch size (a batch-1 fault-free pass, a K-row packed
+/// pass and its row-prefix views alike).  Building a plan allocates;
+/// using it does not.
 struct Conv2dPlan {
-  Shape input_shape;                    // plan key
+  std::size_t channels = 0, height = 0, width = 0;  // plan key
   std::vector<std::int32_t> col_index;  // [col_rows * col_cols], per sample
   std::size_t col_rows = 0;
   std::size_t col_cols = 0;
 
   bool matches(const Shape& input) const {
-    return !col_index.empty() && input_shape == input;
+    return !col_index.empty() && input.rank() == 4 && input[1] == channels &&
+           input[2] == height && input[3] == width;
   }
 };
 

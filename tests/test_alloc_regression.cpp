@@ -3,6 +3,8 @@
 // pair below counts every allocation made while `g_counting` is set;
 // the tests warm a model up, switch the counter on, run steady-state
 // inferences, and require the count to stay at zero (DESIGN.md §10).
+// The counter also records the largest single request, which bounds
+// what a corrupt length prefix can make the binary reader allocate.
 //
 // Assertions never run inside the counted region — gtest itself
 // allocates — so each test snapshots the counter before and after.
@@ -10,42 +12,52 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <new>
 
 #include "data/synthetic.h"
+#include "io/binary.h"
 #include "models/classification.h"
 #include "nn/layers.h"
 #include "nn/workspace.h"
+#include "test_common.h"
 #include "util/rng.h"
 
 namespace {
 
 std::atomic<std::size_t> g_alloc_count{0};
+std::atomic<std::size_t> g_largest_request{0};
 std::atomic<bool> g_counting{false};
 
-void note_alloc() {
+void note_alloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    std::size_t largest = g_largest_request.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest_request.compare_exchange_weak(largest, size,
+                                                    std::memory_order_relaxed)) {
+    }
   }
 }
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  note_alloc();
+  note_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  note_alloc();
+  note_alloc(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  note_alloc();
+  note_alloc(size);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) != 0) {
     throw std::bad_alloc();
@@ -156,6 +168,89 @@ TEST(AllocRegression, HookedInferenceIsHeapFree) {
   const std::size_t allocs = count_steady_state_allocs(ws, *net, input, 16);
   target->remove_forward_hook(handle);
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocRegression, SameImagePackPassesAreHeapFree) {
+  // run_unit_pack's alternation (DESIGN.md §12): a batch-1 fault-free
+  // pass, then a K-row pass of the same image replaying it with per-row
+  // boundaries.  Both passes share every Conv2d's plan, whatever their
+  // batch size, and the row views of the ragged leaves are cached.
+  auto net = models::make_mini_alexnet();
+  Rng rng(17);
+  kaiming_init(*net, rng);
+  const Tensor one = probe_image(1);
+  constexpr std::size_t kRows = 4;
+  Tensor packed(Shape{kRows, 3, 32, 32});
+  for (std::size_t r = 0; r < kRows; ++r) {
+    std::copy(one.data().begin(), one.data().end(),
+              packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
+  }
+  const std::vector<std::size_t> boundaries = {0, 3, 7,
+                                               InferenceWorkspace::kSkipAllLeaves};
+
+  InferenceWorkspace base;
+  InferenceWorkspace pack;
+  pack.set_prefix_baseline(&base);
+  pack.set_prefix_broadcast(true);
+  const auto alternate = [&] {
+    volatile float sink = base.run(*net, one).flat(0);
+    pack.set_prefix_row_boundaries(boundaries);
+    sink = sink + pack.run(*net, packed).flat(0);
+    (void)sink;
+  };
+  alternate();  // planning passes
+  alternate();  // warmup
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (int i = 0; i < 8; ++i) alternate();
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+  EXPECT_GT(pack.prefix_rows_reused_last_run(), 0u);
+}
+
+/// Writes `length` as a u64 length prefix followed by zero bytes up to
+/// `file_size` bytes, then reads it back with `read`.  Returns the
+/// largest heap request the read made.
+template <typename ReadFn>
+std::size_t largest_request_reading(const std::string& path, std::uint64_t length,
+                                    std::size_t file_size, ReadFn read) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(&length), sizeof length);
+    const std::string padding(file_size - sizeof length, '\0');
+    out.write(padding.data(), static_cast<std::streamsize>(padding.size()));
+  }
+  io::BinaryReader reader(path);  // the stream's own buffer is not counted
+  g_largest_request.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  bool threw = false;
+  try {
+    read(reader);
+  } catch (const ParseError&) {
+    threw = true;
+  }
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_TRUE(threw) << "length " << length;
+  return g_largest_request.load(std::memory_order_relaxed);
+}
+
+TEST(AllocRegression, BinaryLengthPrefixIsBoundedByTheFile) {
+  // A corrupt length must fail as ParseError before the reader sizes a
+  // buffer from it: never ask the heap for more than the file holds.
+  test::TempDir dir("binary_bounds");
+  constexpr std::size_t kFileSize = 4096;
+  const std::size_t string_request = largest_request_reading(
+      dir.file("string.bin"), std::uint64_t{1} << 28, kFileSize,
+      [](io::BinaryReader& r) { r.read_string(); });
+  EXPECT_LE(string_request, kFileSize);
+  const std::size_t floats_request = largest_request_reading(
+      dir.file("floats.bin"), std::uint64_t{1} << 26, kFileSize,
+      [](io::BinaryReader& r) { r.read_f32_array(); });
+  EXPECT_LE(floats_request, kFileSize);
+  const std::size_t ints_request = largest_request_reading(
+      dir.file("ints.bin"), std::uint64_t{1} << 25, kFileSize,
+      [](io::BinaryReader& r) { r.read_i64_array(); });
+  EXPECT_LE(ints_request, kFileSize);
 }
 
 TEST(AllocRegression, LegacyForwardAllocatesAsBaseline) {

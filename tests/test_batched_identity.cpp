@@ -12,7 +12,9 @@
 // different-image units), plus short/uneven packs at shard boundaries.
 // Weight-fault campaigns must silently clamp the pack to 1, and so must
 // FrcnnLite, whose per-image proposal head mixes a pack's images; the
-// multi-head RetinaLite packs.
+// multi-head RetinaLite packs.  Packing must also keep differential
+// replay: a same-image pack replays at least 90% of the (row, leaf)
+// pairs unit-at-a-time replays (campaign.diff.rows_skipped).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -60,6 +62,7 @@ struct ImgRun {
   ImgClassCampaignResult result;
   std::string counters_json;
   std::string journal_bytes;
+  std::int64_t rows_skipped = 0;  // campaign.diff.rows_skipped
 };
 
 class BatchedIdentity : public ::testing::Test {
@@ -122,6 +125,10 @@ class BatchedIdentity : public ::testing::Test {
     ImgRun run;
     run.result = harness.run();
     run.counters_json = comparable_counters(config.metrics_path);
+    const io::Json counters = io::read_json_file(config.metrics_path).at("counters");
+    if (counters.contains("campaign.diff.rows_skipped")) {
+      run.rows_skipped = counters.at("campaign.diff.rows_skipped").as_int();
+    }
     if (journal) {
       run.journal_bytes =
           file_bytes(CampaignExecutor::journal_path(config.checkpoint_dir));
@@ -256,6 +263,28 @@ TEST_F(BatchedIdentity, NoDiffPackedCampaignMatchesUnitAtATime) {
       run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
                    /*diff=*/false, /*journal=*/false);
   expect_identical(packed, serial);
+}
+
+TEST_F(BatchedIdentity, RaggedPackReplaysNearlyAllUnitAtATimeRows) {
+  // Each row of a same-image pack replays the fault-free prefix up to
+  // its own unit's earliest armed leaf (DESIGN.md §12), so an 8-unit
+  // pack keeps at least 90% of the (row, leaf) pairs unit-at-a-time
+  // replays; a pack-wide boundary would replay almost none.
+  test::TempDir packed_dir("batched_on8r");
+  test::TempDir serial_dir("batched_off8r");
+  const auto packed =
+      run_campaign(8, 1, packed_dir.str(), FaultTarget::kNeurons, std::nullopt,
+                   /*diff=*/true, /*journal=*/false, /*dataset_size=*/4,
+                   /*num_runs=*/8);
+  const auto serial =
+      run_campaign(1, 1, serial_dir.str(), FaultTarget::kNeurons, std::nullopt,
+                   /*diff=*/true, /*journal=*/false, /*dataset_size=*/4,
+                   /*num_runs=*/8);
+  expect_identical(packed, serial);
+  EXPECT_GT(serial.rows_skipped, 0);
+  EXPECT_GE(packed.rows_skipped * 10, serial.rows_skipped * 9)
+      << "packed " << packed.rows_skipped << " vs unit-at-a-time "
+      << serial.rows_skipped;
 }
 
 TEST_F(BatchedIdentity, WeightCampaignClampsPackToUnitAtATime) {

@@ -262,34 +262,36 @@ TEST(JournalDurability, ResumedJournalDoesNotResyncDirectory) {
   EXPECT_EQ(std::find(ops.begin(), ops.end(), FileOp::kDirSync), ops.end());
 }
 
+// The two tests below kept their names from when an atomic commit could
+// also fsync its temp file and directory; only the journal syncs now.
 TEST(JournalDurability, AtomicCommitSyncsTempThenRenamesThenSyncsDirectory) {
   test::TempDir dir("atomic_order");
-  const std::string path = dir.file("checkpoint.bin");
+  const std::string path = dir.file("results.json");
   std::vector<FileOp> ops;
   ScopedFileOpsProbe probe([&](FileOp op, const std::string&) {
     ops.push_back(op);
   });
-  write_file_atomic(path, "checkpoint-state", /*sync=*/true);
-  // Contents durable before the rename promotes them; the rename itself
-  // made durable by the trailing directory fsync.
-  ASSERT_EQ(ops.size(), 3u);
-  EXPECT_EQ(ops[0], FileOp::kTempSync);
-  EXPECT_EQ(ops[1], FileOp::kRename);
-  EXPECT_EQ(ops[2], FileOp::kDirSync);
-  EXPECT_EQ(file_bytes(path), "checkpoint-state");
+  write_file_atomic(path, "campaign-output");
+  // A commit is exactly one rename of the complete temp file.
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0], FileOp::kRename);
+  EXPECT_EQ(file_bytes(path), "campaign-output");
+  EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(path)));
 }
 
 TEST(JournalDurability, InjectedTempSyncFailureLeavesOldFileIntact) {
   test::TempDir dir("atomic_fault");
-  const std::string path = dir.file("checkpoint.bin");
-  write_file_atomic(path, "version-1", /*sync=*/true);
+  const std::string path = dir.file("results.json");
+  write_file_atomic(path, "version-1");
 
   ScopedFileOpsProbe probe([](FileOp op, const std::string&) {
-    if (op == FileOp::kTempSync) throw IoError("injected fsync failure");
+    if (op == FileOp::kRename) throw IoError("injected rename failure");
   });
-  EXPECT_THROW(write_file_atomic(path, "version-2", /*sync=*/true), IoError);
-  // The rename never ran: readers still see the complete old file.
+  EXPECT_THROW(write_file_atomic(path, "version-2"), IoError);
+  // The rename never ran: readers still see the complete old file, and
+  // the temp file is cleaned up.
   EXPECT_EQ(file_bytes(path), "version-1");
+  EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(path)));
 }
 
 TEST(JournalDurability, InjectedJournalSyncFailurePropagates) {

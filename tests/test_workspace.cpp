@@ -369,6 +369,84 @@ TEST_F(DifferentialPrefix, BroadcastReplayIsOptInAndBitIdentical) {
   EXPECT_EQ(diff.prefix_reused_last_run(), 3u);
 }
 
+TEST_F(DifferentialPrefix, RaggedRowsMatchFullRecompute) {
+  // A same-image pack sorted by boundary (DESIGN.md §12): row r replays
+  // the batch-1 baseline up to its own boundary, where a hook injects
+  // into that row alone.  Row 0 computes from leaf 0, the last row
+  // never computes.  Every pass, with or without an observer veto, must
+  // match a full recompute bit for bit, and every hook call must see
+  // the whole pack.
+  const Tensor one = probe_image(1);
+  constexpr std::size_t kRows = 5;
+  Tensor packed(Shape{kRows, 3, 32, 32});
+  for (std::size_t r = 0; r < kRows; ++r) {
+    std::copy(one.data().begin(), one.data().end(),
+              packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
+  }
+  const std::vector<std::size_t> boundaries = {0, 3, 6, 10,
+                                               InferenceWorkspace::kSkipAllLeaves};
+
+  // Leaf i of the flat MiniAlexNet is child i.  The hooks inject only
+  // while armed, so the baseline stays fault-free.
+  const auto& leaves = net_->children();
+  bool armed = false;
+  std::size_t hook_calls = 0;
+  std::size_t short_calls = 0;  // hook calls that saw fewer than kRows rows
+  std::vector<HookHandle> handles;
+  for (std::size_t leaf = 0; leaf < leaves.size(); ++leaf) {
+    handles.push_back(leaves[leaf].second->register_forward_hook(
+        [&, leaf](Module&, const Tensor&, Tensor& output) {
+          if (!armed) return;
+          ++hook_calls;
+          if (output.dim(0) != kRows) {
+            ++short_calls;
+            return;
+          }
+          const std::size_t per_row = output.numel() / kRows;
+          for (std::size_t r = 0; r + 1 < kRows; ++r) {
+            if (boundaries[r] == leaf) output.raw()[r * per_row + per_row / 2] += 3.0f;
+          }
+        }));
+  }
+  armed = true;
+  const Tensor packed_full = net_->forward(packed);
+  armed = false;
+
+  InferenceWorkspace base;
+  base.run(*net_, one);
+  ProbeObserver observer;
+  InferenceWorkspace diff;
+  diff.set_prefix_baseline(&base);
+  diff.set_prefix_broadcast(true);
+  diff.add_prefix_observer(&observer);
+  armed = true;
+  for (int pass = 0; pass < 2; ++pass) {  // planning pass, then steady state
+    hook_calls = 0;
+    diff.set_prefix_row_boundaries(boundaries);
+    expect_bitwise_equal(diff.run(*net_, packed), packed_full);
+    EXPECT_EQ(hook_calls, leaves.size());
+    // Rows replay min(boundary, 13 leaves) leaves each; row 0 computes
+    // every leaf, so no leaf is skipped outright.
+    EXPECT_EQ(diff.prefix_rows_reused_last_run(), 0u + 3 + 6 + 10 + 13);
+    EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
+  }
+
+  // A veto at leaf 4 ends the prefix of every row there; rows that were
+  // still replaying recompute from leaf 5 on.
+  observer.veto_at = leaves[4].second.get();
+  hook_calls = 0;
+  diff.set_prefix_row_boundaries(boundaries);
+  expect_bitwise_equal(diff.run(*net_, packed), packed_full);
+  EXPECT_EQ(hook_calls, leaves.size());
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), 0u + 3 + 4 + 4 + 4);
+  armed = false;
+  for (std::size_t leaf = 0; leaf < leaves.size(); ++leaf) {
+    leaves[leaf].second->remove_forward_hook(handles[leaf]);
+  }
+  EXPECT_EQ(short_calls, 0u);
+  EXPECT_TRUE(observer.replayed.empty());  // broadcast leaves run real hooks
+}
+
 TEST_F(DifferentialPrefix, ObserverVetoMaterializesAndRunsRealHooks) {
   InferenceWorkspace base;
   base.run(*net_, input_);
