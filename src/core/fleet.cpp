@@ -221,6 +221,9 @@ FleetWorkerStats FleetWorker::run() {
     }
     lease.begin = static_cast<std::size_t>(r.read_u64());
     lease.end = static_cast<std::size_t>(r.read_u64());
+    if (lease.begin >= lease.end || lease.end > task_.unit_count()) {
+      throw ParseError("fleet lease grant outside the campaign's units");
+    }
 
     if (!runner) runner = task_.make_unit_runner(/*shared_model=*/true);
     served.assign(lease.size(), 0);
@@ -367,7 +370,8 @@ void FleetCoordinator::execute() {
                       << conn.lease.end << ") from a "
                       << (death ? "dead" : "departed") << " worker";
     }
-    if (death && worker_deaths != nullptr) worker_deaths->add();
+    // A peer that never joined is no worker: it held no lease to lose.
+    if (death && conn.active && worker_deaths != nullptr) worker_deaths->add();
     conn.sock.close();
   };
 
@@ -376,6 +380,12 @@ void FleetCoordinator::execute() {
     const std::uint8_t raw_kind = r.read_u8();
     if (raw_kind == static_cast<std::uint8_t>(io::JournalFrameKind::kUnit)) {
       const std::size_t unit = static_cast<std::size_t>(r.read_u64());
+      // Only a joined worker computes units, and only those it leased.
+      if (!conn.active || !conn.has_lease || unit < conn.lease.begin ||
+          unit >= conn.lease.end) {
+        if (workers_refused != nullptr) workers_refused->add();
+        throw ParseError("unit frame outside the sender's lease");
+      }
       // The remaining bytes are the task payload, exactly as a local
       // run would journal them.
       if (!progress.store(unit, payload.substr(1 + 8))) {

@@ -6,6 +6,16 @@
 
 namespace alfi::core {
 
+namespace {
+
+/// The one range predicate of the clamp hook, can_replay and skippable:
+/// true when the clamp leaves `v` as it is.
+bool in_range(float v, const RangeBounds& range) {
+  return !(std::isnan(v) || v < range.lo || v > range.hi);
+}
+
+}  // namespace
+
 bool is_activation_layer(const nn::Module& module) {
   const std::string type = module.type();
   return type == "ReLU" || type == "LeakyReLU" || type == "Sigmoid" ||
@@ -67,8 +77,7 @@ Protection::Protection(nn::Module& model, const RangeMap& bounds, MitigationKind
         [this, range, mode](nn::Module&, const Tensor&, Tensor& output) {
           if (!enabled_) return;
           for (float& v : output.data()) {
-            const bool out_of_range = std::isnan(v) || v < range.lo || v > range.hi;
-            if (!out_of_range) continue;
+            if (in_range(v, range)) continue;
             ++corrections_;
             if (mode == MitigationKind::kClipper) {
               v = 0.0f;
@@ -91,12 +100,15 @@ Protection::Protection(nn::Module& model, const RangeMap& bounds, MitigationKind
 }
 
 bool Protection::can_replay(const nn::Module& module, const Tensor& cached) {
-  if (!enabled_) return true;
+  return !enabled_ || skippable(module, cached);
+}
+
+bool Protection::skippable(const nn::Module& module, const Tensor& fault_free_output) {
   const auto it = module_bounds_.find(&module);
   if (it == module_bounds_.end()) return true;  // layer is not range-supervised
   const RangeBounds range = it->second;
-  for (const float v : cached.data()) {
-    if (std::isnan(v) || v < range.lo || v > range.hi) return false;
+  for (const float v : fault_free_output.data()) {
+    if (!in_range(v, range)) return false;
   }
   return true;
 }

@@ -90,9 +90,13 @@ class Protection : public nn::PrefixObserver {
   void reset_corrections() { corrections_ = 0; }
 
   /// PrefixObserver: true iff this protection's hook would leave
-  /// `cached` unchanged (disabled, unprotected layer, or all values
-  /// in range and finite).  Side-effect free.
+  /// `cached` unchanged (disabled, or skippable()).  Side-effect free.
   bool can_replay(const nn::Module& module, const Tensor& cached) override;
+
+  /// PrefixObserver: true iff the clamp leaves `fault_free_output`
+  /// unchanged whether enabled or not — an unprotected layer, or every
+  /// value inside the layer's bounds.  Side-effect free.
+  bool skippable(const nn::Module& module, const Tensor& fault_free_output) override;
 
  private:
   struct Attachment {

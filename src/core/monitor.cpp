@@ -7,6 +7,24 @@
 
 namespace alfi::core {
 
+namespace {
+
+/// True when no element of `output` is NaN or Inf.  The hook runs on
+/// every layer of every inference, so the all-finite common case must
+/// be as cheap as possible: a float is non-finite iff its exponent
+/// field is all ones, and a branchless max-reduction over the masked
+/// exponent bits vectorizes.
+bool all_finite(const Tensor& output) {
+  constexpr std::uint32_t kExpMask = 0x7f800000u;
+  std::uint32_t worst_exp = 0;
+  for (const float v : output.data()) {
+    worst_exp = std::max(worst_exp, std::bit_cast<std::uint32_t>(v) & kExpMask);
+  }
+  return worst_exp != kExpMask;
+}
+
+}  // namespace
+
 ModelMonitor::ModelMonitor(nn::Module& model) {
   model.for_each_module([this](const std::string& path, nn::Module& m) {
     if (!m.children().empty()) return;  // attach to leaf layers only
@@ -23,6 +41,10 @@ void ModelMonitor::on_replay(const nn::Module& module, const Tensor& cached) {
   const auto it = paths_.find(&module);
   if (it == paths_.end()) return;  // not a layer this monitor observes
   observe(it->second, cached);
+}
+
+bool ModelMonitor::skippable(const nn::Module&, const Tensor& fault_free_output) {
+  return custom_.empty() && all_finite(fault_free_output);
 }
 
 ModelMonitor::~ModelMonitor() {
@@ -66,19 +88,12 @@ void ModelMonitor::set_metrics(util::MetricsRegistry* registry) {
 }
 
 void ModelMonitor::observe(const std::string& path, const Tensor& output) {
-  // The hook runs on every layer of every inference, so the all-finite
-  // common case must be as cheap as possible.  A float is non-finite
-  // iff its exponent field is all ones; a branchless max-reduction
-  // over the masked exponent bits vectorizes, and the per-element
-  // NaN-vs-Inf classification only runs when the sweep hits something.
-  constexpr std::uint32_t kExpMask = 0x7f800000u;
-  std::uint32_t worst_exp = 0;
-  for (const float v : output.data()) {
-    worst_exp = std::max(worst_exp, std::bit_cast<std::uint32_t>(v) & kExpMask);
-  }
-  if (worst_exp != kExpMask && custom_.empty()) return;
+  // The per-element NaN-vs-Inf classification only runs when the
+  // exponent sweep hits something.
+  const bool finite = all_finite(output);
+  if (finite && custom_.empty()) return;
 
-  if (worst_exp == kExpMask && slot_count_ > 0) {
+  if (!finite && slot_count_ > 0) {
     // Per-slot mode: classify each packed sample's row independently so
     // flags and counter increments equal those of slot_count_ separate
     // single-sample inferences (one increment per affected slot).
@@ -111,7 +126,7 @@ void ModelMonitor::observe(const std::string& path, const Tensor& output) {
   } else {
     bool any_nan = false;
     bool any_inf = false;
-    if (worst_exp == kExpMask) {
+    if (!finite) {
       for (const float v : output.data()) {
         any_nan |= std::isnan(v);
         any_inf |= std::isinf(v);

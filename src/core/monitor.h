@@ -75,6 +75,11 @@ class ModelMonitor : public nn::PrefixObserver {
   /// PrefixObserver: replays the observation hook for a skipped leaf.
   void on_replay(const nn::Module& module, const Tensor& cached) override;
 
+  /// PrefixObserver: true when observing `fault_free_output` would record
+  /// nothing — no custom monitor is registered and every value is
+  /// finite.
+  bool skippable(const nn::Module& module, const Tensor& fault_free_output) override;
+
  private:
   void observe(const std::string& path, const Tensor& output);
 

@@ -6,8 +6,12 @@
 #include <functional>
 #include <numeric>
 #include <span>
+#include <unordered_map>
+#include <utility>
 
+#include "core/campaign.h"
 #include "io/csv.h"
+#include "nn/layers.h"
 #include "nn/workspace.h"
 #include "util/hash.h"
 #include "util/string_util.h"
@@ -149,6 +153,67 @@ std::string score_unit(std::size_t top_k, const TripleLogits& logits,
   return w.take();
 }
 
+/// What a runner keeps of its images' fault-free passes, so a one-unit
+/// pack can skip its own (DESIGN.md §11.1): per image the logits and, per
+/// cut, the tensor the armed passes start from at that root child.
+/// Bounded by `budget_bytes` of tensor data: inserts stop when it is full
+/// and nothing is evicted — units visit the images in a cycle, so an LRU
+/// smaller than the working set would never hit.
+class FaultFreeCache {
+ public:
+  /// What every runner of one process may keep, together.
+  static constexpr std::size_t kProcessBudgetBytes = std::size_t{4} << 20;
+
+  explicit FaultFreeCache(std::size_t budget_bytes) : budget_bytes_(budget_bytes) {}
+
+  struct Entry {
+    Tensor logits;
+    /// A cut is kept only if its first leaf comes no later than this
+    /// (InferenceWorkspace::first_unskippable_leaf).
+    std::size_t first_unskippable = 0;
+    /// (root child, the tensor it takes as input), one per cut seen.
+    std::vector<std::pair<std::size_t, Tensor>> cuts;
+
+    const Tensor* cut(std::size_t child) const {
+      for (const auto& [c, live] : cuts) {
+        if (c == child) return &live;
+      }
+      return nullptr;
+    }
+  };
+
+  Entry* find(std::size_t image) {
+    const auto it = entries_.find(image);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
+  /// Adds `image`'s entry; nullptr when its logits pass the budget.
+  Entry* insert(std::size_t image, const Tensor& logits, std::size_t first_unskippable) {
+    if (!charge(logits)) return nullptr;
+    return &entries_.emplace(image, Entry{logits, first_unskippable, {}}).first->second;
+  }
+
+  /// Adds the input of root child `child` to `entry`, if it fits.
+  void add_cut(Entry& entry, std::size_t child, const Tensor& live) {
+    if (charge(live)) entry.cuts.emplace_back(child, live);
+  }
+
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  /// Counts `t` against the budget; false (nothing counted) past it.
+  bool charge(const Tensor& t) {
+    const std::size_t bytes = t.numel() * sizeof(float);
+    if (bytes_ + bytes > budget_bytes_) return false;
+    bytes_ += bytes;
+    return true;
+  }
+
+  std::size_t budget_bytes_;
+  std::unordered_map<std::size_t, Entry> entries_;
+  std::size_t bytes_ = 0;
+};
+
 }  // namespace
 
 /// Per-worker unit engine for the classification campaign: one image
@@ -165,7 +230,11 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
         model_(replica_ ? *replica_ : harness.model_),
         stack_(harness.wrapper_, replica_.get(), probe_input(harness.dataset_),
                harness.store_ ? &*harness.store_ : nullptr, harness.bounds_,
-               harness.config_.mitigation, harness.metrics_) {
+               harness.config_.mitigation, harness.metrics_),
+        // The process's runners split its cache budget: a shared-model
+        // runner is the only one, the others are one per --jobs thread.
+        cache_(FaultFreeCache::kProcessBudgetBytes /
+               (shared_model ? 1 : CampaignRunner(harness.config_.jobs).jobs())) {
     if (!h_.config_.workspace) return;
     arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
     if (!h_.config_.diff) return;
@@ -186,6 +255,10 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     diff_rows_skipped_ = &h_.metrics_.counter("campaign.diff.rows_skipped");
     diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
     diff_misses_ = &h_.metrics_.counter("campaign.diff.prefix_misses");
+    golden_hits_ = &h_.metrics_.counter("campaign.diff.golden_hits");
+    golden_bytes_ = &h_.metrics_.gauge("campaign.golden_cache_bytes");
+    // The cut tensors sit at root-child boundaries of a Sequential.
+    root_ = dynamic_cast<nn::Sequential*>(&model_);
   }
 
   /// Unit t = epoch * dataset_size + img runs image `img` under the
@@ -223,9 +296,18 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     // A same-image pack computes the fault-free pass once, batch-1.
     const Tensor orig_input = same_image ? stack_images({images[0]}) : Tensor();
 
+    // A one-unit pack may start from its image's cached fault-free pass
+    // instead; when it cannot, its fresh pass fills the cache.
+    GoldenStart golden;
+    const bool hit = count == 1 && golden_start(addrs[0], packed, golden);
     const TripleLogits logits =
-        triple(same_image ? orig_input : packed, packed, count,
+        triple(same_image ? orig_input : packed, packed, count, hit ? &golden : nullptr,
                [&] { arm_pack(units, addrs, same_image); });
+    if (hit) {
+      golden_hits_->add();
+    } else if (count == 1) {
+      remember(addrs[0], *logits.orig);
+    }
     const std::vector<std::vector<InjectionRecord>> records =
         stack_.injector().split_records_by_slot(slot_units_);
 
@@ -241,9 +323,87 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   }
 
  private:
+  /// A cache hit: the image's fault-free logits, and where its armed
+  /// passes start — at root child `child`, from `live`.
+  struct GoldenStart {
+    const Tensor* logits = nullptr;
+    const Tensor* live = nullptr;
+    std::size_t child = 0;
+  };
+
   std::vector<Fault> group_of(const UnitAddress& addr) const {
     return h_.wrapper_.fault_matrix().slice(
         addr.group_start, h_.wrapper_.get_scenario().max_faults_per_image);
+  }
+
+  /// The earliest leaf unit `addr` arms on row `slot` of a `slots`-row
+  /// pass, kSkipAllLeaves when none of its faults lands (ws_orig_ must
+  /// be planned: the index is its execution order).
+  std::size_t unit_boundary(const UnitAddress& addr, std::size_t slot, std::size_t slots) {
+    unit_faults_.clear();
+    append_unit_faults(h_.wrapper_.get_scenario(), h_.wrapper_.fault_matrix(), addr, slot,
+                       slots, unit_faults_);
+    return diff_prefix_boundary(stack_.injector().profile(), unit_faults_, ws_orig_);
+  }
+
+  /// The last root child whose first leaf comes at or before `boundary`:
+  /// no leaf of an earlier child holds an armed fault.  A unit none of
+  /// whose faults lands (kSkipAllLeaves) cuts at the last root child.
+  std::size_t cut_of(std::size_t boundary) const {
+    std::size_t child = 0;
+    while (child + 1 < child_first_leaf_.size() && child_first_leaf_[child + 1] <= boundary) {
+      ++child;
+    }
+    return child;
+  }
+
+  /// True when the one-unit pack of `addr` on `image` can skip its
+  /// fault-free pass: its image is cached with the cut its boundary
+  /// needs (remember() keeps only cuts no unskippable leaf precedes) and
+  /// the armed workspaces are planned for a batch-1 pass.
+  bool golden_start(const UnitAddress& addr, const Tensor& image, GoldenStart& start) {
+    if (root_ == nullptr) return false;
+    const FaultFreeCache::Entry* entry = cache_.find(addr.img);
+    if (entry == nullptr) return false;
+    start.logits = &entry->logits;
+    start.child = cut_of(unit_boundary(addr, 0, 1));
+    start.live = start.child == 0 ? &image : entry->cut(start.child);
+    return start.live != nullptr && ws_corr_.planned_for(model_, image.shape()) &&
+           (stack_.protection() == nullptr || ws_resil_.planned_for(model_, image.shape()));
+  }
+
+  /// After a one-unit pack's fresh triple: keeps its image's fault-free
+  /// logits and, when every leaf before it is skippable, the input of
+  /// the root child its boundary cuts at, for the image's later epochs —
+  /// unless the fault-free pass set a monitor flag (a hit would lose its
+  /// counts) or this is the image's last epoch (nothing would read it).
+  void remember(const UnitAddress& addr, const Tensor& logits) {
+    if (root_ == nullptr || orig_flagged_ ||
+        addr.epoch + 1 >= h_.wrapper_.get_scenario().num_runs) {
+      return;
+    }
+    if (child_first_leaf_.empty()) {
+      for (const auto& [name, child] : root_->children()) {
+        std::size_t first = nn::InferenceWorkspace::kSkipAllLeaves;
+        child->for_each_module([&](const std::string&, nn::Module& m) {
+          const std::optional<std::size_t> index = ws_orig_.leaf_exec_index(m);
+          if (m.children().empty() && index.has_value()) first = std::min(first, *index);
+        });
+        child_first_leaf_.push_back(first);
+      }
+    }
+    FaultFreeCache::Entry* entry = cache_.find(addr.img);
+    if (entry == nullptr) {
+      // ws_corr_ and ws_resil_ share their observers.
+      entry = cache_.insert(addr.img, logits, ws_corr_.first_unskippable_leaf(ws_orig_));
+      if (entry == nullptr) return;
+    }
+    const std::size_t child = cut_of(row_boundaries_.front());
+    if (child > 0 && child_first_leaf_[child] <= entry->first_unskippable &&
+        entry->cut(child) == nullptr) {
+      cache_.add_cut(*entry, child, *ws_orig_.root_child_output(child - 1));
+    }
+    golden_bytes_->set_max(static_cast<double>(cache_.bytes()));
   }
 
   /// Arms the pack's faults, unit by unit on its own batch slot, and
@@ -263,13 +423,8 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     Injector& injector = stack_.injector();
 
     std::vector<std::size_t> boundary(count, 0);
-    std::vector<Fault> armed;
     if (diff_) {
-      for (std::size_t i = 0; i < count; ++i) {
-        armed.clear();
-        append_unit_faults(scenario, matrix, addrs[i], i, count, armed);
-        boundary[i] = diff_prefix_boundary(injector.profile(), armed, ws_orig_);
-      }
+      for (std::size_t i = 0; i < count; ++i) boundary[i] = unit_boundary(addrs[i], i, count);
     }
     std::vector<std::size_t> order(count);
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -280,7 +435,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     }
     const std::size_t smallest = *std::min_element(boundary.begin(), boundary.end());
 
-    armed.clear();
+    std::vector<Fault> armed;
     slot_of_.resize(count);
     slot_units_.resize(count);
     row_boundaries_.resize(count);
@@ -300,13 +455,16 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   /// under the fault set `arm` installs.  A same-image pack passes its
   /// batch-1 image as `orig_images`, so one shared fault-free pass
   /// serves every slot (the broadcast prefix replay, DESIGN.md §12);
-  /// everywhere else the two hold the same images.  due_[s] holds slot
-  /// s's DUE verdict, read right after the corrupted pass, before the
-  /// hardened pass can add detections of its own.  A one-unit pack
-  /// monitors whole-tensor: it is the reference every larger pack's
-  /// per-slot verdicts must match.
+  /// everywhere else the two hold the same images.  A cache hit
+  /// (`golden`, one-unit packs only) skips the fault-free pass and starts
+  /// the armed passes where it says.  due_[s] holds slot s's DUE
+  /// verdict, read right after the corrupted pass, before the hardened
+  /// pass can add detections of its own.  A one-unit pack monitors
+  /// whole-tensor: it is the reference every larger pack's per-slot
+  /// verdicts must match.
   TripleLogits triple(const Tensor& orig_images, const Tensor& faulty_images,
-                      std::size_t count, const std::function<void()>& arm) {
+                      std::size_t count, const GoldenStart* golden,
+                      const std::function<void()>& arm) {
     Injector& injector = stack_.injector();
     ModelMonitor& monitor = stack_.monitor();
     Protection* protection = stack_.protection();
@@ -316,12 +474,16 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     // The fault-free pass observes whole-tensor — a same-image pack runs
     // it batch-1; per-slot monitoring only matters for the armed passes.
     monitor.set_slot_count(0);
-    if (h_.config_.workspace) {
+    monitor.reset();
+    if (golden != nullptr) {
+      out.orig = golden->logits;
+    } else if (h_.config_.workspace) {
       out.orig = &ws_orig_.run(model_, orig_images);
     } else {
       orig_hold_ = model_.forward(orig_images);
       out.orig = &orig_hold_;
     }
+    orig_flagged_ = monitor.due_detected();
 
     arm();
     const std::size_t slots = count > 1 ? count : 0;
@@ -329,14 +491,14 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     monitor.reset();
     // The armed set is fixed for both remaining passes, so the same row
     // boundaries serve corr and resil alike.
-    out.corr = armed_pass(faulty_images, ws_corr_, corr_hold_);
+    out.corr = armed_pass(faulty_images, ws_corr_, corr_hold_, golden);
     due_.assign(count, 0);
     for (std::size_t s = 0; s < count; ++s) {
       due_[s] = (slots == 0 ? monitor.due_detected() : monitor.slot_due(s)) ? 1 : 0;
     }
     if (protection != nullptr) {
       protection->set_enabled(true);
-      out.resil = armed_pass(faulty_images, ws_resil_, resil_hold_);
+      out.resil = armed_pass(faulty_images, ws_resil_, resil_hold_, golden);
       protection->set_enabled(false);
     }
     injector.disarm();
@@ -350,19 +512,30 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   }
 
   /// One armed pass: through `ws`, each row replaying the fault-free
-  /// prefix up to its row_boundaries_ entry (diff on), or (workspace
-  /// off) the allocating forward into `hold`.
+  /// prefix up to its row_boundaries_ entry (diff on), from a cache
+  /// hit's start (`golden`), or (workspace off) the allocating forward
+  /// into `hold`.  A hit's pass counts the leaves before its cut as
+  /// skipped.
   const Tensor* armed_pass(const Tensor& images, nn::InferenceWorkspace& ws,
-                           Tensor& hold) {
+                           Tensor& hold, const GoldenStart* golden) {
     if (!h_.config_.workspace) {
       hold = model_.forward(images);
       return &hold;
     }
-    if (diff_) ws.set_prefix_row_boundaries(row_boundaries_);
-    const Tensor* out = &ws.run(model_, images);
+    const Tensor* out = nullptr;
+    std::size_t layers = 0;
+    std::size_t rows = 0;
+    if (golden != nullptr) {
+      out = &ws.run_from_child(model_, golden->child, *golden->live);
+      layers = rows = child_first_leaf_[golden->child];
+    } else {
+      if (diff_) ws.set_prefix_row_boundaries(row_boundaries_);
+      out = &ws.run(model_, images);
+      layers = ws.prefix_reused_last_run();
+      rows = ws.prefix_rows_reused_last_run();
+    }
     if (diff_) {
-      const std::size_t rows = ws.prefix_rows_reused_last_run();
-      diff_skipped_->add(ws.prefix_reused_last_run());
+      diff_skipped_->add(layers);
       diff_rows_skipped_->add(rows);
       (rows > 0 ? diff_hits_ : diff_misses_)->add();
     }
@@ -388,6 +561,15 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   util::Counter* diff_rows_skipped_ = nullptr;  // campaign.diff.rows_skipped
   util::Counter* diff_hits_ = nullptr;     // passes that replayed >= 1 row-leaf
   util::Counter* diff_misses_ = nullptr;   // passes that fully recomputed
+  // The fault-free cache (diff on, Sequential root): hits skip the
+  // fault-free pass of a one-unit pack.
+  nn::Sequential* root_ = nullptr;  // model_, when a Sequential; else no cache
+  FaultFreeCache cache_;
+  std::vector<std::size_t> child_first_leaf_;  // per root child, ws_orig_ order
+  std::vector<Fault> unit_faults_;             // unit_boundary() scratch
+  bool orig_flagged_ = false;  // the latest fault-free pass set a monitor flag
+  util::Counter* golden_hits_ = nullptr;  // campaign.diff.golden_hits
+  util::Gauge* golden_bytes_ = nullptr;   // campaign.golden_cache_bytes (max)
 };
 
 TestErrorModelsImgClass::TestErrorModelsImgClass(

@@ -971,20 +971,35 @@ Tensor& Dropout::compute_ws(const Tensor& input, InferenceWorkspace& ws) {
   return out;
 }
 
-Tensor& Sequential::compute_ws(const Tensor& input, InferenceWorkspace& ws) {
+Tensor* Sequential::run_children_ws(std::size_t first, const Tensor& input,
+                                    InferenceWorkspace& ws) {
+  const bool root = ws.is_root(*this);
   Tensor* value = nullptr;
   const Tensor* current = &input;
-  for (const auto& [name, child] : children()) {
-    (void)name;
-    value = &child->forward_ws(*current, ws);
+  for (std::size_t i = first; i < size(); ++i) {
+    value = &children()[i].second->forward_ws(*current, ws);
+    if (root) ws.record_root_child(i, *current, *value);
     current = value;
   }
+  return value;
+}
+
+Tensor& Sequential::compute_ws(const Tensor& input, InferenceWorkspace& ws) {
+  Tensor* value = run_children_ws(0, input, ws);
   if (value == nullptr) {  // empty container: identity through a slot
     Tensor& out = ws.slot(*this, [&] { return input.shape(); });
     out.copy_from(input);
     return out;
   }
   return *value;
+}
+
+Tensor& Sequential::forward_ws_from_child(std::size_t first, const Tensor& live,
+                                          InferenceWorkspace& ws) {
+  ALFI_CHECK(first < size(), "no child to start the pass from");
+  Tensor& out = *run_children_ws(first, live, ws);
+  run_forward_hooks(live, out);
+  return out;
 }
 
 Tensor& Residual::compute_ws(const Tensor& input, InferenceWorkspace& ws) {

@@ -300,9 +300,24 @@ class Sequential : public Module {
 
   std::size_t size() const { return children().size(); }
 
+  /// Workspace pass of children [first, size()) on `live`, then this
+  /// container's own hooks (which see `live` as their input).  The
+  /// entry point is InferenceWorkspace::run_from_child, which checks
+  /// the plan first.
+  Tensor& forward_ws_from_child(std::size_t first, const Tensor& live,
+                                InferenceWorkspace& ws);
+
  protected:
   Tensor compute(const Tensor& input) override;
   Tensor& compute_ws(const Tensor& input, InferenceWorkspace& ws) override;
+
+ private:
+  /// The one child loop of compute_ws and forward_ws_from_child: runs
+  /// children [first, size()) and returns the last one's output (null
+  /// when none ran).  As the workspace root it reports every child's
+  /// input and output to the workspace (record_root_child).
+  Tensor* run_children_ws(std::size_t first, const Tensor& input,
+                          InferenceWorkspace& ws);
 };
 
 /// Residual block: output = relu(main(x) + shortcut(x)).

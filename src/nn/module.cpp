@@ -33,11 +33,15 @@ TargetInventory Module::target_inventory() {
 
 Tensor Module::forward(const Tensor& input) {
   Tensor output = compute(input);
+  run_forward_hooks(input, output);
+  return output;
+}
+
+void Module::run_forward_hooks(const Tensor& input, Tensor& output) {
   for (auto& [handle, hook] : hooks_) {
     (void)handle;
     hook(*this, input, output);
   }
-  return output;
 }
 
 Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
@@ -60,10 +64,7 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
         // slot and run the real hooks on it.
         Tensor& slot = ws.slot(*this, [&] { return cached->shape(); });
         if (&slot != cached) slot.copy_from(*cached);
-        for (auto& [handle, hook] : hooks_) {
-          (void)handle;
-          hook(*this, input, slot);
-        }
+        run_forward_hooks(input, slot);
         return slot;
       }
       case InferenceWorkspace::PrefixAction::kBroadcast: {
@@ -97,10 +98,7 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
         for (std::size_t r = computing; r < rows; ++r) {
           std::copy(row.begin(), row.end(), out.begin() + r * row.size());
         }
-        for (auto& [handle, hook] : hooks_) {
-          (void)handle;
-          hook(*this, input, slot);
-        }
+        run_forward_hooks(input, slot);
         return slot;
       }
       case InferenceWorkspace::PrefixAction::kCompute:
@@ -108,10 +106,7 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
     }
   }
   Tensor& output = compute_ws(input, ws);
-  for (auto& [handle, hook] : hooks_) {
-    (void)handle;
-    hook(*this, input, output);
-  }
+  run_forward_hooks(input, output);
   return output;
 }
 

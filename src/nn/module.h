@@ -235,6 +235,9 @@ class Module {
   /// the slot.
   virtual Tensor& compute_ws(const Tensor& input, InferenceWorkspace& ws);
 
+  /// Runs the registered forward hooks on `output`, in registration order.
+  void run_forward_hooks(const Tensor& input, Tensor& output);
+
   /// Registers a parameter owned by this module; returns a stable pointer.
   Parameter* register_parameter(std::string name, Tensor value);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "nn/layers.h"
 #include "nn/module.h"
 
 namespace alfi::nn {
@@ -84,6 +85,27 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
   return out;
 }
 
+Tensor& InferenceWorkspace::run_from_child(Module& root, std::size_t child,
+                                           const Tensor& live) {
+  auto* seq = dynamic_cast<Sequential*>(&root);
+  ALFI_CHECK(seq != nullptr, "run_from_child needs a Sequential root");
+  ALFI_CHECK(!root.training(), "InferenceWorkspace requires eval mode");
+  ALFI_CHECK(planned() && root_ == &root,
+             "run_from_child needs a workspace run() planned for this root");
+  ALFI_CHECK(child < root_child_inputs_.size(), "run_from_child: no such root child");
+  ALFI_CHECK(live.shape() == root_child_inputs_[child],
+             "run_from_child: the live tensor's shape differs from the planned pass");
+  // Nothing replays: a boundary armed for the next run() is consumed.
+  armed_rows_.clear();
+  run_rows_.clear();
+  row_module_ = nullptr;
+  prefix_active_ = false;
+  prefix_broadcast_ = false;
+  prefix_reused_last_run_ = 0;
+  prefix_rows_reused_last_run_ = 0;
+  return seq->forward_ws_from_child(child, live, *this);
+}
+
 void InferenceWorkspace::set_prefix_row_boundaries(
     std::span<const std::size_t> boundaries) {
   ALFI_CHECK(std::is_sorted(boundaries.begin(), boundaries.end()),
@@ -106,7 +128,10 @@ void InferenceWorkspace::invalidate() {
   root_ = nullptr;
   input_shape_ = Shape();
   leaf_exec_.clear();
+  leaf_order_.clear();
   exec_valid_ = true;
+  root_child_inputs_.clear();
+  root_child_outputs_.clear();
   prefix_active_ = false;
 }
 
@@ -127,7 +152,33 @@ std::optional<std::size_t> InferenceWorkspace::leaf_exec_index(const Module& m) 
 void InferenceWorkspace::record_leaf(const Module& m) {
   if (!leaf_exec_.emplace(&m, leaf_exec_.size()).second) {
     exec_valid_ = false;  // leaf ran twice: execution index is ambiguous
+    return;
   }
+  leaf_order_.push_back(&m);
+}
+
+void InferenceWorkspace::record_root_child(std::size_t index, const Tensor& input,
+                                           const Tensor& output) {
+  if (recording_exec_) {
+    root_child_inputs_.push_back(input.shape());
+    root_child_outputs_.push_back(&output);
+  } else if (index < root_child_outputs_.size()) {
+    root_child_outputs_[index] = &output;
+  }
+}
+
+std::size_t InferenceWorkspace::first_unskippable_leaf(
+    const InferenceWorkspace& baseline) const {
+  if (!baseline.planned() || !baseline.exec_valid_) return 0;
+  for (std::size_t index = 0; index < baseline.leaf_order_.size(); ++index) {
+    const Module& leaf = *baseline.leaf_order_[index];
+    const auto it = baseline.slots_.find(&leaf);
+    if (it == baseline.slots_.end()) return index;  // no planned output to vouch for
+    for (PrefixObserver* observer : prefix_observers_) {
+      if (!observer->skippable(leaf, it->second)) return index;
+    }
+  }
+  return baseline.leaf_order_.size();
 }
 
 InferenceWorkspace::RowViews& InferenceWorkspace::row_views(const Module& m,

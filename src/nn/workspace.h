@@ -38,6 +38,12 @@
 // contract — every row of the pass input must equal the baseline's row
 // — so the caller must promise it; a mismatched baseline otherwise
 // degrades to full recompute as usual.
+//
+// Root-child start (DESIGN.md §11.1): when the root is a Sequential, a
+// pass records the tensor each root child returned, and
+// run_from_child(root, c, live) runs only children [c, end) from such
+// a tensor — how the classification runner reuses one image's cached
+// fault-free pass across its epochs.
 #pragma once
 
 #include <optional>
@@ -80,6 +86,19 @@ class PrefixObserver {
   virtual void on_replay(const Module& module, const Tensor& cached) {
     (void)module;
     (void)cached;
+  }
+
+  /// Asked ahead of an armed pass about a leaf's fault-free output:
+  /// true when this component's hooks on `module` would leave
+  /// `fault_free_output` unchanged and record nothing in ANY pass —
+  /// armed or not — so a pass that starts after `module`
+  /// (InferenceWorkspace::run_from_child) may drop them without a
+  /// replay.  The default, false, keeps every leaf in the pass.  Must be
+  /// side-effect free.
+  virtual bool skippable(const Module& module, const Tensor& fault_free_output) {
+    (void)module;
+    (void)fault_free_output;
+    return false;
   }
 };
 
@@ -141,10 +160,38 @@ class InferenceWorkspace {
     return aux_slots_.emplace(key, arena_.make(make_shape())).first->second;
   }
 
+  /// Root-child start (DESIGN.md §11.1): runs children [child, end) of
+  /// the Sequential `root` on `live` — the tensor root child `child`
+  /// takes as input, e.g. one recorded by an earlier full pass
+  /// (root_child_output) — then the root's own hooks, which see `live`
+  /// as their input.  Leaves before `child` neither run nor replay, so
+  /// the caller must know their hooks to be no-ops
+  /// (PrefixObserver::skippable).  Needs a workspace that run() planned
+  /// for this root and input shape, and `live` shaped like that pass's
+  /// input of the child.  Consumes any armed prefix boundary (nothing is
+  /// replayed) and allocates nothing.  Throws Error on an unplanned
+  /// workspace, another root, a non-Sequential root, a child index past
+  /// the end or a mismatched `live`.
+  Tensor& run_from_child(Module& root, std::size_t child, const Tensor& live);
+
   /// Drops every slot and rewinds the arena; the next run() replans.
   void invalidate();
 
   bool planned() const { return !slots_.empty(); }
+
+  /// True when run() planned this workspace for `root` on inputs of
+  /// `input_shape` (so run_from_child may start a pass of it).
+  bool planned_for(const Module& root, const Shape& input_shape) const {
+    return planned() && root_ == &root && input_shape_ == input_shape;
+  }
+
+  /// The tensor root child `child` returned in this workspace's latest
+  /// pass of a Sequential root — its own slot, or a prefix baseline's
+  /// slot it replayed — valid until either workspace runs again; nullptr
+  /// past the root's children or before planning.
+  const Tensor* root_child_output(std::size_t child) const {
+    return child < root_child_outputs_.size() ? root_child_outputs_[child] : nullptr;
+  }
 
   /// Peak arena footprint in bytes — the fixed preallocation one model
   /// pass needs (exported to the campaign metrics registry).
@@ -205,6 +252,14 @@ class InferenceWorkspace {
   /// Leaves executed by one planned pass (0 before planning).
   std::size_t leaf_count() const { return leaf_exec_.size(); }
 
+  /// Asks this workspace's observers, in execution order, whether each
+  /// of `baseline`'s planned leaf outputs is skippable
+  /// (PrefixObserver::skippable), and returns the execution index of the
+  /// first leaf some observer keeps: baseline.leaf_count() when every
+  /// leaf is skippable, 0 when the baseline is unplanned or its leaf
+  /// order ambiguous.
+  std::size_t first_unskippable_leaf(const InferenceWorkspace& baseline) const;
+
   /// Leaves replayed from the baseline during the most recent run():
   /// leaves no row of the pass computed.
   std::size_t prefix_reused_last_run() const { return prefix_reused_last_run_; }
@@ -220,6 +275,12 @@ class InferenceWorkspace {
 
   bool recording_exec() const { return recording_exec_; }
   void record_leaf(const Module& m);
+
+  /// The root Sequential's child loop reports each child's input and
+  /// output here (the planning pass keeps the input shapes, every pass
+  /// the outputs).
+  bool is_root(const Module& m) const { return &m == root_; }
+  void record_root_child(std::size_t index, const Tensor& input, const Tensor& output);
 
   /// Decides the fate of the next leaf in execution order.  On kSkip,
   /// kMaterialize and kBroadcast, `*cached` points at the baseline's
@@ -269,7 +330,12 @@ class InferenceWorkspace {
   // drops to false if a leaf runs twice in one pass (shared module —
   // the cursor-based prefix would misattribute it, so never activate).
   std::unordered_map<const Module*, std::size_t> leaf_exec_;
+  std::vector<const Module*> leaf_order_;  // the same leaves, by index
   bool exec_valid_ = true;
+  // Root-child boundaries of a Sequential root: each child's input shape
+  // (planning pass) and the tensor it returned (latest pass).
+  std::vector<Shape> root_child_inputs_;
+  std::vector<const Tensor*> root_child_outputs_;
   bool recording_exec_ = false;
   const InferenceWorkspace* prefix_baseline_ = nullptr;
   std::vector<PrefixObserver*> prefix_observers_;

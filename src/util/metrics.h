@@ -44,10 +44,18 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written scalar (throughput, ratios).  set() is a relaxed store.
+/// Last-written scalar (throughput, ratios).  set() is a relaxed store,
+/// set_max() a relaxed compare-exchange loop.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
+  /// Raises the value to `v` when larger: the maximum over every writer.
+  void set_max(double v) {
+    double current = value_.load(std::memory_order_relaxed);
+    while (v > current &&
+           !value_.compare_exchange_weak(current, v, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

@@ -208,6 +208,35 @@ TEST(AllocRegression, SameImagePackPassesAreHeapFree) {
   EXPECT_GT(pack.prefix_rows_reused_last_run(), 0u);
 }
 
+TEST(AllocRegression, RootChildStartIsHeapFree) {
+  // The fault-free cache's hit path (DESIGN.md §11.1): full passes
+  // alternating with starts at three root children, each from a tensor
+  // a full pass recorded, stay heap-free once planned.
+  auto net = models::make_mini_alexnet();
+  Rng rng(17);
+  kaiming_init(*net, rng);
+  const Tensor input = probe_image(1);
+  InferenceWorkspace base;
+  InferenceWorkspace ws;
+  base.run(*net, input);
+  const std::vector<std::pair<std::size_t, Tensor>> starts = {
+      {0, input}, {3, *base.root_child_output(2)}, {10, *base.root_child_output(9)}};
+  const auto alternate = [&] {
+    volatile float sink = ws.run(*net, input).flat(0);
+    for (const auto& [child, live] : starts) {
+      sink = sink + ws.run_from_child(*net, child, live).flat(0);
+    }
+    (void)sink;
+  };
+  alternate();  // planning pass
+  alternate();  // warmup
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (int i = 0; i < 8; ++i) alternate();
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+}
+
 /// Writes `length` as a u64 length prefix followed by zero bytes up to
 /// `file_size` bytes, then reads it back with `read`.  Returns the
 /// largest heap request the read made.

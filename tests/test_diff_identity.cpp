@@ -35,10 +35,12 @@ std::string file_bytes(const std::string& path) {
 /// Counter section of metrics.json with the diff-only bookkeeping
 /// removed, plus the skip counter itself so tests can assert the diff
 /// path actually engaged (identity alone would also hold for a diff
-/// implementation that never skipped anything).
+/// implementation that never skipped anything), and the fault-free
+/// cache's hits, which skip leaves as well.
 struct CounterView {
   std::string comparable_json;
   std::int64_t layers_skipped = 0;
+  std::int64_t golden_hits = 0;
 };
 
 CounterView read_counters(const std::string& metrics_path) {
@@ -46,10 +48,8 @@ CounterView read_counters(const std::string& metrics_path) {
   const io::Json counters = io::read_json_file(metrics_path).at("counters");
   io::Json filtered = io::Json::object();
   for (const auto& [key, value] : counters.as_object()) {
-    if (key == "campaign.diff.layers_skipped") {
-      view.layers_skipped = value.as_int();
-      continue;
-    }
+    if (key == "campaign.diff.layers_skipped") view.layers_skipped = value.as_int();
+    if (key == "campaign.diff.golden_hits") view.golden_hits = value.as_int();
     if (key.starts_with("campaign.diff.")) continue;
     filtered.as_object()[key] = value;
   }
@@ -81,7 +81,7 @@ class DiffIdentity : public ::testing::Test {
     model_.reset();
   }
 
-  static Scenario scenario(FaultTarget target) {
+  static Scenario scenario(FaultTarget target, std::size_t num_runs) {
     Scenario s;
     s.target = target;
     s.value_type = ValueType::kBitFlip;
@@ -89,7 +89,7 @@ class DiffIdentity : public ::testing::Test {
     s.rnd_bit_range_hi = 30;
     s.inj_policy = InjectionPolicy::kPerImage;
     s.dataset_size = 12;
-    s.num_runs = 2;
+    s.num_runs = num_runs;
     s.max_faults_per_image = 2;
     s.batch_size = 8;
     s.rnd_seed = 4242;
@@ -98,7 +98,8 @@ class DiffIdentity : public ::testing::Test {
 
   ImgRun run_campaign(bool diff, std::size_t jobs, const std::string& dir,
                       FaultTarget target,
-                      std::optional<MitigationKind> mitigation, bool journal) {
+                      std::optional<MitigationKind> mitigation, bool journal,
+                      std::size_t num_runs = 2) {
     ImgClassCampaignConfig config;
     config.model_name = "alexnet";
     config.output_dir = dir;
@@ -110,7 +111,7 @@ class DiffIdentity : public ::testing::Test {
     if (journal) {
       config.checkpoint_dir = dir + "/ckpt";
     }
-    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(target),
+    TestErrorModelsImgClass harness(*model_, *dataset_, scenario(target, num_runs),
                                     config);
     ImgRun run;
     run.result = harness.run();
@@ -145,6 +146,18 @@ class DiffIdentity : public ::testing::Test {
     EXPECT_EQ(full.counters.layers_skipped, 0);
   }
 
+  /// A serial run serves its second epoch from the fault-free cache,
+  /// whose hits count skipped leaves too, so leaf replay is checked on
+  /// its own: one epoch caches nothing (an image's last epoch inserts
+  /// no entry), so every leaf it skips was replayed.
+  void expect_leaf_replay(FaultTarget target, std::optional<MitigationKind> mitigation) {
+    test::TempDir dir("diffid_replay");
+    const auto run = run_campaign(true, 1, dir.str(), target, mitigation,
+                                  /*journal=*/false, /*num_runs=*/1);
+    EXPECT_EQ(run.counters.golden_hits, 0);
+    EXPECT_GT(run.counters.layers_skipped, 0);
+  }
+
   static data::SyntheticShapesClassification* dataset_;
   static std::shared_ptr<nn::Sequential> model_;
 };
@@ -162,6 +175,7 @@ TEST_F(DiffIdentity, SerialNeuronCampaignMatchesFullRecompute) {
                                  /*journal=*/true);
   EXPECT_EQ(diff.result.kpis.total, 24u);  // 12 images * 2 runs
   expect_identical(diff, full);
+  expect_leaf_replay(FaultTarget::kNeurons, std::nullopt);
 }
 
 TEST_F(DiffIdentity, ParallelNeuronCampaignMatchesFullRecompute) {
@@ -187,6 +201,7 @@ TEST_F(DiffIdentity, MitigatedWeightCampaignMatchesFullRecompute) {
                                  FaultTarget::kWeights, MitigationKind::kRanger,
                                  /*journal=*/true);
   expect_identical(diff, full);
+  expect_leaf_replay(FaultTarget::kWeights, MitigationKind::kRanger);
 }
 
 TEST_F(DiffIdentity, DiffParallelMatchesFullRecomputeSerial) {

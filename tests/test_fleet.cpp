@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -417,6 +418,111 @@ TEST_F(FleetImgClass, RemoteWorkerCompletesCampaign) {
   expect_identical(serial, fleet);
   expect_identical_journals(ref_ckp.str(), ckp_dir.str());
   EXPECT_EQ(counter_value(coordinator.metrics(), "fleet.workers_joined"), 1u);
+}
+
+TEST_F(FleetImgClass, UnitFrameBeforeHandshakeIsRefused) {
+  test::TempDir ref_dir("junk_ref");
+  test::TempDir ref_ckp("junk_ref_ckp");
+  test::TempDir out_dir("junk_out");
+  test::TempDir ckp_dir("junk_ckp");
+  const auto serial = reference(ref_dir.str(), ref_ckp.str());
+
+  auto c = config(out_dir.str());
+  c.checkpoint_dir = ckp_dir.str();
+  c.fleet.coordinator = true;
+  std::promise<std::uint16_t> port_promise;
+  c.fleet.on_listen = [&](std::uint16_t port) { port_promise.set_value(port); };
+
+  ImgClassCampaignResult fleet;
+  std::string coordinator_error;
+  TestErrorModelsImgClass coordinator(*model_, *dataset_, scenario(), c);
+  std::thread coordinator_thread([&] {
+    try {
+      fleet = coordinator.run();
+    } catch (const std::exception& e) {
+      coordinator_error = e.what();
+    }
+  });
+  const std::uint16_t port = port_promise.get_future().get();
+
+  // A peer that never said hello ships a junk result for unit 0.
+  io::Socket junk = io::connect_tcp("127.0.0.1", port);
+  io::ByteWriter frame;
+  frame.write_u8(static_cast<std::uint8_t>(io::JournalFrameKind::kUnit));
+  frame.write_u64(0);
+  frame.write_bytes("junk");
+  io::send_frame(junk, frame.take());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // Then a real worker runs the whole campaign.
+  std::string worker_error;
+  try {
+    data::SyntheticShapesClassification worker_data(
+        {.size = 32, .num_classes = 10, .seed = 17});
+    auto worker_model = models::make_mini_alexnet();
+    Rng rng(17);
+    nn::kaiming_init(*worker_model, rng);
+    auto wc = config("");
+    wc.fleet.connect = "127.0.0.1:" + std::to_string(port);
+    TestErrorModelsImgClass worker(*worker_model, worker_data, scenario(), wc);
+    worker.run();
+  } catch (const std::exception& e) {
+    worker_error = e.what();
+  }
+  coordinator_thread.join();
+
+  EXPECT_EQ(worker_error, "");
+  ASSERT_EQ(coordinator_error, "");
+  expect_identical(serial, fleet);
+  expect_identical_journals(ref_ckp.str(), ckp_dir.str());
+  EXPECT_EQ(counter_value(coordinator.metrics(), "fleet.workers_refused"), 1u);
+  EXPECT_EQ(counter_value(coordinator.metrics(), "fleet.workers_joined"), 1u);
+  EXPECT_EQ(counter_value(coordinator.metrics(), "fleet.worker_deaths"), 0u);
+  char byte = 0;
+  EXPECT_EQ(junk.recv_some(&byte, 1), 0u);  // the coordinator dropped it
+}
+
+TEST_F(FleetImgClass, MalformedLeaseGrantThrowsParseError) {
+  // A worker refuses an empty lease, a reversed one and one past the
+  // campaign's 24 units before it sizes any per-lease state.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> grants = {
+      {5, 5}, {6, 2}, {20, 25}, {0, ~std::uint64_t{0}}};
+  for (const auto& [begin, end] : grants) {
+    io::Listener listener(0);
+    std::string error;
+    std::thread worker_thread([&] {
+      auto wc = config("");
+      wc.fleet.connect = "127.0.0.1:" + std::to_string(listener.port());
+      TestErrorModelsImgClass worker(*model_, *dataset_, scenario(), wc);
+      try {
+        worker.run();
+        error = "none";
+      } catch (const ParseError&) {
+        error = "ParseError";
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    });
+    // Play the coordinator: welcome the worker, answer its lease
+    // request with the malformed grant, then hang up.
+    io::Socket sock = listener.accept_connection();
+    io::FrameDecoder decoder;
+    recv_one(sock, decoder);  // kHello
+    io::ByteWriter welcome;
+    welcome.write_u8(static_cast<std::uint8_t>(FleetMsgKind::kWelcome));
+    welcome.write_u64(1);
+    welcome.write_f64(50.0);
+    io::send_frame(sock, welcome.take());
+    recv_one(sock, decoder);  // kLeaseRequest
+    io::ByteWriter grant;
+    grant.write_u8(static_cast<std::uint8_t>(FleetMsgKind::kLeaseGrant));
+    grant.write_u64(begin);
+    grant.write_u64(end);
+    io::send_frame(sock, grant.take());
+    sock.close();
+    worker_thread.join();
+    EXPECT_EQ(error, "ParseError") << "lease [" << begin << ", " << end << ")";
+  }
 }
 
 TEST_F(FleetImgClass, HandshakeRefusesForeignCampaign) {

@@ -519,5 +519,78 @@ TEST_F(DifferentialPrefix, SuffixHooksStillFireUnderAnArmedPrefix) {
   suffix_leaf->remove_forward_hook(handle);
 }
 
+TEST_F(DifferentialPrefix, RootChildStartMatchesFullPass) {
+  // A start at root child c from the tensor a fault-free pass fed it is
+  // that pass's suffix: bit-identical logits, and no hook of a leaf
+  // before c runs.  MiniResNet nests Residual blocks under its root,
+  // MiniTransformer feeds token ids through blocks of several leaves.
+  const data::SyntheticSequenceClassification sequences({.size = 2, .seed = 17});
+  const Tensor tokens = sequences.get(0).image;
+  Tensor sequence(Shape{1, tokens.numel()});
+  std::copy(tokens.data().begin(), tokens.data().end(), sequence.data().begin());
+  const std::vector<std::pair<std::shared_ptr<Sequential>, Tensor>> cases = {
+      {models::make_mini_resnet(), probe_image(1)},
+      {models::make_mini_transformer({}), sequence},
+  };
+  for (const auto& [net, input] : cases) {
+    Rng rng(17);
+    kaiming_init(*net, rng);
+    InferenceWorkspace full;
+    const Tensor expected = full.run(*net, input);
+
+    // Count the hook calls of every leaf, by the root child it sits in.
+    std::vector<std::size_t> calls(net->size(), 0);
+    std::vector<std::pair<Module*, HookHandle>> handles;
+    for (std::size_t c = 0; c < net->size(); ++c) {
+      net->children()[c].second->for_each_module([&](const std::string&, Module& m) {
+        if (!m.children().empty()) return;
+        handles.emplace_back(&m, m.register_forward_hook(
+                                     [&calls, c](Module&, const Tensor&, Tensor&) {
+                                       ++calls[c];
+                                     }));
+      });
+    }
+    std::size_t root_calls = 0;
+    const HookHandle root_handle = net->register_forward_hook(
+        [&root_calls](Module&, const Tensor&, Tensor&) { ++root_calls; });
+
+    InferenceWorkspace ws;
+    ws.set_prefix_baseline(&full);  // a leaked boundary would replay from it
+    ws.run(*net, input);
+    for (std::size_t c = 0; c < net->size(); ++c) {
+      const Tensor live = c == 0 ? input : *full.root_child_output(c - 1);
+      std::fill(calls.begin(), calls.end(), std::size_t{0});
+      root_calls = 0;
+      ws.set_prefix_boundary(InferenceWorkspace::kSkipAllLeaves);  // consumed, not used
+      expect_bitwise_equal(ws.run_from_child(*net, c, live), expected);
+      EXPECT_EQ(ws.prefix_reused_last_run(), 0u);
+      EXPECT_EQ(root_calls, 1u) << c;
+      for (std::size_t before = 0; before < c; ++before) {
+        EXPECT_EQ(calls[before], 0u) << "child " << before << " ran for a start at " << c;
+      }
+      EXPECT_GT(calls[c], 0u) << c;
+      // The boundary armed before the start did not outlive it.
+      expect_bitwise_equal(ws.run(*net, input), expected);
+      EXPECT_EQ(ws.prefix_reused_last_run(), 0u);
+    }
+    for (const auto& [m, handle] : handles) m->remove_forward_hook(handle);
+    net->remove_forward_hook(root_handle);
+
+    // An unplanned workspace, a child past the end and a live tensor of
+    // the wrong shape are refused.
+    InferenceWorkspace unplanned;
+    EXPECT_THROW(unplanned.run_from_child(*net, 0, input), Error);
+    EXPECT_THROW(ws.run_from_child(*net, net->size(), input), Error);
+    EXPECT_THROW(ws.run_from_child(*net, 1, Tensor(Shape{1, 1})), Error);
+  }
+
+  // A non-Sequential root has no root children to start from.
+  auto leaf = std::make_shared<Conv2d>(3, 4, 3, 1, 1);
+  const Tensor image = probe_image(1);
+  InferenceWorkspace leaf_ws;
+  leaf_ws.run(*leaf, image);
+  EXPECT_THROW(leaf_ws.run_from_child(*leaf, 0, image), Error);
+}
+
 }  // namespace
 }  // namespace alfi::nn

@@ -128,8 +128,9 @@ void apply_telemetry_flags(core::CampaignConfigBase& config, const Args& args) {
 /// --no-workspace: fall back to the allocating forward() path instead
 /// of arena-backed workspace inference (same outputs, for A/B timing).
 /// --no-diff: full recompute of every campaign pass instead of
-/// differential inference replaying the fault-free prefix (DESIGN.md
-/// §11; same outputs, for A/B verification).
+/// differential inference replaying the fault-free prefix, and no
+/// fault-free cache (DESIGN.md §11 and §11.1; same outputs, for A/B
+/// verification).
 /// --unit-batch K: pack up to K campaign units into one batched forward
 /// pass, arming each unit's faults on its own batch slot (DESIGN.md
 /// §12; same outputs, clamped to what the workload supports).
@@ -613,7 +614,8 @@ void usage(std::FILE* out) {
                "                  --no-workspace: allocating inference path\n"
                "                  instead of arena-backed buffers, same outputs;\n"
                "                  --no-diff: full recompute instead of replaying\n"
-               "                  the fault-free prefix, same outputs;\n"
+               "                  the fault-free prefix or reusing an image's\n"
+               "                  cached fault-free pass, same outputs;\n"
                "                  --backend: kernel backend, a pure speed choice\n"
                "                  (every backend gives bit-identical results) —\n"
                "                  auto (default unless the scenario names one)\n"
