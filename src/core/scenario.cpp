@@ -88,6 +88,24 @@ nn::LayerKind layer_kind_from_string(const std::string& text) {
   throw ConfigError("unknown layer type: " + text);
 }
 
+/// A YAML count: a non-negative integer (Json::as_int rejects the rest).
+std::size_t count_field(const io::Json& value, const std::string& name) {
+  const long long v = value.as_int();
+  if (v < 0) {
+    throw ConfigError(name + " must be a non-negative integer, got " + std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
+/// A bit index of rnd_bit_range: an integer in [0, 31].
+int bit_field(const io::Json& value) {
+  const long long v = value.as_int();
+  if (v < 0 || v > 31) {
+    throw ConfigError("rnd_bit_range entries must be in [0, 31], got " + std::to_string(v));
+  }
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 std::vector<std::string> Scenario::validation_errors() const {
@@ -105,6 +123,7 @@ std::vector<std::string> Scenario::validation_errors() const {
   if (dataset_size == 0) errors.push_back("dataset_size must be positive");
   if (num_runs == 0) errors.push_back("num_runs must be positive");
   if (batch_size == 0) errors.push_back("batch_size must be positive");
+  if (rnd_seed > kMaxSeed) errors.push_back("rnd_seed must be in [0, 2^53 - 1]");
   if (layer_range && layer_range->first > layer_range->second) {
     errors.push_back("layer_range must satisfy first <= last");
   }
@@ -160,8 +179,8 @@ Scenario Scenario::from_yaml(const io::Json& tree) {
     if (fi.contains("rnd_bit_range")) {
       const auto& range = fi.at("rnd_bit_range").as_array();
       if (range.size() != 2) throw ConfigError("rnd_bit_range needs two entries");
-      s.rnd_bit_range_lo = static_cast<int>(range[0].as_int());
-      s.rnd_bit_range_hi = static_cast<int>(range[1].as_int());
+      s.rnd_bit_range_lo = bit_field(range[0]);
+      s.rnd_bit_range_hi = bit_field(range[1]);
     }
     if (fi.contains("rnd_value_range")) {
       const auto& range = fi.at("rnd_value_range").as_array();
@@ -177,7 +196,7 @@ Scenario Scenario::from_yaml(const io::Json& tree) {
     }
     if (fi.contains("max_faults_per_image")) {
       s.max_faults_per_image =
-          static_cast<std::size_t>(fi.at("max_faults_per_image").as_int());
+          count_field(fi.at("max_faults_per_image"), "max_faults_per_image");
     }
     if (fi.contains("layer_types")) {
       s.layer_types.clear();
@@ -191,8 +210,8 @@ Scenario Scenario::from_yaml(const io::Json& tree) {
         s.layer_range.reset();
       } else {
         if (range.size() != 2) throw ConfigError("layer_range needs 0 or 2 entries");
-        s.layer_range = {static_cast<std::size_t>(range[0].as_int()),
-                         static_cast<std::size_t>(range[1].as_int())};
+        s.layer_range = {count_field(range[0], "layer_range"),
+                         count_field(range[1], "layer_range")};
       }
     }
     if (fi.contains("weighted_layer_selection")) {
@@ -212,16 +231,16 @@ Scenario Scenario::from_yaml(const io::Json& tree) {
   if (tree.contains("run")) {
     const io::Json& run = tree.at("run");
     if (run.contains("dataset_size")) {
-      s.dataset_size = static_cast<std::size_t>(run.at("dataset_size").as_int());
+      s.dataset_size = count_field(run.at("dataset_size"), "dataset_size");
     }
     if (run.contains("num_runs")) {
-      s.num_runs = static_cast<std::size_t>(run.at("num_runs").as_int());
+      s.num_runs = count_field(run.at("num_runs"), "num_runs");
     }
     if (run.contains("batch_size")) {
-      s.batch_size = static_cast<std::size_t>(run.at("batch_size").as_int());
+      s.batch_size = count_field(run.at("batch_size"), "batch_size");
     }
     if (run.contains("rnd_seed")) {
-      s.rnd_seed = static_cast<std::uint64_t>(run.at("rnd_seed").as_int());
+      s.rnd_seed = count_field(run.at("rnd_seed"), "rnd_seed");
     }
   }
   s.validate();

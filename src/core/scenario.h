@@ -81,6 +81,12 @@ struct Scenario {
   std::size_t batch_size = 8;
   std::uint64_t rnd_seed = 12345;
 
+  /// The largest seed a scenario accepts, 2^53 - 1.  A scenario file
+  /// holds numbers as doubles: every seed up to this one is exact there,
+  /// so a recorded scenario replays the same campaign, while 2^53 is
+  /// what the file's 2^53 + 1 reads back as, so it cannot be told apart.
+  static constexpr std::uint64_t kMaxSeed = (std::uint64_t{1} << 53) - 1;
+
   /// n = dataset_size * num_runs * max_faults_per_image (paper §V.C).
   std::size_t total_faults() const {
     return dataset_size * num_runs * max_faults_per_image;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
-#include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -246,7 +245,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       ws->set_prefix_baseline(&ws_orig_);
       // Same-image packs run the orig pass at batch 1 under a K-row
       // corr/resil pass; every packed row is the same image, so the
-      // broadcast-replay row-equality contract holds (DESIGN.md §12).
+      // fault-cone replay's row-equality contract holds (DESIGN.md §12).
       ws->set_prefix_broadcast(true);
       ws->add_prefix_observer(&stack_.monitor());
       if (stack_.protection() != nullptr) ws->add_prefix_observer(stack_.protection());
@@ -267,14 +266,13 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   /// process, for a resumed or fleet campaign — executes the unit.
   ///
   /// The given units run as one triple over a [count, C, H, W] tensor,
-  /// each unit's addressed faults armed on its own batch slot
-  /// (DESIGN.md §12).  Packs are strided by dataset_size, so a
-  /// pack normally holds the SAME image under different epochs' fault
-  /// groups — the fault-free pass then runs batch-1 and is shared by
-  /// every slot, and with diff on each slot replays that pass up to its
-  /// own unit's earliest armed leaf (the broadcast prefix replay).
-  /// Per-slot outputs are scored and serialized exactly as count
-  /// one-unit packs would have been — same rows, same KPIs, same
+  /// unit i's addressed faults armed on batch slot i (DESIGN.md §12).
+  /// Packs are strided by dataset_size, so a pack normally holds the SAME
+  /// image under different epochs' fault groups — the fault-free pass
+  /// then runs batch-1 and is shared by every slot, and with diff on each
+  /// slot recomputes only what its faults reach of that pass (fault-cone
+  /// replay).  Per-slot outputs are scored and serialized exactly as
+  /// count one-unit packs would have been — same rows, same KPIs, same
   /// records, same counters — in pack order.
   std::vector<std::string> run_unit_pack(
       const std::vector<std::size_t>& units) override {
@@ -309,15 +307,14 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       remember(addrs[0], *logits.orig);
     }
     const std::vector<std::vector<InjectionRecord>> records =
-        stack_.injector().split_records_by_slot(slot_units_);
+        stack_.injector().split_records_by_slot(units);
 
     std::vector<std::string> payloads;
     payloads.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t slot = slot_of_[i];
-      payloads.push_back(score_unit(h_.config_.top_k, logits, same_image ? 0 : i, slot,
-                                    due_[slot] != 0, samples[i], addrs[i].epoch,
-                                    group_of(addrs[i]), records[slot]));
+      payloads.push_back(score_unit(h_.config_.top_k, logits, same_image ? 0 : i, i,
+                                    due_[i] != 0, samples[i], addrs[i].epoch,
+                                    group_of(addrs[i]), records[i]));
     }
     return payloads;
   }
@@ -398,7 +395,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       entry = cache_.insert(addr.img, logits, ws_corr_.first_unskippable_leaf(ws_orig_));
       if (entry == nullptr) return;
     }
-    const std::size_t child = cut_of(row_boundaries_.front());
+    const std::size_t child = cut_of(boundary_);
     if (child > 0 && child_first_leaf_[child] <= entry->first_unskippable &&
         entry->cut(child) == nullptr) {
       cache_.add_cut(*entry, child, *ws_orig_.root_child_output(child - 1));
@@ -406,15 +403,16 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     golden_bytes_->set_max(static_cast<double>(cache_.bytes()));
   }
 
-  /// Arms the pack's faults, unit by unit on its own batch slot, and
-  /// fills slot_of_, slot_units_ and (diff on) row_boundaries_.  Runs
-  /// right after the fault-free pass, so ws_orig_ is planned even on a
-  /// runner's first pack.  Each unit's boundary is its earliest armed
-  /// leaf (kSkipAllLeaves when none of its faults lands).  A same-image
-  /// pack orders its slots by boundary (stable), so the rows that still
-  /// replay at any leaf are a row suffix of the pass; a gather pack of
-  /// different images keeps pack order and replays up to its smallest
-  /// boundary (same-shape replay).
+  /// Arms the pack's faults, unit i on batch slot i, and sets (diff on)
+  /// boundary_: the earliest leaf any unit arms (kSkipAllLeaves when
+  /// none of their faults lands), which a same-shape replay replays up
+  /// to.  Runs right after the fault-free pass, so ws_orig_ is planned
+  /// even on a runner's first pack.  A
+  /// same-image pack's armed passes are cone replays (DESIGN.md §12):
+  /// they need no boundary, but admit no weight fault either — a
+  /// corrupted weight would change the rows the cone copies from the
+  /// fault-free pass, and unit_pack_limit pins weight faults to one-unit
+  /// packs.
   void arm_pack(const std::vector<std::size_t>& units,
                 const std::vector<UnitAddress>& addrs, bool same_image) {
     const std::size_t count = units.size();
@@ -422,30 +420,17 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     const FaultMatrix& matrix = h_.wrapper_.fault_matrix();
     Injector& injector = stack_.injector();
 
-    std::vector<std::size_t> boundary(count, 0);
-    if (diff_) {
-      for (std::size_t i = 0; i < count; ++i) boundary[i] = unit_boundary(addrs[i], i, count);
-    }
-    std::vector<std::size_t> order(count);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    if (same_image) {
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return boundary[a] < boundary[b];
-      });
-    }
-    const std::size_t smallest = *std::min_element(boundary.begin(), boundary.end());
-
     std::vector<Fault> armed;
-    slot_of_.resize(count);
-    slot_units_.resize(count);
-    row_boundaries_.resize(count);
-    for (std::size_t slot = 0; slot < count; ++slot) {
-      const std::size_t i = order[slot];
-      append_unit_faults(scenario, matrix, addrs[i], slot, count, armed);
-      slot_of_[i] = slot;
-      slot_units_[slot] = units[i];
-      row_boundaries_[slot] = same_image ? boundary[i] : smallest;
+    boundary_ = nn::InferenceWorkspace::kSkipAllLeaves;
+    for (std::size_t i = 0; i < count; ++i) {
+      append_unit_faults(scenario, matrix, addrs[i], i, count, armed);
+      if (diff_) boundary_ = std::min(boundary_, unit_boundary(addrs[i], i, count));
     }
+    ALFI_CHECK(!same_image || count == 1 ||
+                   std::none_of(armed.begin(), armed.end(),
+                                [](const Fault& f) { return f.target == FaultTarget::kWeights; }),
+               "a same-image pack cannot arm a weight fault: its armed passes replay "
+               "the fault-free pass in every row the faults do not reach");
     injector.set_inference_index(units[0]);
     injector.arm(std::move(armed));
   }
@@ -454,7 +439,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   /// the corrupted and hardened passes on `faulty_images` (`count` rows)
   /// under the fault set `arm` installs.  A same-image pack passes its
   /// batch-1 image as `orig_images`, so one shared fault-free pass
-  /// serves every slot (the broadcast prefix replay, DESIGN.md §12);
+  /// serves every slot (the fault-cone replay, DESIGN.md §12);
   /// everywhere else the two hold the same images.  A cache hit
   /// (`golden`, one-unit packs only) skips the fault-free pass and starts
   /// the armed passes where it says.  due_[s] holds slot s's DUE
@@ -489,8 +474,8 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     const std::size_t slots = count > 1 ? count : 0;
     monitor.set_slot_count(slots);
     monitor.reset();
-    // The armed set is fixed for both remaining passes, so the same row
-    // boundaries serve corr and resil alike.
+    // The armed set is fixed for both remaining passes, so the same
+    // boundary serves corr and resil alike.
     out.corr = armed_pass(faulty_images, ws_corr_, corr_hold_, golden);
     due_.assign(count, 0);
     for (std::size_t s = 0; s < count; ++s) {
@@ -511,11 +496,11 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     return out;
   }
 
-  /// One armed pass: through `ws`, each row replaying the fault-free
-  /// prefix up to its row_boundaries_ entry (diff on), from a cache
-  /// hit's start (`golden`), or (workspace off) the allocating forward
-  /// into `hold`.  A hit's pass counts the leaves before its cut as
-  /// skipped.
+  /// One armed pass: through `ws`, replaying the fault-free pass (diff
+  /// on: up to boundary_, or wherever the cone is clean in a same-image
+  /// pack), from a cache hit's start (`golden`), or (workspace off) the
+  /// allocating forward into `hold`.  A hit's pass counts the leaves
+  /// before its cut as skipped.
   const Tensor* armed_pass(const Tensor& images, nn::InferenceWorkspace& ws,
                            Tensor& hold, const GoldenStart* golden) {
     if (!h_.config_.workspace) {
@@ -529,7 +514,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       out = &ws.run_from_child(model_, golden->child, *golden->live);
       layers = rows = child_first_leaf_[golden->child];
     } else {
-      if (diff_) ws.set_prefix_row_boundaries(row_boundaries_);
+      if (diff_) ws.set_prefix_boundary(boundary_);
       out = &ws.run(model_, images);
       layers = ws.prefix_reused_last_run();
       rows = ws.prefix_rows_reused_last_run();
@@ -549,12 +534,10 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   // One workspace per pass so the three output tensors coexist.
   nn::InferenceWorkspace ws_orig_, ws_corr_, ws_resil_;
   Tensor orig_hold_, corr_hold_, resil_hold_;  // allocating-path storage
-  // The current pack, by slot: DUE verdicts, units and (ascending)
-  // prefix boundaries; slot_of_ maps pack position to slot.
+  // The current pack: DUE verdicts by slot, and its replay boundary
+  // (arm_pack).
   std::vector<std::uint8_t> due_;
-  std::vector<std::size_t> slot_units_;
-  std::vector<std::size_t> row_boundaries_;
-  std::vector<std::size_t> slot_of_;
+  std::size_t boundary_ = 0;
   util::Gauge* arena_gauge_ = nullptr;
   bool diff_ = false;
   util::Counter* diff_skipped_ = nullptr;       // campaign.diff.layers_skipped

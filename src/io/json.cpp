@@ -46,7 +46,14 @@ double Json::as_number() const {
 
 long long Json::as_int() const {
   ALFI_CHECK(is_number(), "JSON value is not a number");
-  return static_cast<long long>(std::llround(number_));
+  // Only integers a long long holds: rounding a fraction, or converting
+  // Inf, NaN or a value past the range, would read a number the file
+  // does not say (or be undefined).
+  if (!std::isfinite(number_) || number_ != std::trunc(number_) ||
+      number_ < -0x1p63 || number_ >= 0x1p63) {
+    throw ParseError("JSON number " + dump() + " is not an integer in the 64-bit range");
+  }
+  return static_cast<long long>(number_);
 }
 
 const std::string& Json::as_string() const {

@@ -73,6 +73,8 @@ class Json {
 
   bool as_bool() const;
   double as_number() const;
+  /// The number as an integer; ParseError unless it is finite, integral
+  /// and within long long's range.
   long long as_int() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;

@@ -847,7 +847,7 @@ Tensor TransformerBlock::backward(const Tensor& grad_output) {
 // the `_into` ops, so steady-state inference never allocates.  Shape
 // callables run only on the planning pass (see workspace.h).
 
-Tensor& Conv2d::compute_ws(const Tensor& input, InferenceWorkspace& ws) {
+Tensor& Conv2d::ws_output(const Tensor& input, InferenceWorkspace& ws) {
   Tensor& out = ws.slot(*this, [&] {
     const std::size_t oh =
         ops::conv_out_size(input.dim(2), kernel_, spec_.stride, spec_.padding);
@@ -855,14 +855,35 @@ Tensor& Conv2d::compute_ws(const Tensor& input, InferenceWorkspace& ws) {
         ops::conv_out_size(input.dim(3), kernel_, spec_.stride, spec_.padding);
     return Shape{input.dim(0), out_channels_, oh, ow};
   });
-  const std::size_t col_floats = weight_->value.dim(1) * kernel_ * kernel_ *
-                                 out.dim(2) * out.dim(3);
   if (!ws_plan_.matches(input.shape())) {
     ws_plan_ = ops::make_conv2d_plan(input.shape(), weight_->value.shape(), spec_);
   }
-  ops::conv2d_forward_planned(out, input, weight_->value, bias_->value, ws_plan_,
-                              ws.scratch(*this, col_floats));
   return out;
+}
+
+Tensor& Conv2d::compute_ws(const Tensor& input, InferenceWorkspace& ws) {
+  Tensor& out = ws_output(input, ws);
+  ops::conv2d_forward_planned(out, input, weight_->value, bias_->value, ws_plan_,
+                              ws.scratch(*this, ws_plan_.col_rows * ws_plan_.col_cols));
+  return out;
+}
+
+bool Conv2d::compute_ws_cone(const Tensor& input, const ops::Rect& dirty,
+                             InferenceWorkspace& ws) {
+  Tensor& out = ws_output(input, ws);
+  const ops::Rect window = ops::conv2d_output_window(ws_plan_, dirty);
+  if (window.empty()) return false;
+  const std::span<float> col = ws.scratch(*this, ws_plan_.col_rows * ws_plan_.col_cols);
+  // A window past half the map saves little next to its gather copy, and
+  // the cap halves the window plan the workspace keeps.
+  const std::size_t area = (window.y1 - window.y0) * (window.x1 - window.x0);
+  if (2 * area > ws_plan_.col_cols) {
+    ops::conv2d_forward_planned(out, input, weight_->value, bias_->value, ws_plan_, col);
+  } else {
+    ops::conv2d_forward_planned_window(out, input, weight_->value, bias_->value, ws_plan_,
+                                       window, ws.conv_window(), col);
+  }
+  return true;
 }
 
 Tensor& Conv3d::compute_ws(const Tensor& input, InferenceWorkspace& ws) {

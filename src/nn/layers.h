@@ -41,8 +41,16 @@ class Conv2d : public Module {
  protected:
   Tensor compute(const Tensor& input) override;
   Tensor& compute_ws(const Tensor& input, InferenceWorkspace& ws) override;
+  /// Only the output window the dirty input box reaches
+  /// (ops::conv2d_output_window), through the planned conv; the whole
+  /// row once the window covers half the output map.
+  bool compute_ws_cone(const Tensor& input_row, const ops::Rect& dirty,
+                       InferenceWorkspace& ws) override;
 
  private:
+  /// The workspace output slot for `input`, with ws_plan_ made current.
+  Tensor& ws_output(const Tensor& input, InferenceWorkspace& ws);
+
   std::size_t in_channels_, out_channels_, kernel_;
   ops::Conv2dSpec spec_;
   Parameter* weight_;

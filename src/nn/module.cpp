@@ -51,7 +51,7 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
   if (children_.empty()) {
     if (ws.recording_exec()) ws.record_leaf(*this);
     Tensor* cached = nullptr;
-    switch (ws.prefix_action(*this, &cached)) {
+    switch (ws.prefix_action(*this, input, &cached)) {
       case InferenceWorkspace::PrefixAction::kSkip:
         // Bit-identical to recomputing: every leaf upstream replayed the
         // fault-free pass, this leaf holds no armed fault, and all
@@ -67,47 +67,52 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
         run_forward_hooks(input, slot);
         return slot;
       }
-      case InferenceWorkspace::PrefixAction::kBroadcast: {
-        // Same-image unit pack (DESIGN.md §12): the baseline cached a
-        // batch-1 fault-free row and this pass runs N identical copies
-        // of that input, sorted by prefix boundary.  Rows [0, computing)
-        // reached theirs and compute through row views; the others get
-        // the cached row.  The real hooks then run on all N rows — each
-        // row sees exactly the data a batch-1 recompute would have
-        // produced, and per-slot hooks see the whole pack.
-        ALFI_CHECK(cached->shape().rank() > 0 && cached->shape()[0] == 1,
-                   "broadcast replay requires a batch-1 baseline slot");
-        const std::size_t rows = ws.prefix_row_count();
-        const std::size_t computing = ws.prefix_rows_computing();
-        Tensor& slot = ws.slot(*this, [&] {
-          std::vector<std::size_t> dims = cached->shape().dims();
-          dims[0] = rows;
-          return Shape(std::move(dims));
-        });
-        const std::span<const float> row = cached->data();
-        const std::span<float> out = slot.data();
-        ALFI_CHECK(out.size() == row.size() * rows,
-                   "broadcast replay slot shape mismatch");
-        if (computing > 0) {
-          InferenceWorkspace::RowViews& views =
-              ws.row_views(*this, input, slot, computing);
-          ws.redirect_slot(this, &views.output);
-          compute_ws(views.input, ws);
-          ws.redirect_slot(nullptr, nullptr);
-        }
-        for (std::size_t r = computing; r < rows; ++r) {
-          std::copy(row.begin(), row.end(), out.begin() + r * row.size());
-        }
-        run_forward_hooks(input, slot);
-        return slot;
-      }
+      case InferenceWorkspace::PrefixAction::kCone:
+        return forward_cone(input, *cached, ws);
       case InferenceWorkspace::PrefixAction::kCompute:
         break;
     }
   }
   Tensor& output = compute_ws(input, ws);
   run_forward_hooks(input, output);
+  // A container's hooks may rewrite a tensor a leaf already described.
+  if (!hooks_.empty() && ws.cone_active()) ws.cone_forget(output);
   return output;
+}
+
+Tensor& Module::forward_cone(const Tensor& input, const Tensor& baseline,
+                             InferenceWorkspace& ws) {
+  // Fault-cone replay (DESIGN.md §12): a K-row pass of the one image
+  // whose batch-1 fault-free output is `baseline`.  Every row starts as
+  // the baseline's row; a row whose input differs from the baseline's
+  // recomputes what its dirty box reaches — bit-identical to a full
+  // recompute, since every other element reads only clean input.  Then
+  // the REAL hooks run on all K rows (injection, monitoring, clamping),
+  // and the workspace compares each row with the baseline again.
+  const std::size_t rows = ws.cone_row_count();
+  Tensor& slot = ws.slot(*this, [&] {
+    std::vector<std::size_t> dims = baseline.shape().dims();
+    dims[0] = rows;
+    return Shape(std::move(dims));
+  });
+  const std::span<const float> row = baseline.data();
+  const std::span<float> out = slot.data();
+  ALFI_CHECK(out.size() == row.size() * rows, "fault-cone replay slot shape mismatch");
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::copy(row.begin(), row.end(), out.begin() + static_cast<std::ptrdiff_t>(r * row.size()));
+  }
+  const std::span<const ops::Rect> boxes = ws.cone_boxes(input);
+  std::size_t computed = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (boxes[r].empty()) continue;
+    InferenceWorkspace::RowViews& views = ws.row_views(*this, input, slot, r);
+    ws.redirect_slot(this, &views.output);
+    if (compute_ws_cone(views.input, boxes[r], ws)) ++computed;
+    ws.redirect_slot(nullptr, nullptr);
+  }
+  run_forward_hooks(input, slot);
+  ws.cone_finish(*this, slot, baseline, computed);
+  return slot;
 }
 
 Tensor& Module::forward_from(std::size_t first_recomputed_leaf, const Tensor& input,
@@ -124,6 +129,13 @@ Tensor& Module::compute_ws(const Tensor& input, InferenceWorkspace& ws) {
   Tensor& slot = ws.slot(*this, [&] { return out.shape(); });
   slot.copy_from(out);
   return slot;
+}
+
+bool Module::compute_ws_cone(const Tensor& input_row, const ops::Rect& dirty,
+                             InferenceWorkspace& ws) {
+  (void)dirty;
+  compute_ws(input_row, ws);
+  return true;
 }
 
 Tensor Module::backward(const Tensor&) {

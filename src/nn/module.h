@@ -235,6 +235,16 @@ class Module {
   /// the slot.
   virtual Tensor& compute_ws(const Tensor& input, InferenceWorkspace& ws);
 
+  /// Fault-cone replay (DESIGN.md §12): computes one row of this leaf's
+  /// output — the view slot() returns, which already holds the baseline's
+  /// row — from `input_row`, a single row whose elements outside `dirty`
+  /// equal the baseline input's.  Returns false when no output element
+  /// can differ, so nothing was computed.  The default recomputes the
+  /// whole row (compute_ws); Conv2d computes only the output window the
+  /// box reaches.
+  virtual bool compute_ws_cone(const Tensor& input_row, const ops::Rect& dirty,
+                               InferenceWorkspace& ws);
+
   /// Runs the registered forward hooks on `output`, in registration order.
   void run_forward_hooks(const Tensor& input, Tensor& output);
 
@@ -249,6 +259,10 @@ class Module {
   Module* register_child(std::string name, std::shared_ptr<Module> child);
 
  private:
+  /// forward_ws of a leaf in a broadcast pass (PrefixAction::kCone).
+  Tensor& forward_cone(const Tensor& input, const Tensor& baseline,
+                       InferenceWorkspace& ws);
+
   std::vector<std::unique_ptr<Parameter>> params_;
   std::vector<std::pair<std::string, Tensor*>> buffers_;
   std::vector<std::pair<std::string, std::shared_ptr<Module>>> children_;

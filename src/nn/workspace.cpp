@@ -1,6 +1,7 @@
 #include "nn/workspace.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -21,6 +22,39 @@ bool broadcast_compatible(const Shape& base, const Shape& target) {
   return true;
 }
 
+/// One row's geometry as (planes, height, width): [C, H, W] for an
+/// [N, C, H, W] tensor, a single [1, numel] line otherwise.
+struct RowGeometry {
+  std::size_t planes, height, width;
+};
+
+RowGeometry row_geometry(const Tensor& t) {
+  if (t.rank() == 4) return {t.dim(1), t.dim(2), t.dim(3)};
+  return {1, 1, t.numel() / t.dim(0)};
+}
+
+/// The box of the elements of row `a` whose bits differ from row `b`.
+ops::Rect diff_box(const float* a, const float* b, const RowGeometry& g) {
+  const std::size_t line = g.width * sizeof(float);
+  if (std::memcmp(a, b, g.planes * g.height * line) == 0) return {};
+  ops::Rect box{g.height, 0, g.width, 0};
+  for (std::size_t p = 0; p < g.planes; ++p) {
+    for (std::size_t y = 0; y < g.height; ++y) {
+      const std::size_t at = (p * g.height + y) * g.width;
+      if (std::memcmp(a + at, b + at, line) == 0) continue;
+      std::size_t x0 = 0;
+      while (std::memcmp(a + at + x0, b + at + x0, sizeof(float)) == 0) ++x0;
+      std::size_t x1 = g.width;
+      while (std::memcmp(a + at + x1 - 1, b + at + x1 - 1, sizeof(float)) == 0) --x1;
+      box.y0 = std::min(box.y0, y);
+      box.y1 = std::max(box.y1, y + 1);
+      box.x0 = std::min(box.x0, x0);
+      box.x1 = std::max(box.x1, x1);
+    }
+  }
+  return box;
+}
+
 }  // namespace
 
 Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
@@ -33,10 +67,11 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
     input_shape_ = input.shape();
   }
 
-  // The boundaries are one-shot: consume them now so a plain run()
-  // after a forward_from() never inherits a stale prefix.
-  run_rows_.swap(armed_rows_);
-  armed_rows_.clear();
+  // The boundary is one-shot: consume it now so a plain run() after a
+  // forward_from() never inherits a stale prefix.
+  const bool armed = armed_boundary_.has_value();
+  run_boundary_ = armed ? *armed_boundary_ : 0;
+  armed_boundary_.reset();
   row_module_ = nullptr;
 
   recording_exec_ = !planned();
@@ -45,35 +80,25 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
     exec_valid_ = true;
   }
 
-  // The prefix only activates when replaying is provably equivalent to
-  // recompute: the baseline ran this exact root on this exact input
-  // shape, completed a planning pass (slots exist), and its execution
-  // order is unambiguous.  Anything else degrades to full recompute.
-  // Broadcast replay (opt-in, set_prefix_broadcast) additionally
-  // accepts a batch-1 baseline under an N-row pass: the caller promised
-  // every input row equals the baseline's row, so each row replays the
-  // cached row up to its own boundary (DESIGN.md §12).  A same-shape
-  // replay keeps one boundary, the smallest.
+  // Replay only activates when it is provably equivalent to recompute:
+  // the baseline ran this exact root, completed a planning pass (slots
+  // exist), and its execution order is unambiguous.  A same-shape replay
+  // then needs the same input shape; a broadcast pass (opt-in,
+  // set_prefix_broadcast) a batch-1 baseline under a K-row pass, whose
+  // rows the caller promised equal to the baseline's row (DESIGN.md
+  // §12).  Anything else degrades to full recompute.
   const InferenceWorkspace* base = prefix_baseline_;
-  const bool baseline_ok = !run_rows_.empty() && base != nullptr &&
-                           base->root_ == &root && base->planned() &&
-                           base->exec_valid_;
-  prefix_broadcast_ = baseline_ok && prefix_broadcast_allowed_ &&
-                      broadcast_compatible(base->input_shape_, input.shape());
-  if (prefix_broadcast_) {
-    const std::size_t rows = input.shape()[0];
-    if (run_rows_.size() == 1) {
-      const std::size_t shared = run_rows_.front();
-      run_rows_.assign(rows, shared);
-    }
-    ALFI_CHECK(run_rows_.size() == rows,
-               "prefix row boundaries must cover every row of the pass");
-  } else if (!run_rows_.empty()) {
-    run_rows_.resize(1);  // ascending: the front is the smallest
+  const bool baseline_ok = armed && base != nullptr && base->root_ == &root &&
+                           base->planned() && base->exec_valid_;
+  cone_ = baseline_ok && prefix_broadcast_allowed_ &&
+          broadcast_compatible(base->input_shape_, input.shape());
+  prefix_active_ = !cone_ && baseline_ok && run_boundary_ > 0 &&
+                   base->input_shape_ == input.shape();
+  if (cone_) {
+    ++cone_pass_;
+    cone_input_ = &input;
+    cone_clean_.assign(input.shape()[0], ops::Rect{});
   }
-  prefix_active_ = baseline_ok && run_rows_.back() > 0 &&
-                   (base->input_shape_ == input.shape() || prefix_broadcast_);
-  rows_computing_ = 0;
   prefix_cursor_ = 0;
   prefix_reused_last_run_ = 0;
   prefix_rows_reused_last_run_ = 0;
@@ -81,7 +106,8 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
   Tensor& out = root.forward_ws(input, *this);
   recording_exec_ = false;
   prefix_active_ = false;
-  prefix_broadcast_ = false;
+  cone_ = false;
+  cone_input_ = nullptr;
   return out;
 }
 
@@ -96,21 +122,13 @@ Tensor& InferenceWorkspace::run_from_child(Module& root, std::size_t child,
   ALFI_CHECK(live.shape() == root_child_inputs_[child],
              "run_from_child: the live tensor's shape differs from the planned pass");
   // Nothing replays: a boundary armed for the next run() is consumed.
-  armed_rows_.clear();
-  run_rows_.clear();
+  armed_boundary_.reset();
   row_module_ = nullptr;
   prefix_active_ = false;
-  prefix_broadcast_ = false;
+  cone_ = false;
   prefix_reused_last_run_ = 0;
   prefix_rows_reused_last_run_ = 0;
   return seq->forward_ws_from_child(child, live, *this);
-}
-
-void InferenceWorkspace::set_prefix_row_boundaries(
-    std::span<const std::size_t> boundaries) {
-  ALFI_CHECK(std::is_sorted(boundaries.begin(), boundaries.end()),
-             "prefix row boundaries must be ascending");
-  armed_rows_.assign(boundaries.begin(), boundaries.end());
 }
 
 std::span<float> InferenceWorkspace::scratch(const Module& m, std::size_t floats) {
@@ -123,6 +141,7 @@ void InferenceWorkspace::invalidate() {
   slots_.clear();
   aux_slots_.clear();
   scratch_.clear();
+  cones_.clear();
   row_views_.clear();
   arena_.reset();
   root_ = nullptr;
@@ -133,6 +152,7 @@ void InferenceWorkspace::invalidate() {
   root_child_inputs_.clear();
   root_child_outputs_.clear();
   prefix_active_ = false;
+  cone_ = false;
 }
 
 void InferenceWorkspace::add_prefix_observer(PrefixObserver* observer) {
@@ -184,33 +204,47 @@ std::size_t InferenceWorkspace::first_unskippable_leaf(
 InferenceWorkspace::RowViews& InferenceWorkspace::row_views(const Module& m,
                                                             const Tensor& input,
                                                             Tensor& slot,
-                                                            std::size_t rows) {
-  const auto first_rows = [rows](const Tensor& full) {
-    std::vector<std::size_t> dims = full.shape().dims();
-    const std::size_t floats = full.numel() / dims[0] * rows;
-    dims[0] = rows;
-    return Tensor(Shape(std::move(dims)),
-                  std::span<float>(const_cast<float*>(full.raw()), floats));
+                                                            std::size_t row) {
+  const auto row_of = [row](const Tensor& full) {
+    return std::span<float>(const_cast<float*>(full.raw()) + row * (full.numel() / full.dim(0)),
+                            full.numel() / full.dim(0));
   };
-  const AuxKey key{&m, rows};
-  auto it = row_views_.find(key);
+  auto it = row_views_.find(&m);
   if (it == row_views_.end()) {
-    it = row_views_.emplace(key, RowViews{first_rows(input), first_rows(slot)}).first;
-  } else if (it->second.input.raw() != input.raw()) {
-    it->second.input = first_rows(input);  // the pass input's storage moved
+    const auto one_row = [&](const Tensor& full) {
+      std::vector<std::size_t> dims = full.shape().dims();
+      dims[0] = 1;
+      return Tensor(Shape(std::move(dims)), row_of(full));
+    };
+    it = row_views_.emplace(&m, RowViews{one_row(input), one_row(slot)}).first;
+  } else {
+    it->second.input.rebind(row_of(input));
+    it->second.output.rebind(row_of(slot));
   }
   return it->second;
 }
 
 InferenceWorkspace::PrefixAction InferenceWorkspace::prefix_action(const Module& m,
+                                                                   const Tensor& input,
                                                                    Tensor** cached) {
+  if (cone_) {
+    // Every leaf of a broadcast pass replays through the cone when the
+    // baseline holds its batch-1 output and its input has one row per
+    // row of the pass; otherwise it computes every row, and a reader of
+    // its output sees whatever a comparison finds.
+    const auto it = prefix_baseline_->slots_.find(&m);
+    if (it == prefix_baseline_->slots_.end() || it->second.rank() == 0 ||
+        it->second.dim(0) != 1 || input.rank() == 0 ||
+        input.dim(0) != cone_row_count()) {
+      return PrefixAction::kCompute;
+    }
+    *cached = const_cast<Tensor*>(&it->second);
+    return PrefixAction::kCone;
+  }
   if (!prefix_active_) return PrefixAction::kCompute;
   const std::size_t index = prefix_cursor_++;
-  while (rows_computing_ < run_rows_.size() && run_rows_[rows_computing_] <= index) {
-    ++rows_computing_;
-  }
-  if (rows_computing_ == run_rows_.size()) {
-    prefix_active_ = false;  // every row reached its suffix: recompute from here on
+  if (index >= run_boundary_) {
+    prefix_active_ = false;  // reached the boundary: recompute from here on
     return PrefixAction::kCompute;
   }
   const auto it = prefix_baseline_->slots_.find(&m);
@@ -222,24 +256,6 @@ InferenceWorkspace::PrefixAction InferenceWorkspace::prefix_action(const Module&
   }
   Tensor& slot = const_cast<Tensor&>(it->second);
   *cached = &slot;
-  if (prefix_broadcast_) {
-    // The replayed rows get the batch-1 row in this workspace's own
-    // N-row slot and the REAL hooks run there, so no on_replay
-    // side-effect reproduction is needed.  An observer veto still means
-    // the hooks will alter the replayed data (e.g. protection
-    // clamping), so the suffix of every row must recompute from the
-    // hooked rows — deactivate, exactly like the kMaterialize path, but
-    // keep this leaf's copy.
-    for (PrefixObserver* observer : prefix_observers_) {
-      if (!observer->can_replay(m, slot)) {
-        prefix_active_ = false;
-        return PrefixAction::kBroadcast;
-      }
-    }
-    if (rows_computing_ == 0) ++prefix_reused_last_run_;
-    prefix_rows_reused_last_run_ += run_rows_.size() - rows_computing_;
-    return PrefixAction::kBroadcast;
-  }
   for (PrefixObserver* observer : prefix_observers_) {
     if (!observer->can_replay(m, slot)) {
       // Replay would diverge (e.g. protection would clamp): run the
@@ -252,6 +268,81 @@ InferenceWorkspace::PrefixAction InferenceWorkspace::prefix_action(const Module&
   ++prefix_reused_last_run_;
   prefix_rows_reused_last_run_ += input_shape_.rank() > 0 ? input_shape_[0] : 1;
   return PrefixAction::kSkip;
+}
+
+InferenceWorkspace::Role InferenceWorkspace::role_of(const Tensor& t) const {
+  for (const auto& [module, slot] : slots_) {
+    if (&slot == &t) return {module, kSlotRole};
+  }
+  for (const auto& [key, aux] : aux_slots_) {
+    if (&aux == &t) return {key.first, key.second};
+  }
+  return {};
+}
+
+const Tensor* InferenceWorkspace::baseline_in(const Role& role) const {
+  if (role.module == nullptr) return nullptr;
+  const InferenceWorkspace& base = *prefix_baseline_;
+  if (role.aux == kSlotRole) {
+    const auto it = base.slots_.find(role.module);
+    return it == base.slots_.end() ? nullptr : &it->second;
+  }
+  const auto it = base.aux_slots_.find({role.module, role.aux});
+  return it == base.aux_slots_.end() ? nullptr : &it->second;
+}
+
+void InferenceWorkspace::diff_rows(const Tensor& t, const Tensor* baseline,
+                                   std::vector<ops::Rect>& rows) const {
+  const std::size_t count = cone_row_count();
+  rows.resize(count);
+  const RowGeometry g = row_geometry(t);
+  bool comparable = baseline != nullptr && baseline->rank() == t.rank() &&
+                    baseline->dim(0) == 1 && t.dim(0) == count;
+  for (std::size_t axis = 1; comparable && axis < t.rank(); ++axis) {
+    comparable = baseline->dim(axis) == t.dim(axis);
+  }
+  const std::size_t per_row = g.planes * g.height * g.width;
+  for (std::size_t r = 0; r < count; ++r) {
+    rows[r] = comparable ? diff_box(t.raw() + r * per_row, baseline->raw(), g)
+                         : ops::Rect{0, g.height, 0, g.width};
+  }
+}
+
+std::span<const ops::Rect> InferenceWorkspace::cone_boxes(const Tensor& t) {
+  if (&t == cone_input_) return cone_clean_;  // the caller's promise
+  auto it = cones_.find(&t);
+  if (it == cones_.end()) {
+    const Role role = role_of(t);
+    if (role.module == nullptr) {
+      // Not a tensor of this pass (e.g. a container's temporary): dirty
+      // in every row, and no entry, so such tensors never pile up.
+      diff_rows(t, nullptr, cone_dirty_);
+      return cone_dirty_;
+    }
+    it = cones_.emplace(&t, Cone{role, {}, 0}).first;
+  }
+  Cone& cone = it->second;
+  if (cone.pass != cone_pass_) {
+    diff_rows(t, baseline_in(cone.role), cone.rows);
+    cone.pass = cone_pass_;
+  }
+  return cone.rows;
+}
+
+void InferenceWorkspace::cone_finish(const Module& m, const Tensor& slot,
+                                     const Tensor& baseline, std::size_t computed_rows) {
+  auto it = cones_.find(&slot);
+  if (it == cones_.end()) it = cones_.emplace(&slot, Cone{{&m, kSlotRole}, {}, 0}).first;
+  diff_rows(slot, &baseline, it->second.rows);
+  it->second.pass = cone_pass_;
+  const std::size_t rows = cone_row_count();
+  prefix_rows_reused_last_run_ += rows - computed_rows;
+  if (computed_rows == 0) ++prefix_reused_last_run_;
+}
+
+void InferenceWorkspace::cone_forget(const Tensor& t) {
+  const auto it = cones_.find(&t);
+  if (it != cones_.end()) it->second.pass = 0;
 }
 
 }  // namespace alfi::nn

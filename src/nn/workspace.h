@@ -25,19 +25,19 @@
 // all registered PrefixObservers agree the replay is side-effect
 // equivalent to re-running the leaf's hooks on identical data.
 //
-// Broadcast replay (DESIGN.md §12): when the baseline ran a batch-1
-// pass and the current pass packs N identical copies of that input
-// along dim 0 (a same-image unit pack), every row replays the
-// fault-free prefix up to its OWN boundary (set_prefix_row_boundaries,
-// ascending).  At leaf L the rows [0, r_L) whose boundary is <= L
-// compute, through cached row views of the leaf's input and of its own
-// N-row slot; the rows [r_L, N) receive the baseline's single cached
-// row; then the leaf's REAL hooks run on the whole N-row slot.  r_L = 0
-// is a pure replicate-and-hook leaf.  The mode is opt-in
-// (set_prefix_broadcast): the shapes alone cannot prove the data
-// contract — every row of the pass input must equal the baseline's row
-// — so the caller must promise it; a mismatched baseline otherwise
-// degrades to full recompute as usual.
+// Fault-cone replay (DESIGN.md §12): when the baseline ran a batch-1
+// pass and the current pass packs K identical copies of that input
+// along dim 0 (a same-image unit pack), every row starts from the
+// baseline and recomputes only what its fault can reach.  The workspace
+// keeps, per row, the bounding box of the elements of each tensor a leaf
+// reads that differ bit-wise from the baseline's tensor in the same role
+// (module slot, aux slot; the pass input is clean).  A leaf copies the
+// baseline's row into every row, recomputes the rows whose input box is
+// not empty (Conv2d only the output window the box reaches), runs its
+// REAL hooks on all K rows and records each row's new box by comparing
+// it with the baseline.  The mode is opt-in (set_prefix_broadcast): the
+// shapes alone cannot prove the data contract — every row of the pass
+// input must equal the baseline's row — so the caller must promise it.
 //
 // Root-child start (DESIGN.md §11.1): when the root is a Sequential, a
 // pass records the tensor each root child returned, and
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "tensor/arena.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace alfi::nn {
@@ -105,14 +106,13 @@ class PrefixObserver {
 class InferenceWorkspace {
  public:
   /// What forward_ws should do with a leaf under an armed prefix.
-  /// kBroadcast computes the first prefix_rows_computing() rows into
-  /// this workspace's own N-row slot (through row_views()), fills the
-  /// other rows with the batch-1 baseline row and runs the leaf's real
-  /// hooks on the whole slot (same-image unit packs, DESIGN.md §12).
-  enum class PrefixAction { kCompute, kSkip, kMaterialize, kBroadcast };
+  /// kCone replays the leaf in a broadcast pass: baseline rows, the rows
+  /// its input's dirty boxes reach recomputed through row_views(), the
+  /// real hooks on all K rows, then cone_finish() (DESIGN.md §12).
+  enum class PrefixAction { kCompute, kSkip, kMaterialize, kCone };
 
-  /// Views of the first rows of one leaf's input and of its own slot, used
-  /// while a broadcast pass computes only a row prefix of the leaf.
+  /// Single-row views of one leaf's input and of its own slot, walked
+  /// over the rows of a broadcast pass with Tensor::rebind.
   struct RowViews {
     Tensor input;
     Tensor output;
@@ -138,7 +138,7 @@ class InferenceWorkspace {
   /// free of Shape construction (which heap-allocates).
   template <typename ShapeFn>
   Tensor& slot(const Module& m, ShapeFn&& make_shape) {
-    if (&m == row_module_) return *row_slot_;  // row-prefix compute (kBroadcast)
+    if (&m == row_module_) return *row_slot_;  // one row of a kCone leaf
     const auto it = slots_.find(&m);
     if (it != slots_.end()) return it->second;
     return slots_.emplace(&m, arena_.make(make_shape())).first->second;
@@ -214,14 +214,13 @@ class InferenceWorkspace {
   void add_prefix_observer(PrefixObserver* observer);
   void clear_prefix_observers() { prefix_observers_.clear(); }
 
-  /// Opts into broadcast replay: when the armed prefix finds a batch-1
-  /// baseline under an N-row pass (other dims equal), each row replays
-  /// the baseline row up to its own boundary and the leaves run their
-  /// real hooks instead of degrading to full recompute.  CALLER PROMISE:
-  /// every row of the pass input equals the baseline's single input row
-  /// — the workspace can only check shapes, and replaying unequal data
-  /// would silently corrupt the pass.  Off (the default) never
-  /// broadcasts.
+  /// Opts into fault-cone replay: when an armed run finds a batch-1
+  /// baseline under a K-row pass (other dims equal), every row replays
+  /// the baseline wherever it is bit-identical to it, instead of the
+  /// pass degrading to full recompute.  CALLER PROMISE: every row of the
+  /// pass input equals the baseline's single input row — the workspace
+  /// can only check shapes, and replaying unequal data would silently
+  /// corrupt the pass.  Off (the default) never broadcasts.
   void set_prefix_broadcast(bool allow) { prefix_broadcast_allowed_ = allow; }
 
   /// Arms the prefix for the NEXT run() only (consumed and reset): leaves
@@ -230,19 +229,12 @@ class InferenceWorkspace {
   /// (full recompute); kSkipAllLeaves replays the whole pass.  The run
   /// silently degrades to full recompute whenever replay cannot be proven
   /// equivalent (unplanned or mismatched baseline, a leaf missing from
-  /// the baseline, an observer veto).  The same boundary for every row
-  /// of a broadcast pass.
+  /// the baseline, an observer veto).  A broadcast pass takes any armed
+  /// value, 0 included, as its cue: the cone finds each row's clean
+  /// leaves itself.
   void set_prefix_boundary(std::size_t first_recomputed_leaf) {
-    set_prefix_row_boundaries({&first_recomputed_leaf, 1});
+    armed_boundary_ = first_recomputed_leaf;
   }
-
-  /// Per-row form of set_prefix_boundary(), one-shot likewise: row r of
-  /// the next pass replays leaves with execution index < boundaries[r].
-  /// Ascending (a same-image pack sorts its units by boundary), and one
-  /// entry per row of the pass — or a single entry shared by every row.
-  /// A broadcast pass honours every row's boundary; a same-shape replay
-  /// uses the smallest (boundaries.front()) for the whole pass.
-  void set_prefix_row_boundaries(std::span<const std::size_t> boundaries);
 
   /// Execution index of `m` among this workspace's leaves, recorded on
   /// the planning pass; nullopt for modules this workspace never ran
@@ -264,9 +256,11 @@ class InferenceWorkspace {
   /// leaves no row of the pass computed.
   std::size_t prefix_reused_last_run() const { return prefix_reused_last_run_; }
 
-  /// (row, leaf) pairs replayed from the baseline during the most recent
-  /// run(); equals prefix_reused_last_run() times the batch size for a
-  /// same-shape replay, and prefix_reused_last_run() at batch 1.
+  /// (row, leaf) pairs served from the baseline with nothing computed
+  /// during the most recent run(): prefix_reused_last_run() times the
+  /// batch size for a same-shape replay; in a broadcast pass, every row
+  /// whose input was bit-identical to the baseline's (or whose dirty box
+  /// reaches no output) at every leaf.
   std::size_t prefix_rows_reused_last_run() const {
     return prefix_rows_reused_last_run_;
   }
@@ -283,27 +277,48 @@ class InferenceWorkspace {
   void record_root_child(std::size_t index, const Tensor& input, const Tensor& output);
 
   /// Decides the fate of the next leaf in execution order.  On kSkip,
-  /// kMaterialize and kBroadcast, `*cached` points at the baseline's
-  /// slot for `m`.
-  PrefixAction prefix_action(const Module& m, Tensor** cached);
+  /// kMaterialize and kCone, `*cached` points at the baseline's slot for
+  /// `m`.  kCone needs `input` to hold one row per row of the pass.
+  PrefixAction prefix_action(const Module& m, const Tensor& input, Tensor** cached);
 
   /// Rows of the current broadcast pass: its dim 0.
-  std::size_t prefix_row_count() const { return run_rows_.size(); }
+  std::size_t cone_row_count() const { return cone_clean_.size(); }
 
-  /// Rows [0, n) of the current kBroadcast leaf compute; the rest replay.
-  std::size_t prefix_rows_computing() const { return rows_computing_; }
+  /// Per row of the current broadcast pass, the box of `t`'s elements
+  /// that differ bit-wise from the baseline's tensor in the same role:
+  /// empty for the pass input, the whole row for a tensor the workspace
+  /// cannot map.  Compared on the first read of each pass, unless the
+  /// leaf that wrote `t` recorded it (cone_finish).
+  std::span<const ops::Rect> cone_boxes(const Tensor& t);
 
-  /// Views of the first `rows` rows of `input` and of `slot` (m's own
-  /// slot), cached per (m, rows) so a steady-state pass stays heap-free;
-  /// the input view follows `input`'s storage if it moved.
+  /// After a kCone leaf's hooks ran on `slot`: records each row's box
+  /// against the leaf's baseline output and counts the rows of
+  /// `computed_rows` that computed nothing as replayed.
+  void cone_finish(const Module& m, const Tensor& slot, const Tensor& baseline,
+                   std::size_t computed_rows);
+
+  /// Drops `t`'s recorded boxes (a container's hooks rewrote it), so
+  /// its next read compares again.
+  void cone_forget(const Tensor& t);
+
+  /// True while a broadcast pass runs.
+  bool cone_active() const { return cone_; }
+
+  /// The single-row views of leaf `m`'s input and slot, created on the
+  /// first broadcast pass that reaches `m` (so later passes allocate
+  /// nothing) and pointed at row `row`.
   RowViews& row_views(const Module& m, const Tensor& input, Tensor& slot,
-                      std::size_t rows);
+                      std::size_t row);
 
-  /// While set, slot(m) returns `rows` instead of m's own slot, so the
-  /// leaf's compute_ws writes a row prefix; pass nullptr to end it.
-  void redirect_slot(const Module* m, Tensor* rows) {
+  /// The windowed conv's scratch (ops::conv2d_forward_planned_window),
+  /// one per workspace: its convs run one at a time.
+  ops::Conv2dWindowScratch& conv_window() { return conv_window_; }
+
+  /// While set, slot(m) returns `row` instead of m's own slot, so the
+  /// leaf's compute writes one row; pass nullptr to end it.
+  void redirect_slot(const Module* m, Tensor* row) {
     row_module_ = m;
-    row_slot_ = rows;
+    row_slot_ = row;
   }
 
  private:
@@ -315,11 +330,31 @@ class InferenceWorkspace {
     }
   };
 
+  /// The role a tensor plays in a pass: module m's slot (aux ==
+  /// kSlotRole), aux slot (m, aux), or none (module == nullptr).
+  struct Role {
+    const Module* module = nullptr;
+    std::size_t aux = 0;
+  };
+  static constexpr std::size_t kSlotRole = static_cast<std::size_t>(-1);
+  /// One tensor's per-row boxes and the broadcast pass they describe.
+  struct Cone {
+    Role role;
+    std::vector<ops::Rect> rows;
+    std::uint64_t pass = 0;
+  };
+
+  Role role_of(const Tensor& t) const;
+  /// The baseline's tensor in `role`, or nullptr.
+  const Tensor* baseline_in(const Role& role) const;
+  /// Compares every row of `t` with `baseline`'s single row into `rows`;
+  /// the whole row when the baseline is missing or shaped otherwise.
+  void diff_rows(const Tensor& t, const Tensor* baseline, std::vector<ops::Rect>& rows) const;
+
   TensorArena arena_;
   std::unordered_map<const Module*, Tensor> slots_;
   std::unordered_map<AuxKey, Tensor, AuxKeyHash> aux_slots_;
   std::unordered_map<const Module*, std::span<float>> scratch_;
-  std::unordered_map<AuxKey, RowViews, AuxKeyHash> row_views_;  // (leaf, rows)
   const Module* row_module_ = nullptr;  // redirect_slot() target
   Tensor* row_slot_ = nullptr;
   const Module* root_ = nullptr;
@@ -328,7 +363,8 @@ class InferenceWorkspace {
   // Differential-inference state.  leaf_exec_ maps each leaf to its
   // execution index, captured once on the planning pass; exec_valid_
   // drops to false if a leaf runs twice in one pass (shared module —
-  // the cursor-based prefix would misattribute it, so never activate).
+  // the cursor-based prefix would misattribute it, and the baseline's
+  // slot would hold only its last output, so neither replay activates).
   std::unordered_map<const Module*, std::size_t> leaf_exec_;
   std::vector<const Module*> leaf_order_;  // the same leaves, by index
   bool exec_valid_ = true;
@@ -339,18 +375,25 @@ class InferenceWorkspace {
   bool recording_exec_ = false;
   const InferenceWorkspace* prefix_baseline_ = nullptr;
   std::vector<PrefixObserver*> prefix_observers_;
-  // Row boundaries armed for the next run (one-shot), and those of the
-  // run in flight: one per row of a broadcast pass, else the single
-  // smallest.  Swapped, never reallocated, in steady state.
-  std::vector<std::size_t> armed_rows_;
-  std::vector<std::size_t> run_rows_;
-  std::size_t rows_computing_ = 0;  // run_rows_ entries <= the current leaf
+  std::optional<std::size_t> armed_boundary_;  // for the next run (one-shot)
+  std::size_t run_boundary_ = 0;               // of the run in flight
   bool prefix_active_ = false;
   bool prefix_broadcast_allowed_ = false;  // caller opted in (set_prefix_broadcast)
-  bool prefix_broadcast_ = false;  // batch-1 baseline under an N-row pass
   std::size_t prefix_cursor_ = 0;
   std::size_t prefix_reused_last_run_ = 0;
   std::size_t prefix_rows_reused_last_run_ = 0;
+
+  // Fault-cone replay state (broadcast passes).  Entries and views are
+  // created on the first broadcast pass and reused after, so a steady
+  // state pass allocates nothing.
+  bool cone_ = false;                    // a broadcast pass is running
+  std::uint64_t cone_pass_ = 0;          // counts broadcast passes
+  const Tensor* cone_input_ = nullptr;   // the pass input: clean in every row
+  std::vector<ops::Rect> cone_clean_;    // one empty box per row
+  std::vector<ops::Rect> cone_dirty_;    // whole rows, for an unmapped tensor
+  std::unordered_map<const Tensor*, Cone> cones_;
+  std::unordered_map<const Module*, RowViews> row_views_;
+  ops::Conv2dWindowScratch conv_window_;
 };
 
 }  // namespace alfi::nn

@@ -179,6 +179,12 @@ Conv2dPlan make_conv2d_plan(const Shape& input, const Shape& weight,
   plan.width = w;
   plan.col_rows = ic * kh * kw;
   plan.col_cols = oh * ow;
+  plan.kernel_h = kh;
+  plan.kernel_w = kw;
+  plan.stride = spec.stride;
+  plan.padding = spec.padding;
+  plan.out_height = oh;
+  plan.out_width = ow;
   plan.col_index.resize(plan.col_rows * plan.col_cols);
   const std::size_t plane = h * w;
   for (std::size_t c = 0; c < ic; ++c) {
@@ -213,6 +219,84 @@ void conv2d_forward_planned(Tensor& dst, const Tensor& input, const Tensor& weig
                             const Tensor& bias, const Conv2dPlan& plan,
                             std::span<float> col_scratch) {
   tensor::active_backend().conv2d_planned(dst, input, weight, bias, plan, col_scratch);
+}
+
+namespace {
+
+/// Output positions [lo, hi) along one axis whose taps meet input [b0, b1).
+std::pair<std::size_t, std::size_t> conv_window_axis(std::size_t b0, std::size_t b1,
+                                                     std::size_t kernel,
+                                                     std::size_t stride,
+                                                     std::size_t padding,
+                                                     std::size_t out) {
+  // Output y reads input [y*stride - padding, y*stride - padding + kernel):
+  // it meets [b0, b1) iff y*stride >= b0 + padding + 1 - kernel and
+  // y*stride <= b1 - 1 + padding.
+  const std::size_t reach = b0 + padding + 1;
+  const std::size_t lo = reach <= kernel ? 0 : (reach - kernel + stride - 1) / stride;
+  const std::size_t hi = std::min(out, (b1 - 1 + padding) / stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+}  // namespace
+
+Rect conv2d_output_window(const Conv2dPlan& plan, const Rect& box) {
+  if (box.empty()) return {};
+  const auto [y0, y1] = conv_window_axis(box.y0, box.y1, plan.kernel_h, plan.stride,
+                                         plan.padding, plan.out_height);
+  const auto [x0, x1] = conv_window_axis(box.x0, box.x1, plan.kernel_w, plan.stride,
+                                         plan.padding, plan.out_width);
+  return {y0, y1, x0, x1};
+}
+
+void conv2d_forward_planned_window(Tensor& dst, const Tensor& input, const Tensor& weight,
+                                   const Tensor& bias, const Conv2dPlan& plan,
+                                   const Rect& window, Conv2dWindowScratch& scratch,
+                                   std::span<float> col_scratch) {
+  ALFI_CHECK(plan.matches(input.shape()), "conv2d plan/input shape mismatch");
+  ALFI_CHECK(window.y1 <= plan.out_height && window.x1 <= plan.out_width,
+             "conv2d window exceeds the output map");
+  if (window.empty()) return;
+  const std::size_t n = input.dim(0), oc = weight.dim(0);
+  const std::size_t rows = window.y1 - window.y0, cols = window.x1 - window.x0;
+  const std::size_t ow = plan.out_width;
+  ALFI_CHECK(dst.numel() == n * oc * plan.col_cols,
+             "conv2d_forward_planned_window: dst size mismatch");
+
+  // The window's columns of the gather map, row by row of the window.
+  Conv2dPlan& win = scratch.plan;
+  win.col_index.resize(plan.col_rows * rows * cols);
+  win.channels = plan.channels;
+  win.height = plan.height;
+  win.width = plan.width;
+  win.col_rows = plan.col_rows;
+  win.col_cols = rows * cols;
+  std::int32_t* to = win.col_index.data();
+  for (std::size_t r = 0; r < plan.col_rows; ++r) {
+    const std::int32_t* from = plan.col_index.data() + r * plan.col_cols;
+    for (std::size_t y = window.y0; y < window.y1; ++y) {
+      to = std::copy(from + y * ow + window.x0, from + y * ow + window.x1, to);
+    }
+  }
+
+  const std::size_t out_floats = n * oc * rows * cols;
+  if (scratch.out_storage.size() < out_floats) scratch.out_storage.resize(out_floats);
+  const std::span<float> out_span(scratch.out_storage.data(), out_floats);
+  const std::size_t dims[] = {n, oc, rows, cols};
+  if (scratch.out.rank() != 4 || scratch.out.owns_storage()) {
+    scratch.out = Tensor(Shape{n, oc, rows, cols}, out_span);
+  } else {
+    scratch.out.rebind(out_span, dims);
+  }
+  conv2d_forward_planned(scratch.out, input, weight, bias, win, col_scratch);
+
+  const float* src = scratch.out.raw();
+  for (std::size_t plane = 0; plane < n * oc; ++plane) {
+    float* map = dst.raw() + plane * plan.col_cols;
+    for (std::size_t y = window.y0; y < window.y1; ++y, src += cols) {
+      std::copy(src, src + cols, map + y * ow + window.x0);
+    }
+  }
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,

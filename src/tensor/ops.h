@@ -98,13 +98,16 @@ void conv2d_forward_into(Tensor& dst, const Tensor& input, const Tensor& weight,
 /// padding zero).  The key is the per-sample [C, H, W]: the gather map
 /// addresses one sample and the kernels loop over dim 0, so one plan
 /// serves every batch size (a batch-1 fault-free pass, a K-row packed
-/// pass and its row-prefix views alike).  Building a plan allocates;
+/// pass and its single-row views alike).  Building a plan allocates;
 /// using it does not.
 struct Conv2dPlan {
   std::size_t channels = 0, height = 0, width = 0;  // plan key
   std::vector<std::int32_t> col_index;  // [col_rows * col_cols], per sample
   std::size_t col_rows = 0;
   std::size_t col_cols = 0;
+  // The geometry the gather map encodes (conv2d_output_window reads it).
+  std::size_t kernel_h = 0, kernel_w = 0, stride = 1, padding = 0;
+  std::size_t out_height = 0, out_width = 0;
 
   bool matches(const Shape& input) const {
     return !col_index.empty() && input.rank() == 4 && input[1] == channels &&
@@ -122,6 +125,41 @@ Conv2dPlan make_conv2d_plan(const Shape& input, const Shape& weight,
 void conv2d_forward_planned(Tensor& dst, const Tensor& input, const Tensor& weight,
                             const Tensor& bias, const Conv2dPlan& plan,
                             std::span<float> col_scratch);
+
+/// Half-open rectangle [y0, y1) x [x0, x1) of one sample's [H, W] map: a
+/// conv output window, or the box of a tensor row's elements that differ
+/// from a baseline (fault-cone replay, DESIGN.md §12).
+struct Rect {
+  std::size_t y0 = 0, y1 = 0, x0 = 0, x1 = 0;
+
+  bool empty() const { return y0 >= y1 || x0 >= x1; }
+};
+
+/// The output window of a conv with `plan`'s geometry whose receptive
+/// fields meet the input box `box`: every output outside it reads only
+/// input elements outside `box` (or padding).  Empty when `box` is empty
+/// or lies between two strided taps (kernel < stride).
+Rect conv2d_output_window(const Conv2dPlan& plan, const Rect& box);
+
+/// What conv2d_forward_planned_window keeps between calls: the gather
+/// plan of the window's columns and the window's output.  They grow to
+/// the largest window seen, so repeated windows allocate nothing.
+struct Conv2dWindowScratch {
+  Conv2dPlan plan;
+  std::vector<float> out_storage;
+  Tensor out;  // view over out_storage: [N, OC, window rows, window cols]
+};
+
+/// conv2d_forward_planned restricted to the output `window` of every
+/// sample: writes exactly those elements of `dst`, each bit-identical to
+/// what conv2d_forward_planned writes there (every output element sums
+/// its own column alone), and no other element.  Runs the backend's
+/// conv2d_planned on a plan holding only the window's columns, then
+/// scatters the result; `col_scratch` is the full plan's.
+void conv2d_forward_planned_window(Tensor& dst, const Tensor& input, const Tensor& weight,
+                                   const Tensor& bias, const Conv2dPlan& plan,
+                                   const Rect& window, Conv2dWindowScratch& scratch,
+                                   std::span<float> col_scratch);
 
 struct Conv2dGrads {
   Tensor grad_input;

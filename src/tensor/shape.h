@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,11 @@ class Shape {
   }
 
   const std::vector<std::size_t>& dims() const { return dims_; }
+
+  /// Overwrites the dims in place; allocates nothing when the rank stays.
+  void assign(std::span<const std::size_t> dims) {
+    dims_.assign(dims.begin(), dims.end());
+  }
 
   /// Total number of elements (1 for rank-0).
   std::size_t numel() const {

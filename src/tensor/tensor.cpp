@@ -18,6 +18,23 @@ Tensor::Tensor(Shape shape, std::span<float> storage)
              "storage size does not match shape " + shape_.to_string());
 }
 
+void Tensor::rebind(std::span<float> storage) {
+  ALFI_CHECK(!owns_storage(), "only a borrowed view can be rebound");
+  ALFI_CHECK(storage.size() == n_, "rebind: storage size differs from the view");
+  ptr_ = storage.data();
+}
+
+void Tensor::rebind(std::span<float> storage, std::span<const std::size_t> dims) {
+  ALFI_CHECK(!owns_storage(), "only a borrowed view can be rebound");
+  ALFI_CHECK(dims.size() == shape_.rank(), "rebind: rank differs from the view");
+  std::size_t numel = 1;
+  for (const std::size_t d : dims) numel *= d;
+  ALFI_CHECK(numel == storage.size(), "rebind: storage size does not match the dims");
+  shape_.assign(dims);
+  ptr_ = storage.data();
+  n_ = storage.size();
+}
+
 Tensor Tensor::uniform(Shape shape, Rng& rng, float lo, float hi) {
   Tensor t(std::move(shape));
   for (float& v : t.data()) v = static_cast<float>(rng.uniform(lo, hi));

@@ -129,6 +129,15 @@ class Tensor {
   /// Returns an owning copy with a new shape of identical numel.
   Tensor reshaped(Shape new_shape) const;
 
+  /// Re-points this borrowed view at `storage` (numel() floats), keeping
+  /// its shape.  Never allocates, so one cached view can walk the rows of
+  /// a tensor.  Owning tensors refuse.
+  void rebind(std::span<float> storage);
+
+  /// Re-points this borrowed view at `storage`, reshaped to `dims` (the
+  /// same rank as now, product storage.size()).  Never allocates.
+  void rebind(std::span<float> storage, std::span<const std::size_t> dims);
+
   /// Copies `source`'s elements into this tensor's existing storage
   /// (numel must match; shapes may differ, e.g. Flatten).  Never
   /// allocates — the in-place sibling of copy assignment.

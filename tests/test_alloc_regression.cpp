@@ -172,9 +172,10 @@ TEST(AllocRegression, HookedInferenceIsHeapFree) {
 
 TEST(AllocRegression, SameImagePackPassesAreHeapFree) {
   // run_unit_pack's alternation (DESIGN.md §12): a batch-1 fault-free
-  // pass, then a K-row pass of the same image replaying it with per-row
-  // boundaries.  Both passes share every Conv2d's plan, whatever their
-  // batch size, and the row views of the ragged leaves are cached.
+  // pass, then a K-row pass of the same image replaying it through the
+  // fault cone, where hooks dirty rows 0-2 at different leaves.  Both
+  // passes share every Conv2d's plan, whatever their batch size, and
+  // the cone's boxes, row views and window plans are reused.
   auto net = models::make_mini_alexnet();
   Rng rng(17);
   kaiming_init(*net, rng);
@@ -185,17 +186,37 @@ TEST(AllocRegression, SameImagePackPassesAreHeapFree) {
     std::copy(one.data().begin(), one.data().end(),
               packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
   }
-  const std::vector<std::size_t> boundaries = {0, 3, 7,
-                                               InferenceWorkspace::kSkipAllLeaves};
+  const std::size_t boundaries[] = {0, 3, 7};  // row r's injecting leaf
+  bool armed = false;
+  std::vector<std::pair<nn::Module*, nn::HookHandle>> handles;
+  for (std::size_t leaf = 0; leaf < net->size(); ++leaf) {
+    nn::Module* module = net->children()[leaf].second.get();
+    handles.emplace_back(module, module->register_forward_hook(
+                                     [&armed, &boundaries, leaf](nn::Module&, const Tensor&,
+                                                                 Tensor& output) {
+                                       if (!armed || output.dim(0) != kRows) return;
+                                       const std::size_t per_row = output.numel() / kRows;
+                                       for (std::size_t r = 0; r < 3; ++r) {
+                                         if (boundaries[r] == leaf) {
+                                           output.raw()[r * per_row + per_row / 3] += 2.0f;
+                                         }
+                                       }
+                                     }));
+  }
+  const test::ConeCounts cone =
+      test::cone_counts(*net, one, packed, [&](bool on) { armed = on; });
 
   InferenceWorkspace base;
   InferenceWorkspace pack;
   pack.set_prefix_baseline(&base);
   pack.set_prefix_broadcast(true);
   const auto alternate = [&] {
+    armed = false;
     volatile float sink = base.run(*net, one).flat(0);
-    pack.set_prefix_row_boundaries(boundaries);
+    armed = true;
+    pack.set_prefix_boundary(0);
     sink = sink + pack.run(*net, packed).flat(0);
+    armed = false;
     (void)sink;
   };
   alternate();  // planning passes
@@ -204,8 +225,11 @@ TEST(AllocRegression, SameImagePackPassesAreHeapFree) {
   g_counting.store(true, std::memory_order_relaxed);
   for (int i = 0; i < 8; ++i) alternate();
   g_counting.store(false, std::memory_order_relaxed);
+  for (const auto& [module, handle] : handles) module->remove_forward_hook(handle);
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
-  EXPECT_GT(pack.prefix_rows_reused_last_run(), 0u);
+  EXPECT_EQ(pack.prefix_rows_reused_last_run(), cone.rows);
+  EXPECT_EQ(pack.prefix_reused_last_run(), cone.leaves);
+  EXPECT_GE(cone.rows, 1u + 4 + 8 + 13);  // each row clean through its injecting leaf
 }
 
 TEST(AllocRegression, RootChildStartIsHeapFree) {

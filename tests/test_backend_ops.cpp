@@ -350,6 +350,106 @@ TEST_P(BackendSweep, Conv2dZeroWeightSkipWithNonFiniteInput) {
   expect_matches(want, got, kConvRel, "conv2d zero-skip");
 }
 
+// ---- windowed planned conv (fault-cone replay) ------------------------------
+
+TEST_P(BackendSweep, Conv2dWindowMatchesFullPlannedConv) {
+  // ops::conv2d_forward_planned_window computes only an output window
+  // of the planned conv (DESIGN.md §12): every window element must equal
+  // the full conv2d_planned output bit for bit — on this backend and on
+  // ref — no element outside it may be written, and
+  // ops::conv2d_output_window must cover every output a perturbed input
+  // element can change.  Weights hold exact zeros, ±Inf and NaN, and one
+  // bias is -0, so the zero-weight skip and the canonical NaN must
+  // survive the column subset.
+  Backend& previous = active_backend();
+  set_active_backend(b());
+  Rng rng(71);
+  constexpr std::size_t kN = 2, kIc = 3, kOc = 5, kH = 9, kW = 8;
+  for (const std::size_t k : {1, 3, 5}) {
+    for (const std::size_t stride : {1, 2}) {
+      for (const std::size_t padding : {0, 1, 2}) {
+        SCOPED_TRACE("k " + std::to_string(k) + " stride " + std::to_string(stride) +
+                     " padding " + std::to_string(padding));
+        const ops::Conv2dSpec spec{stride, padding};
+        Tensor input(Shape{kN, kIc, kH, kW});
+        Tensor weight(Shape{kOc, kIc, k, k});
+        Tensor bias(Shape{kOc});
+        fill(input, rng);
+        fill(weight, rng);
+        fill(bias, rng);
+        weight.data()[0] = 0.0f;
+        weight.data()[weight.numel() / 2] = std::numeric_limits<float>::infinity();
+        weight.data()[weight.numel() - 1] = -std::numeric_limits<float>::infinity();
+        if (weight.numel() > 3 * kIc * k * k) {
+          weight.data()[3 * kIc * k * k] = std::numeric_limits<float>::quiet_NaN();
+        }
+        bias.data()[1] = -0.0f;
+        const ops::Conv2dPlan plan =
+            ops::make_conv2d_plan(input.shape(), weight.shape(), spec);
+        const std::size_t oh = plan.out_height, ow = plan.out_width;
+        const Shape out_shape{kN, kOc, oh, ow};
+        std::vector<float> scratch(plan.col_rows * plan.col_cols);
+        Tensor full = sentinel(out_shape), want = sentinel(out_shape);
+        b().conv2d_planned(full, input, weight, bias, plan, scratch);
+        ref().conv2d_planned(want, input, weight, bias, plan, scratch);
+        expect_matches(want, full, kExact, "conv2d_planned vs ref");
+
+        // Corners, edges, the interior and the whole map.
+        std::vector<ops::Rect> windows = {
+            {0, 1, 0, 1},           {oh - 1, oh, ow - 1, ow},   {0, 2, ow - 2, ow},
+            {oh - 2, oh, 0, 2},     {0, 1, 0, ow},              {0, oh, ow - 1, ow},
+            {1, oh - 1, 1, ow - 1}, {oh / 2, oh / 2 + 1, 1, 2}, {0, oh, 0, ow}};
+        ops::Conv2dWindowScratch window_scratch;
+        for (const ops::Rect& window : windows) {
+          if (window.empty() || window.y1 > oh || window.x1 > ow) continue;
+          Tensor got = sentinel(out_shape);
+          ops::conv2d_forward_planned_window(got, input, weight, bias, plan, window,
+                                             window_scratch, scratch);
+          for (std::size_t plane = 0; plane < kN * kOc; ++plane) {
+            for (std::size_t y = 0; y < oh; ++y) {
+              for (std::size_t x = 0; x < ow; ++x) {
+                const std::size_t at = (plane * oh + y) * ow + x;
+                const bool inside = y >= window.y0 && y < window.y1 && x >= window.x0 &&
+                                    x < window.x1;
+                const float expected = inside ? full.raw()[at] : -1234.5f;
+                ASSERT_EQ(bits::to_bits(got.raw()[at]), bits::to_bits(expected))
+                    << "window [" << window.y0 << "," << window.y1 << ")x[" << window.x0
+                    << "," << window.x1 << ") at plane " << plane << " (" << y << ","
+                    << x << ")" << (inside ? "" : ": written outside the window");
+              }
+            }
+          }
+        }
+
+        // The receptive-field rule, from one perturbed input element.
+        for (const auto& [y, x] : std::vector<std::pair<std::size_t, std::size_t>>{
+                 {0, 0}, {kH - 1, kW - 1}, {0, kW - 1}, {kH / 2, kW / 2}, {1, 2}}) {
+          Tensor perturbed = input;
+          perturbed.data()[(1 * kIc + 2) * kH * kW + y * kW + x] += 7.0f;
+          Tensor changed = sentinel(out_shape);
+          b().conv2d_planned(changed, perturbed, weight, bias, plan, scratch);
+          const ops::Rect reach = ops::conv2d_output_window(plan, {y, y + 1, x, x + 1});
+          for (std::size_t plane = 0; plane < kN * kOc; ++plane) {
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+              for (std::size_t ox = 0; ox < ow; ++ox) {
+                const std::size_t at = (plane * oh + oy) * ow + ox;
+                if (bits::to_bits(changed.raw()[at]) == bits::to_bits(full.raw()[at])) {
+                  continue;
+                }
+                ASSERT_TRUE(oy >= reach.y0 && oy < reach.y1 && ox >= reach.x0 &&
+                            ox < reach.x1)
+                    << "input (" << y << "," << x << ") changed output (" << oy << ","
+                    << ox << ") outside its window";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  set_active_backend(previous);
+}
+
 // ---- GEMM / conv / linear (bit-exact) ---------------------------------------
 
 /// Sprinkles every non-finite and signed-zero kind over about 1 in 32

@@ -5,11 +5,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <unistd.h>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "nn/layers.h"
 #include "tensor/tensor.h"
 
 namespace alfi::test {
@@ -47,6 +50,44 @@ inline void expect_close(float a, float b, float atol = 1e-4f, float rtol = 1e-3
                          const std::string& what = "") {
   EXPECT_LE(std::fabs(a - b), atol + rtol * std::fabs(b)) << what << " a=" << a
                                                           << " b=" << b;
+}
+
+/// What fault-cone replay serves from the baseline (DESIGN.md §12) in a
+/// K-row pass of the flat Sequential `net` on `packed`, all of whose rows
+/// equal `one`: the (row, leaf) pairs whose leaf input is bit-identical to
+/// that leaf's input in the batch-1 pass on `one`, and the leaves where
+/// every row's is.  Computed with the allocating forward, hooks armed by
+/// `arm(true)` for the K-row pass only.
+struct ConeCounts {
+  std::size_t rows = 0;
+  std::size_t leaves = 0;
+};
+
+inline ConeCounts cone_counts(nn::Sequential& net, const Tensor& one, const Tensor& packed,
+                              const std::function<void(bool)>& arm) {
+  std::vector<Tensor> clean_inputs;
+  arm(false);
+  Tensor x = one;
+  for (const auto& [name, leaf] : net.children()) {
+    clean_inputs.push_back(x);
+    x = leaf->forward(x);
+  }
+  arm(true);
+  ConeCounts counts;
+  x = packed;
+  for (std::size_t leaf = 0; leaf < net.size(); ++leaf) {
+    const Tensor& base = clean_inputs[leaf];
+    std::size_t clean = 0;
+    for (std::size_t r = 0; r < packed.dim(0); ++r) {
+      clean += std::memcmp(x.raw() + r * base.numel(), base.raw(),
+                           base.numel() * sizeof(float)) == 0;
+    }
+    counts.rows += clean;
+    counts.leaves += clean == packed.dim(0);
+    x = net.children()[leaf].second->forward(x);
+  }
+  arm(false);
+  return counts;
 }
 
 }  // namespace alfi::test

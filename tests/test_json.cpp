@@ -21,6 +21,20 @@ TEST(JsonParse, Scalars) {
   EXPECT_EQ(Json::parse("\"hi\"").as_string(), "hi");
 }
 
+TEST(JsonParse, AsIntRejectsNumbersNoIntegerHolds) {
+  EXPECT_EQ(Json::parse("9007199254740991").as_int(), 9007199254740991LL);
+  EXPECT_EQ(Json::parse("-9.2e18").as_int(), -9200000000000000000LL);
+  EXPECT_EQ(Json::parse("1e3").as_int(), 1000);
+  for (const char* text : {"1.5", "-0.25", "1e30", "-1e19", "9.3e18"}) {
+    EXPECT_THROW(Json::parse(text).as_int(), ParseError) << text;
+  }
+  for (const double value : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(Json(value).as_int(), ParseError) << value;
+  }
+}
+
 TEST(JsonParse, NestedStructure) {
   const Json doc = Json::parse(R"({"a": [1, 2, {"b": true}], "c": null})");
   EXPECT_EQ(doc.at("a").as_array().size(), 3u);

@@ -124,6 +124,52 @@ TEST(Scenario, ValidationRejectsZeroCounts) {
   EXPECT_THROW(s.validate(), ConfigError);
 }
 
+TEST(Scenario, IntegerFieldsRejectNumbersTheyCannotHold) {
+  // A scenario file's integers must arrive as written or fail with a
+  // typed error: ParseError for a number no integer field can hold
+  // (fraction, Inf, past 64 bits), ConfigError for a negative count, a
+  // bit index past 31 or a seed a scenario file cannot record exactly.
+  enum class Want { kParse, kConfig };
+  const struct {
+    const char* yaml;
+    Want want;
+  } cases[] = {
+      {"run:\n  num_runs: -1\n", Want::kConfig},
+      {"run:\n  dataset_size: -3\n", Want::kConfig},
+      {"run:\n  batch_size: -1\n", Want::kConfig},
+      {"run:\n  rnd_seed: -5\n", Want::kConfig},
+      {"run:\n  rnd_seed: 9007199254740992\n", Want::kConfig},  // 2^53
+      {"run:\n  rnd_seed: 9007199254740993\n", Want::kConfig},  // reads as 2^53
+      {"run:\n  rnd_seed: 1e30\n", Want::kParse},
+      {"run:\n  num_runs: 1e30\n", Want::kParse},
+      {"run:\n  dataset_size: 2.5\n", Want::kParse},
+      {"run:\n  rnd_seed: inf\n", Want::kParse},
+      {"fault_injection:\n  max_faults_per_image: 1.5\n", Want::kParse},
+      {"fault_injection:\n  max_faults_per_image: -2\n", Want::kConfig},
+      {"fault_injection:\n  rnd_bit_range: [0, 4294967297]\n", Want::kConfig},
+      {"fault_injection:\n  rnd_bit_range: [-1, 3]\n", Want::kConfig},
+      {"fault_injection:\n  layer_range: [-1, 2]\n", Want::kConfig},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.yaml);
+    const io::Json tree = io::parse_yaml(c.yaml);
+    if (c.want == Want::kParse) {
+      EXPECT_THROW(Scenario::from_yaml(tree), ParseError);
+    } else {
+      EXPECT_THROW(Scenario::from_yaml(tree), ConfigError);
+    }
+  }
+
+  // The largest seed survives a scenario file round trip exactly.
+  Scenario s;
+  s.rnd_seed = Scenario::kMaxSeed;
+  EXPECT_EQ(Scenario::from_yaml(io::parse_yaml(io::dump_yaml(s.to_yaml()))).rnd_seed,
+            Scenario::kMaxSeed);
+  s.rnd_seed = Scenario::kMaxSeed + 1;
+  EXPECT_THROW(s.validate(), ConfigError);
+  EXPECT_EQ(Scenario::from_yaml(io::parse_yaml("run:\n  rnd_seed: 1e3\n")).rnd_seed, 1000u);
+}
+
 TEST(Scenario, ValidationRejectsInvertedRanges) {
   Scenario s;
   s.layer_range = {{5, 2}};

@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "models/classification.h"
 #include "nn/layers.h"
+#include "test_common.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -362,20 +363,23 @@ TEST_F(DifferentialPrefix, BroadcastReplayIsOptInAndBitIdentical) {
   expect_bitwise_equal(net_->forward_from(3, packed, diff), packed_full);
   EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
 
-  // With the caller's row-equality promise, the prefix replicates the
-  // baseline rows and still matches the full pass bit for bit.
+  // With the caller's row-equality promise, the cone replicates the
+  // baseline rows and still matches the full pass bit for bit.  No hook
+  // injects, so every row of every leaf stays clean: all 13 leaves are
+  // served from the baseline, whatever the armed boundary.
   diff.set_prefix_broadcast(true);
   expect_bitwise_equal(net_->forward_from(3, packed, diff), packed_full);
-  EXPECT_EQ(diff.prefix_reused_last_run(), 3u);
+  EXPECT_EQ(diff.prefix_reused_last_run(), 13u);
+  EXPECT_EQ(diff.prefix_reused_last_run(), base.leaf_count());
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), 13u * rows);
 }
 
 TEST_F(DifferentialPrefix, RaggedRowsMatchFullRecompute) {
-  // A same-image pack sorted by boundary (DESIGN.md §12): row r replays
-  // the batch-1 baseline up to its own boundary, where a hook injects
-  // into that row alone.  Row 0 computes from leaf 0, the last row
-  // never computes.  Every pass, with or without an observer veto, must
-  // match a full recompute bit for bit, and every hook call must see
-  // the whole pack.
+  // A same-image pack under fault-cone replay (DESIGN.md §12): a hook
+  // injects into row r alone at leaf boundaries[r], in pack order, and
+  // the last row is never injected.  Every pass, with or without an
+  // observer veto, must match a full recompute bit for bit, and every
+  // hook call must see the whole pack.
   const Tensor one = probe_image(1);
   constexpr std::size_t kRows = 5;
   Tensor packed(Shape{kRows, 3, 32, 32});
@@ -383,7 +387,7 @@ TEST_F(DifferentialPrefix, RaggedRowsMatchFullRecompute) {
     std::copy(one.data().begin(), one.data().end(),
               packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
   }
-  const std::vector<std::size_t> boundaries = {0, 3, 6, 10,
+  const std::vector<std::size_t> boundaries = {6, 0, 10, 3,
                                                InferenceWorkspace::kSkipAllLeaves};
 
   // Leaf i of the flat MiniAlexNet is child i.  The hooks inject only
@@ -408,6 +412,14 @@ TEST_F(DifferentialPrefix, RaggedRowsMatchFullRecompute) {
           }
         }));
   }
+  // The cone's exact counts: the (row, leaf) pairs whose leaf input the
+  // faults left bit-identical to the batch-1 pass.  A row's input is
+  // clean up to and including its injecting leaf, so the cone serves at
+  // least 7 + 1 + 11 + 4 + 13 pairs and leaf 0 outright.
+  const test::ConeCounts cone =
+      test::cone_counts(*net_, one, packed, [&](bool on) { armed = on; });
+  EXPECT_GE(cone.rows, 7u + 1 + 11 + 4 + 13);
+  EXPECT_GE(cone.leaves, 1u);
   armed = true;
   const Tensor packed_full = net_->forward(packed);
   armed = false;
@@ -422,29 +434,74 @@ TEST_F(DifferentialPrefix, RaggedRowsMatchFullRecompute) {
   armed = true;
   for (int pass = 0; pass < 2; ++pass) {  // planning pass, then steady state
     hook_calls = 0;
-    diff.set_prefix_row_boundaries(boundaries);
+    diff.set_prefix_boundary(0);  // a broadcast pass takes any armed value
     expect_bitwise_equal(diff.run(*net_, packed), packed_full);
     EXPECT_EQ(hook_calls, leaves.size());
-    // Rows replay min(boundary, 13 leaves) leaves each; row 0 computes
-    // every leaf, so no leaf is skipped outright.
-    EXPECT_EQ(diff.prefix_rows_reused_last_run(), 0u + 3 + 6 + 10 + 13);
-    EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
+    EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows);
+    EXPECT_EQ(diff.prefix_reused_last_run(), cone.leaves);
   }
 
-  // A veto at leaf 4 ends the prefix of every row there; rows that were
-  // still replaying recompute from leaf 5 on.
+  // Broadcast leaves run their real hooks, so an observer veto changes
+  // nothing: the rows a clamp would alter show up in the comparison.
   observer.veto_at = leaves[4].second.get();
   hook_calls = 0;
-  diff.set_prefix_row_boundaries(boundaries);
+  diff.set_prefix_boundary(0);
   expect_bitwise_equal(diff.run(*net_, packed), packed_full);
   EXPECT_EQ(hook_calls, leaves.size());
-  EXPECT_EQ(diff.prefix_rows_reused_last_run(), 0u + 3 + 4 + 4 + 4);
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows);
   armed = false;
   for (std::size_t leaf = 0; leaf < leaves.size(); ++leaf) {
     leaves[leaf].second->remove_forward_hook(handles[leaf]);
   }
   EXPECT_EQ(short_calls, 0u);
   EXPECT_TRUE(observer.replayed.empty());  // broadcast leaves run real hooks
+}
+
+TEST_F(DifferentialPrefix, ConeComparesAgainWhereAContainerHookRewroteALeafSlot) {
+  // A nested Sequential returns its last leaf's slot, whose rows that
+  // leaf already described as clean; a hook on the container then
+  // dirties row 1 of it.  The next leaf must see that row as dirty.
+  auto inner = std::make_shared<Sequential>();
+  inner->append(std::make_shared<Conv2d>(3, 4, 3, 1, 1));
+  inner->append(std::make_shared<ReLU>());
+  auto net = std::make_shared<Sequential>();
+  net->append(inner);
+  net->append(std::make_shared<Conv2d>(4, 4, 3, 1, 1));
+  net->append(std::make_shared<GlobalAvgPool2d>());
+  net->append(std::make_shared<Linear>(4, 3));
+  Rng rng(5);
+  kaiming_init(*net, rng);
+
+  const Tensor one = probe_image(1);
+  constexpr std::size_t kRows = 3;
+  Tensor packed(Shape{kRows, 3, 32, 32});
+  for (std::size_t r = 0; r < kRows; ++r) {
+    std::copy(one.data().begin(), one.data().end(),
+              packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
+  }
+  bool armed = false;
+  const HookHandle handle = inner->register_forward_hook(
+      [&armed](Module&, const Tensor&, Tensor& output) {
+        if (armed && output.dim(0) == kRows) output.raw()[output.numel() / kRows + 7] += 5.0f;
+      });
+  armed = true;
+  const Tensor expected = net->forward(packed);
+  armed = false;
+
+  InferenceWorkspace base;
+  base.run(*net, one);
+  InferenceWorkspace diff;
+  diff.set_prefix_baseline(&base);
+  diff.set_prefix_broadcast(true);
+  armed = true;
+  for (int pass = 0; pass < 2; ++pass) {
+    diff.set_prefix_boundary(0);
+    expect_bitwise_equal(diff.run(*net, packed), expected);
+    // Rows 0 and 2 stay clean through all five leaves; row 1 through
+    // the container's two.
+    EXPECT_EQ(diff.prefix_rows_reused_last_run(), 5u + 2 + 5);
+  }
+  inner->remove_forward_hook(handle);
 }
 
 TEST_F(DifferentialPrefix, ObserverVetoMaterializesAndRunsRealHooks) {

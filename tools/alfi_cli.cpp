@@ -16,9 +16,11 @@
 //   alfi inspect-faults out/vgg_faults.bin
 //   alfi analyze out/vgg_results.csv --trace out/vgg_trace.bin
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -128,9 +130,9 @@ void apply_telemetry_flags(core::CampaignConfigBase& config, const Args& args) {
 /// --no-workspace: fall back to the allocating forward() path instead
 /// of arena-backed workspace inference (same outputs, for A/B timing).
 /// --no-diff: full recompute of every campaign pass instead of
-/// differential inference replaying the fault-free prefix, and no
-/// fault-free cache (DESIGN.md §11 and §11.1; same outputs, for A/B
-/// verification).
+/// differential inference replaying the fault-free prefix, no
+/// fault-free cache and no fault-cone replay of same-image packs
+/// (DESIGN.md §11, §11.1 and §12; same outputs, for A/B verification).
 /// --unit-batch K: pack up to K campaign units into one batched forward
 /// pass, arming each unit's faults on its own batch slot (DESIGN.md
 /// §12; same outputs, clamped to what the workload supports).
@@ -259,19 +261,35 @@ std::optional<core::MitigationKind> parse_mitigation(const Args& args) {
   throw ConfigError("unknown mitigation: " + *value + " (ranger|clipper)");
 }
 
+constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
+
+/// `text` as an integer in [lo, hi]; ConfigError naming `flag` otherwise.
+std::uint64_t parse_count(const std::string& text, const std::string& flag,
+                          std::uint64_t lo, std::uint64_t hi) {
+  const auto parsed = parse_int(text);
+  if (!parsed || *parsed < 0 || static_cast<std::uint64_t>(*parsed) < lo ||
+      static_cast<std::uint64_t>(*parsed) > hi) {
+    const std::string range = hi == kNoLimit ? "an integer >= " + std::to_string(lo)
+                                             : "an integer in [" + std::to_string(lo) +
+                                                   ", " + std::to_string(hi) + "]";
+    throw ConfigError(flag + " must be " + range + ", got: " + text);
+  }
+  return static_cast<std::uint64_t>(*parsed);
+}
+
 core::Scenario load_scenario(const Args& args) {
   core::Scenario scenario;
   if (const auto path = args.get("scenario")) {
     scenario = core::Scenario::from_yaml_file(*path);
   }
   if (const auto v = args.get("dataset-size")) {
-    scenario.dataset_size = static_cast<std::size_t>(*parse_int(*v));
+    scenario.dataset_size = parse_count(*v, "--dataset-size", 1, kNoLimit);
   }
   if (const auto v = args.get("faults-per-image")) {
-    scenario.max_faults_per_image = static_cast<std::size_t>(*parse_int(*v));
+    scenario.max_faults_per_image = parse_count(*v, "--faults-per-image", 1, kNoLimit);
   }
   if (const auto v = args.get("seed")) {
-    scenario.rnd_seed = static_cast<std::uint64_t>(*parse_int(*v));
+    scenario.rnd_seed = parse_count(*v, "--seed", 0, core::Scenario::kMaxSeed);
   }
   if (const auto v = args.get("target")) {
     scenario.target = core::fault_target_from_string(*v);
@@ -438,8 +456,7 @@ int cmd_inspect_faults(const Args& args) {
     std::printf("%s\n", matrix.to_json().dump(2).c_str());
     return 0;
   }
-  const std::size_t limit = static_cast<std::size_t>(
-      *parse_int(args.get("limit", "16")));
+  const std::size_t limit = parse_count(args.get("limit", "16"), "--limit", 0, kNoLimit);
   const auto rows = matrix.table_rows();
   const char* names[7] = {"Batch/Layer", "Layer/OutCh", "Channel/InCh", "Depth",
                           "Height",      "Width",       "Value"};
@@ -614,8 +631,9 @@ void usage(std::FILE* out) {
                "                  --no-workspace: allocating inference path\n"
                "                  instead of arena-backed buffers, same outputs;\n"
                "                  --no-diff: full recompute instead of replaying\n"
-               "                  the fault-free prefix or reusing an image's\n"
-               "                  cached fault-free pass, same outputs;\n"
+               "                  the fault-free prefix, reusing an image's\n"
+               "                  cached fault-free pass or recomputing only\n"
+               "                  the fault's cone in a pack, same outputs;\n"
                "                  --backend: kernel backend, a pure speed choice\n"
                "                  (every backend gives bit-identical results) —\n"
                "                  auto (default unless the scenario names one)\n"
