@@ -291,18 +291,4 @@ UnitInjectionStack::UnitInjectionStack(PtfiWrap& wrapper, nn::Module* replica,
 
 UnitInjectionStack::~UnitInjectionStack() = default;
 
-std::size_t diff_prefix_boundary(const ModelProfile& profile,
-                                 std::span<const Fault> armed,
-                                 const nn::InferenceWorkspace& baseline) {
-  if (!baseline.planned()) return 0;  // no cached pass to replay from
-  std::size_t boundary = nn::InferenceWorkspace::kSkipAllLeaves;
-  for (const Fault& fault : armed) {
-    const nn::Module* module = profile.layer(static_cast<std::size_t>(fault.layer)).module;
-    const std::optional<std::size_t> index = baseline.leaf_exec_index(*module);
-    if (!index.has_value()) return 0;  // armed layer outside this workspace's pass
-    boundary = std::min(boundary, *index);
-  }
-  return boundary;
-}
-
 }  // namespace alfi::core

@@ -30,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -113,10 +112,11 @@ struct CampaignConfigBase {
   /// comparison and for training-mode models, which the workspace
   /// refuses.
   bool workspace = true;
-  /// Differential inference (DESIGN.md §11): the corrupted and mitigated
-  /// passes replay the fault-free pass's cached layer outputs up to the
-  /// earliest armed layer and recompute only the suffix.  Requires the
-  /// workspace path (silently full-recomputes when workspace is off).
+  /// Differential inference (DESIGN.md §11, §12): the corrupted and
+  /// mitigated passes replay the fault-free pass wherever a row is
+  /// bit-identical to it and recompute only what the faults reach.
+  /// Requires the workspace path (silently full-recomputes when
+  /// workspace is off).
   /// Outputs are byte-identical either way; `--no-diff` exists for A/B
   /// verification and paranoia.
   bool diff = true;
@@ -381,19 +381,5 @@ class UnitInjectionStack {
   std::unique_ptr<ModelMonitor> monitor_;
   std::unique_ptr<Protection> protection_;
 };
-
-/// Execution-order prefix boundary for the differential passes of the
-/// faults `armed` (a unit's, or a whole pack's): the smallest leaf
-/// execution index (in `baseline`'s recorded order) among their layers
-/// (`profile` indices), counting every fault that arms — a neuron fault
-/// pushed past the pass still runs its layer's skip accounting.  Leaves
-/// running strictly before it are bit-identical to the fault-free pass
-/// and may be replayed.  Conservative by construction: an unplanned
-/// baseline or a fault layer the baseline never executed (e.g. a
-/// detector head running under a separate workspace) returns 0 — full
-/// recompute; no faults at all returns InferenceWorkspace::kSkipAllLeaves.
-std::size_t diff_prefix_boundary(const ModelProfile& profile,
-                                 std::span<const Fault> armed,
-                                 const nn::InferenceWorkspace& baseline);
 
 }  // namespace alfi::core

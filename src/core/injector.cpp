@@ -106,6 +106,13 @@ void Injector::restore_all_weights() {
   weight_restores_.clear();
 }
 
+void Injector::corrupted_weight_modules(std::vector<const nn::Module*>& out) const {
+  out.clear();
+  for (const WeightRestore& restore : weight_restores_) {
+    out.push_back(profile_.layer(restore.layer).module);
+  }
+}
+
 std::size_t Injector::armed_neuron_fault_count() const {
   std::size_t count = 0;
   for (const auto& layer_faults : neuron_faults_by_layer_) count += layer_faults.size();

@@ -73,6 +73,12 @@ class Injector {
   std::size_t armed_neuron_fault_count() const;
   std::size_t pending_weight_restores() const { return weight_restores_.size(); }
 
+  /// The modules owning a weight the armed faults corrupted, one per
+  /// pending restore: what an armed workspace pass must recompute in
+  /// every row (nn::InferenceWorkspace::arm).  Fills `out`, reusing its
+  /// capacity.
+  void corrupted_weight_modules(std::vector<const nn::Module*>& out) const;
+
   /// The model profile the injector's layer indices refer to.
   const ModelProfile& profile() const { return profile_; }
 

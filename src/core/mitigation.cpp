@@ -8,7 +8,7 @@ namespace alfi::core {
 
 namespace {
 
-/// The one range predicate of the clamp hook, can_replay and skippable:
+/// The one range predicate of the clamp hook and skippable:
 /// true when the clamp leaves `v` as it is.
 bool in_range(float v, const RangeBounds& range) {
   return !(std::isnan(v) || v < range.lo || v > range.hi);
@@ -97,10 +97,6 @@ Protection::Protection(nn::Module& model, const RangeMap& bounds, MitigationKind
     module_bounds_.emplace(&m, range);
   });
   ALFI_CHECK(!attachments_.empty(), "model has no activation layers to protect");
-}
-
-bool Protection::can_replay(const nn::Module& module, const Tensor& cached) {
-  return !enabled_ || skippable(module, cached);
 }
 
 bool Protection::skippable(const nn::Module& module, const Tensor& fault_free_output) {

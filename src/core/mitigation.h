@@ -64,12 +64,9 @@ const char* to_string(MitigationKind kind);
 /// model's activation-layer paths (same architecture as the profiled
 /// model).
 ///
-/// As a differential-inference PrefixObserver, Protection vetoes the
-/// replay of any cached activation its clamp would alter (out-of-range
-/// or NaN values while enabled): the workspace then materializes the
-/// leaf and runs the real hook, so clamped values and the corrections()
-/// count match a full recompute exactly.  In-range cached outputs are
-/// clamp-identities, so skipping them is side-effect free.
+/// As a PrefixObserver, Protection tells the fault-free cache which
+/// leaves a root-child start may drop: those whose fault-free output its
+/// clamp leaves unchanged (DESIGN.md §11.1).
 class Protection : public nn::PrefixObserver {
  public:
   Protection(nn::Module& model, const RangeMap& bounds, MitigationKind kind);
@@ -88,10 +85,6 @@ class Protection : public nn::PrefixObserver {
   /// Total activation values altered by the protection so far.
   std::size_t corrections() const { return corrections_; }
   void reset_corrections() { corrections_ = 0; }
-
-  /// PrefixObserver: true iff this protection's hook would leave
-  /// `cached` unchanged (disabled, or skippable()).  Side-effect free.
-  bool can_replay(const nn::Module& module, const Tensor& cached) override;
 
   /// PrefixObserver: true iff the clamp leaves `fault_free_output`
   /// unchanged whether enabled or not — an unprotected layer, or every

@@ -33,14 +33,7 @@ ModelMonitor::ModelMonitor(nn::Module& model) {
           observe(path, output);
         });
     attachments_.push_back({&m, handle});
-    paths_.emplace(&m, path);
   });
-}
-
-void ModelMonitor::on_replay(const nn::Module& module, const Tensor& cached) {
-  const auto it = paths_.find(&module);
-  if (it == paths_.end()) return;  // not a layer this monitor observes
-  observe(it->second, cached);
 }
 
 bool ModelMonitor::skippable(const nn::Module&, const Tensor& fault_free_output) {

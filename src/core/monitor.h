@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/module.h"
@@ -20,11 +19,9 @@
 
 namespace alfi::core {
 
-/// ModelMonitor doubles as a differential-inference PrefixObserver:
-/// when a workspace replays a leaf from the fault-free baseline, the
-/// monitor re-runs its NaN/Inf scan (and custom monitors) on the cached
-/// output, so detection state and `monitor.*` counters stay identical
-/// to a full recompute.
+/// ModelMonitor doubles as a PrefixObserver: it tells the fault-free
+/// cache which leaves a root-child start may drop without losing a
+/// NaN/Inf detection (DESIGN.md §11.1).
 class ModelMonitor : public nn::PrefixObserver {
  public:
   /// Observes a layer output: (module path, output tensor).
@@ -72,9 +69,6 @@ class ModelMonitor : public nn::PrefixObserver {
   /// detects nothing.  Pass nullptr to detach.
   void set_metrics(util::MetricsRegistry* registry);
 
-  /// PrefixObserver: replays the observation hook for a skipped leaf.
-  void on_replay(const nn::Module& module, const Tensor& cached) override;
-
   /// PrefixObserver: true when observing `fault_free_output` would record
   /// nothing — no custom monitor is registered and every value is
   /// finite.
@@ -88,7 +82,6 @@ class ModelMonitor : public nn::PrefixObserver {
     nn::HookHandle handle;
   };
   std::vector<Attachment> attachments_;
-  std::unordered_map<const nn::Module*, std::string> paths_;
   std::vector<std::string> nan_layers_;
   std::vector<std::string> inf_layers_;
   std::size_t slot_count_ = 0;         // 0 = whole-tensor scanning

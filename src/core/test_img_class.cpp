@@ -152,6 +152,29 @@ std::string score_unit(std::size_t top_k, const TripleLogits& logits,
   return w.take();
 }
 
+/// diff_prefix_boundary's value when no fault lands.
+constexpr std::size_t kNoLeaf = static_cast<std::size_t>(-1);
+
+/// The earliest leaf the faults `armed` arm, by execution index in
+/// `baseline`'s recorded order — counting every fault that arms: a
+/// neuron fault pushed past the pass still runs its layer's skip
+/// accounting.  Every leaf before it reads the fault-free pass's input,
+/// so it picks the fault-free cache's cut (DESIGN.md §11.1).  0 for an
+/// unplanned baseline or a fault layer the baseline never executed;
+/// kNoLeaf when no fault lands.
+std::size_t diff_prefix_boundary(const ModelProfile& profile, std::span<const Fault> armed,
+                                 const nn::InferenceWorkspace& baseline) {
+  if (!baseline.planned()) return 0;
+  std::size_t boundary = kNoLeaf;
+  for (const Fault& fault : armed) {
+    const nn::Module* module = profile.layer(static_cast<std::size_t>(fault.layer)).module;
+    const std::optional<std::size_t> index = baseline.leaf_exec_index(*module);
+    if (!index.has_value()) return 0;  // armed layer outside this workspace's pass
+    boundary = std::min(boundary, *index);
+  }
+  return boundary;
+}
+
 /// What a runner keeps of its images' fault-free passes, so a one-unit
 /// pack can skip its own (DESIGN.md §11.1): per image the logits and, per
 /// cut, the tensor the armed passes start from at that root child.
@@ -237,19 +260,14 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     if (!h_.config_.workspace) return;
     arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
     if (!h_.config_.diff) return;
-    // corr/resil replay the orig pass; observers follow the hook order
-    // on each leaf (injector has nothing to replay on unarmed layers,
-    // monitor observes, protection validates its clamp).
+    // corr/resil replay the orig pass (fault-cone replay, DESIGN.md §12).
+    // The observers tell the fault-free cache which leaves a root-child
+    // start may drop (§11.1), in hook order: monitor, then protection.
     diff_ = true;
-    for (nn::InferenceWorkspace* ws : {&ws_corr_, &ws_resil_}) {
-      ws->set_prefix_baseline(&ws_orig_);
-      // Same-image packs run the orig pass at batch 1 under a K-row
-      // corr/resil pass; every packed row is the same image, so the
-      // fault-cone replay's row-equality contract holds (DESIGN.md §12).
-      ws->set_prefix_broadcast(true);
-      ws->add_prefix_observer(&stack_.monitor());
-      if (stack_.protection() != nullptr) ws->add_prefix_observer(stack_.protection());
-    }
+    ws_corr_.set_prefix_baseline(&ws_orig_);
+    ws_resil_.set_prefix_baseline(&ws_orig_);
+    ws_corr_.add_prefix_observer(&stack_.monitor());
+    if (stack_.protection() != nullptr) ws_corr_.add_prefix_observer(stack_.protection());
     diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
     diff_rows_skipped_ = &h_.metrics_.counter("campaign.diff.rows_skipped");
     diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
@@ -300,7 +318,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     const bool hit = count == 1 && golden_start(addrs[0], packed, golden);
     const TripleLogits logits =
         triple(same_image ? orig_input : packed, packed, count, hit ? &golden : nullptr,
-               [&] { arm_pack(units, addrs, same_image); });
+               [&] { arm_pack(units, addrs); });
     if (hit) {
       golden_hits_->add();
     } else if (count == 1) {
@@ -333,19 +351,19 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
         addr.group_start, h_.wrapper_.get_scenario().max_faults_per_image);
   }
 
-  /// The earliest leaf unit `addr` arms on row `slot` of a `slots`-row
-  /// pass, kSkipAllLeaves when none of its faults lands (ws_orig_ must
-  /// be planned: the index is its execution order).
-  std::size_t unit_boundary(const UnitAddress& addr, std::size_t slot, std::size_t slots) {
+  /// The earliest leaf the one-unit pack of `addr` arms, kNoLeaf when
+  /// none of its faults lands (ws_orig_ must be planned: the index is its
+  /// execution order).
+  std::size_t unit_boundary(const UnitAddress& addr) {
     unit_faults_.clear();
-    append_unit_faults(h_.wrapper_.get_scenario(), h_.wrapper_.fault_matrix(), addr, slot,
-                       slots, unit_faults_);
+    append_unit_faults(h_.wrapper_.get_scenario(), h_.wrapper_.fault_matrix(), addr, 0, 1,
+                       unit_faults_);
     return diff_prefix_boundary(stack_.injector().profile(), unit_faults_, ws_orig_);
   }
 
   /// The last root child whose first leaf comes at or before `boundary`:
   /// no leaf of an earlier child holds an armed fault.  A unit none of
-  /// whose faults lands (kSkipAllLeaves) cuts at the last root child.
+  /// whose faults lands (kNoLeaf) cuts at the last root child.
   std::size_t cut_of(std::size_t boundary) const {
     std::size_t child = 0;
     while (child + 1 < child_first_leaf_.size() && child_first_leaf_[child + 1] <= boundary) {
@@ -363,7 +381,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     const FaultFreeCache::Entry* entry = cache_.find(addr.img);
     if (entry == nullptr) return false;
     start.logits = &entry->logits;
-    start.child = cut_of(unit_boundary(addr, 0, 1));
+    start.child = cut_of(unit_boundary(addr));
     start.live = start.child == 0 ? &image : entry->cut(start.child);
     return start.live != nullptr && ws_corr_.planned_for(model_, image.shape()) &&
            (stack_.protection() == nullptr || ws_resil_.planned_for(model_, image.shape()));
@@ -381,7 +399,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     }
     if (child_first_leaf_.empty()) {
       for (const auto& [name, child] : root_->children()) {
-        std::size_t first = nn::InferenceWorkspace::kSkipAllLeaves;
+        std::size_t first = kNoLeaf;
         child->for_each_module([&](const std::string&, nn::Module& m) {
           const std::optional<std::size_t> index = ws_orig_.leaf_exec_index(m);
           if (m.children().empty() && index.has_value()) first = std::min(first, *index);
@@ -391,11 +409,10 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     }
     FaultFreeCache::Entry* entry = cache_.find(addr.img);
     if (entry == nullptr) {
-      // ws_corr_ and ws_resil_ share their observers.
       entry = cache_.insert(addr.img, logits, ws_corr_.first_unskippable_leaf(ws_orig_));
       if (entry == nullptr) return;
     }
-    const std::size_t child = cut_of(boundary_);
+    const std::size_t child = cut_of(unit_boundary(addr));
     if (child > 0 && child_first_leaf_[child] <= entry->first_unskippable &&
         entry->cut(child) == nullptr) {
       cache_.add_cut(*entry, child, *ws_orig_.root_child_output(child - 1));
@@ -403,36 +420,21 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     golden_bytes_->set_max(static_cast<double>(cache_.bytes()));
   }
 
-  /// Arms the pack's faults, unit i on batch slot i, and sets (diff on)
-  /// boundary_: the earliest leaf any unit arms (kSkipAllLeaves when
-  /// none of their faults lands), which a same-shape replay replays up
-  /// to.  Runs right after the fault-free pass, so ws_orig_ is planned
-  /// even on a runner's first pack.  A
-  /// same-image pack's armed passes are cone replays (DESIGN.md §12):
-  /// they need no boundary, but admit no weight fault either — a
-  /// corrupted weight would change the rows the cone copies from the
-  /// fault-free pass, and unit_pack_limit pins weight faults to one-unit
-  /// packs.
+  /// Arms the pack's faults, unit i on batch slot i, and (diff on)
+  /// collects the leaves whose weights they corrupted: the armed passes
+  /// recompute those in every row (DESIGN.md §12).
   void arm_pack(const std::vector<std::size_t>& units,
-                const std::vector<UnitAddress>& addrs, bool same_image) {
+                const std::vector<UnitAddress>& addrs) {
     const std::size_t count = units.size();
-    const Scenario& scenario = h_.wrapper_.get_scenario();
-    const FaultMatrix& matrix = h_.wrapper_.fault_matrix();
-    Injector& injector = stack_.injector();
-
     std::vector<Fault> armed;
-    boundary_ = nn::InferenceWorkspace::kSkipAllLeaves;
     for (std::size_t i = 0; i < count; ++i) {
-      append_unit_faults(scenario, matrix, addrs[i], i, count, armed);
-      if (diff_) boundary_ = std::min(boundary_, unit_boundary(addrs[i], i, count));
+      append_unit_faults(h_.wrapper_.get_scenario(), h_.wrapper_.fault_matrix(), addrs[i], i,
+                         count, armed);
     }
-    ALFI_CHECK(!same_image || count == 1 ||
-                   std::none_of(armed.begin(), armed.end(),
-                                [](const Fault& f) { return f.target == FaultTarget::kWeights; }),
-               "a same-image pack cannot arm a weight fault: its armed passes replay "
-               "the fault-free pass in every row the faults do not reach");
+    Injector& injector = stack_.injector();
     injector.set_inference_index(units[0]);
     injector.arm(std::move(armed));
+    if (diff_) injector.corrupted_weight_modules(weight_changed_);
   }
 
   /// Runs the coupled triple: the fault-free pass on `orig_images`, then
@@ -474,8 +476,6 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     const std::size_t slots = count > 1 ? count : 0;
     monitor.set_slot_count(slots);
     monitor.reset();
-    // The armed set is fixed for both remaining passes, so the same
-    // boundary serves corr and resil alike.
     out.corr = armed_pass(faulty_images, ws_corr_, corr_hold_, golden);
     due_.assign(count, 0);
     for (std::size_t s = 0; s < count; ++s) {
@@ -496,11 +496,10 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
     return out;
   }
 
-  /// One armed pass: through `ws`, replaying the fault-free pass (diff
-  /// on: up to boundary_, or wherever the cone is clean in a same-image
-  /// pack), from a cache hit's start (`golden`), or (workspace off) the
-  /// allocating forward into `hold`.  A hit's pass counts the leaves
-  /// before its cut as skipped.
+  /// One armed pass: through `ws`, replaying the fault-free pass wherever
+  /// a row is bit-identical to it (diff on), from a cache hit's start
+  /// (`golden`), or (workspace off) the allocating forward into `hold`.
+  /// A hit's pass counts the leaves before its cut as skipped.
   const Tensor* armed_pass(const Tensor& images, nn::InferenceWorkspace& ws,
                            Tensor& hold, const GoldenStart* golden) {
     if (!h_.config_.workspace) {
@@ -514,7 +513,7 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
       out = &ws.run_from_child(model_, golden->child, *golden->live);
       layers = rows = child_first_leaf_[golden->child];
     } else {
-      if (diff_) ws.set_prefix_boundary(boundary_);
+      if (diff_) ws.arm(weight_changed_);
       out = &ws.run(model_, images);
       layers = ws.prefix_reused_last_run();
       rows = ws.prefix_rows_reused_last_run();
@@ -534,10 +533,10 @@ class ImgClassUnitRunner final : public CampaignUnitRunner {
   // One workspace per pass so the three output tensors coexist.
   nn::InferenceWorkspace ws_orig_, ws_corr_, ws_resil_;
   Tensor orig_hold_, corr_hold_, resil_hold_;  // allocating-path storage
-  // The current pack: DUE verdicts by slot, and its replay boundary
-  // (arm_pack).
+  // The current pack: DUE verdicts by slot, and the leaves whose weights
+  // its faults corrupted (arm_pack).
   std::vector<std::uint8_t> due_;
-  std::size_t boundary_ = 0;
+  std::vector<const nn::Module*> weight_changed_;
   util::Gauge* arena_gauge_ = nullptr;
   bool diff_ = false;
   util::Counter* diff_skipped_ = nullptr;       // campaign.diff.layers_skipped

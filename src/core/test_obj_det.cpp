@@ -86,18 +86,12 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
         monitor_(stack_.monitor()),
         protection_(stack_.protection()) {
     if (!h_.config_.workspace) return;
-    // One workspace suffices: detect() decodes each pass's output into
-    // Detection vectors before the next pass overwrites the slots.
-    detector_->set_workspace(&ws_);
     arena_gauge_ = &h_.metrics_.gauge("campaign.arena_high_water_bytes");
     if (!h_.config_.diff) return;
-    // Self-baseline: a differential pass only overwrites suffix slots,
-    // so prefix slots keep their fault-free values from this unit's
-    // pass 1 — valid to replay for passes 2 and 3.
+    // The armed passes replay the fault-free one (fault-cone replay,
+    // DESIGN.md §12).
     diff_ = true;
-    ws_.set_prefix_baseline(&ws_);
-    ws_.add_prefix_observer(&monitor_);
-    if (protection_ != nullptr) ws_.add_prefix_observer(protection_);
+    ws_armed_.set_prefix_baseline(&ws_orig_);
     diff_skipped_ = &h_.metrics_.counter("campaign.diff.layers_skipped");
     diff_rows_skipped_ = &h_.metrics_.counter("campaign.diff.rows_skipped");
     diff_hits_ = &h_.metrics_.counter("campaign.diff.prefix_hits");
@@ -138,6 +132,27 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
       injector_.set_inference_index(units[0]);
       injector_.arm(armed);
     };
+    // detect() decodes each pass's output into Detection vectors, so the
+    // two armed passes share ws_armed_; with diff on they replay the
+    // fault-free pass in ws_orig_ (fault-cone replay, DESIGN.md §12).
+    const auto detect = [&](nn::InferenceWorkspace& ws) {
+      if (h_.config_.workspace) detector_->set_workspace(&ws);
+      return detector_->detect(packed, h_.config_.conf_threshold);
+    };
+    const auto detect_armed = [&] {
+      if (diff_) {
+        injector_.corrupted_weight_modules(weight_changed_);
+        ws_armed_.arm(weight_changed_);
+      }
+      auto detections = detect(ws_armed_);
+      if (diff_) {
+        const std::size_t rows = ws_armed_.prefix_rows_reused_last_run();
+        diff_skipped_->add(ws_armed_.prefix_reused_last_run());
+        diff_rows_skipped_->add(rows);
+        (rows > 0 ? diff_hits_ : diff_misses_)->add();
+      }
+      return detections;
+    };
 
     // Per-slot monitoring for a multi-unit pack; a one-unit pack
     // monitors whole-tensor, so a layer whose dim 0 is not the batch
@@ -148,26 +163,12 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
     // ---- pass 1: fault-free -------------------------------------------------
     injector_.disarm();
     if (protection_) protection_->set_enabled(false);
-    auto orig = detector_->detect(packed, h_.config_.conf_threshold);
+    auto orig = detect(ws_orig_);
 
     // ---- pass 2: faulty -----------------------------------------------------
     arm();
     monitor_.reset();
-    // Both remaining passes arm the identical fault group, so one
-    // boundary serves pass 2 and pass 3 — which also guarantees pass 3
-    // never replays a slot pass 2 overwrote.
-    std::size_t boundary = 0;
-    if (diff_) boundary = diff_prefix_boundary(injector_.profile(), armed, ws_);
-    const auto note_diff = [this] {
-      if (!diff_) return;
-      const std::size_t rows = ws_.prefix_rows_reused_last_run();
-      diff_skipped_->add(ws_.prefix_reused_last_run());
-      diff_rows_skipped_->add(rows);
-      (rows > 0 ? diff_hits_ : diff_misses_)->add();
-    };
-    ws_.set_prefix_boundary(boundary);
-    auto corr = detector_->detect(packed, h_.config_.conf_threshold);
-    note_diff();
+    auto corr = detect_armed();
     // Per-slot DUE verdicts, read after the faulty pass, before the
     // hardened one.
     std::vector<std::uint8_t> due(count, 0);
@@ -181,15 +182,13 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
       injector_.disarm();
       arm();
       protection_->set_enabled(true);
-      ws_.set_prefix_boundary(boundary);
-      resil = detector_->detect(packed, h_.config_.conf_threshold);
-      note_diff();
+      resil = detect_armed();
       protection_->set_enabled(false);
     }
     injector_.disarm();
     monitor_.set_slot_count(0);
     if (arena_gauge_ != nullptr) {
-      arena_gauge_->set(static_cast<double>(ws_.high_water_bytes()));
+      arena_gauge_->set(static_cast<double>(ws_armed_.high_water_bytes()));
     }
 
     const std::vector<std::vector<InjectionRecord>> per_unit_records =
@@ -235,7 +234,9 @@ class ObjDetUnitRunner final : public CampaignUnitRunner {
   Injector& injector_;
   ModelMonitor& monitor_;
   Protection* protection_;  // null without mitigation
-  nn::InferenceWorkspace ws_;
+  // The fault-free pass, and the corrupted and hardened ones.
+  nn::InferenceWorkspace ws_orig_, ws_armed_;
+  std::vector<const nn::Module*> weight_changed_;  // detect_armed()'s scratch
   util::Gauge* arena_gauge_ = nullptr;
   bool diff_ = false;
   util::Counter* diff_skipped_ = nullptr;

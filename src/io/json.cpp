@@ -140,9 +140,12 @@ void append_number(std::string& out, double d) {
   // exact same double, and to_chars is locale-independent, so emitted
   // files are byte-stable no matter the process locale ("%g" was
   // neither: it truncates to a fixed precision and honors LC_NUMERIC's
-  // decimal separator).
+  // decimal separator).  Past 2^53 it takes an exponent: the parser
+  // refuses integer text it cannot hold exactly.
   char buf[40];
-  const auto result = std::to_chars(buf, buf + sizeof buf, d);
+  const auto result = std::fabs(d) >= 0x1p53
+                          ? std::to_chars(buf, buf + sizeof buf, d, std::chars_format::scientific)
+                          : std::to_chars(buf, buf + sizeof buf, d);
   ALFI_CHECK(result.ec == std::errc(), "json: number formatting failed");
   out.append(buf, result.ptr);
 }
@@ -368,6 +371,16 @@ class Parser {
     const char* first = token.c_str();
     const char* last = first + token.size();
     if (first != last && *first == '+') ++first;
+    if (token.find_first_of(".eE") == std::string::npos) {
+      // Integer text must be held exactly: 2^53 + 1 would read as 2^53.
+      long long integer = 0;
+      const auto exact = std::from_chars(first, last, integer);
+      if (exact.ec == std::errc::result_out_of_range ||
+          (exact.ec == std::errc() && (integer > Json::kMaxExactInteger ||
+                                       integer < -Json::kMaxExactInteger))) {
+        fail("integer " + token + " is past 2^53, which a number cannot hold exactly");
+      }
+    }
     double value = 0.0;
     const auto result = std::from_chars(first, last, value);
     if (result.ec != std::errc() || result.ptr != last) {

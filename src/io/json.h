@@ -60,6 +60,11 @@ class Json {
   Json(JsonArray a) : type_(JsonType::kArray), array_(std::move(a)) {}
   Json(JsonObject o) : type_(JsonType::kObject), object_(std::move(o)) {}
 
+  /// The largest magnitude an integer may have and still be held
+  /// exactly (2^53): Json::parse and the YAML loader refuse integer text
+  /// past it rather than round it.
+  static constexpr long long kMaxExactInteger = 1LL << 53;
+
   static Json array() { return Json(JsonArray{}); }
   static Json object() { return Json(JsonObject{}); }
 

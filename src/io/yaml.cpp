@@ -86,7 +86,15 @@ Json parse_scalar(std::string_view token, std::size_t line) {
     // Bare 1/0 should stay numeric; only word forms become booleans.
     if (t != "1" && t != "0") return Json(*b);
   }
-  if (const auto i = parse_int(t)) return Json(static_cast<double>(*i));
+  // Integer text must be held exactly: 2^53 + 1 would read as 2^53.
+  const std::string_view digits = t.front() == '-' || t.front() == '+' ? t.substr(1) : t;
+  if (!digits.empty() && digits.find_first_not_of("0123456789") == std::string_view::npos) {
+    const auto i = parse_int(t);
+    if (!i || *i > Json::kMaxExactInteger || *i < -Json::kMaxExactInteger) {
+      fail(line, "integer " + std::string(t) + " is past 2^53, which a number cannot hold exactly");
+    }
+    return Json(static_cast<double>(*i));
+  }
   if (const auto d = parse_double(t)) return Json(*d);
   return Json(std::string(t));
 }

@@ -45,32 +45,12 @@ void Module::run_forward_hooks(const Tensor& input, Tensor& output) {
 }
 
 Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
-  // Differential-inference prefix handling applies to leaves only:
-  // containers recombine their children's (possibly replayed) outputs
-  // with cheap elementwise math, so they always recompute.
+  // Replay applies to leaves only: containers recombine their children's
+  // outputs with cheap elementwise math, so they always recompute.
   if (children_.empty()) {
     if (ws.recording_exec()) ws.record_leaf(*this);
-    Tensor* cached = nullptr;
-    switch (ws.prefix_action(*this, input, &cached)) {
-      case InferenceWorkspace::PrefixAction::kSkip:
-        // Bit-identical to recomputing: every leaf upstream replayed the
-        // fault-free pass, this leaf holds no armed fault, and all
-        // observers replayed their hook side effects from `cached`.
-        return *cached;
-      case InferenceWorkspace::PrefixAction::kMaterialize: {
-        // An observer vetoed the replay (its hook would alter the data).
-        // The cached tensor still equals what compute_ws would produce —
-        // upstream was bit-identical — so copy it into this module's own
-        // slot and run the real hooks on it.
-        Tensor& slot = ws.slot(*this, [&] { return cached->shape(); });
-        if (&slot != cached) slot.copy_from(*cached);
-        run_forward_hooks(input, slot);
-        return slot;
-      }
-      case InferenceWorkspace::PrefixAction::kCone:
-        return forward_cone(input, *cached, ws);
-      case InferenceWorkspace::PrefixAction::kCompute:
-        break;
+    if (const Tensor* baseline = ws.cone_baseline(*this, input)) {
+      return forward_cone(input, *baseline, ws);
     }
   }
   Tensor& output = compute_ws(input, ws);
@@ -82,24 +62,31 @@ Tensor& Module::forward_ws(const Tensor& input, InferenceWorkspace& ws) {
 
 Tensor& Module::forward_cone(const Tensor& input, const Tensor& baseline,
                              InferenceWorkspace& ws) {
-  // Fault-cone replay (DESIGN.md §12): a K-row pass of the one image
-  // whose batch-1 fault-free output is `baseline`.  Every row starts as
-  // the baseline's row; a row whose input differs from the baseline's
-  // recomputes what its dirty box reaches — bit-identical to a full
-  // recompute, since every other element reads only clean input.  Then
-  // the REAL hooks run on all K rows (injection, monitoring, clamping),
-  // and the workspace compares each row with the baseline again.
+  // Fault-cone replay (DESIGN.md §12): an armed pass over the rows whose
+  // fault-free output is `baseline` (1 row for all of them, or one
+  // each).  Every row starts as its baseline row; a row whose input
+  // differs from the baseline's recomputes what its dirty box reaches —
+  // bit-identical to a full recompute, since every other element reads
+  // only clean input.  Then the REAL hooks run on every row (injection,
+  // monitoring, clamping), and the workspace compares each row with the
+  // baseline again.
   const std::size_t rows = ws.cone_row_count();
   Tensor& slot = ws.slot(*this, [&] {
     std::vector<std::size_t> dims = baseline.shape().dims();
     dims[0] = rows;
     return Shape(std::move(dims));
   });
-  const std::span<const float> row = baseline.data();
+  const std::span<const float> base = baseline.data();
   const std::span<float> out = slot.data();
-  ALFI_CHECK(out.size() == row.size() * rows, "fault-cone replay slot shape mismatch");
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::copy(row.begin(), row.end(), out.begin() + static_cast<std::ptrdiff_t>(r * row.size()));
+  const std::size_t per_row = out.size() / rows;
+  ALFI_CHECK(out.size() == per_row * rows && base.size() == per_row * baseline.dim(0),
+             "fault-cone replay slot shape mismatch");
+  if (baseline.dim(0) == rows) {
+    std::copy(base.begin(), base.end(), out.begin());
+  } else {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy(base.begin(), base.end(), out.begin() + static_cast<std::ptrdiff_t>(r * per_row));
+    }
   }
   const std::span<const ops::Rect> boxes = ws.cone_boxes(input);
   std::size_t computed = 0;
@@ -113,12 +100,6 @@ Tensor& Module::forward_cone(const Tensor& input, const Tensor& baseline,
   run_forward_hooks(input, slot);
   ws.cone_finish(*this, slot, baseline, computed);
   return slot;
-}
-
-Tensor& Module::forward_from(std::size_t first_recomputed_leaf, const Tensor& input,
-                             InferenceWorkspace& ws) {
-  ws.set_prefix_boundary(first_recomputed_leaf);
-  return ws.run(*this, input);
 }
 
 Tensor& Module::compute_ws(const Tensor& input, InferenceWorkspace& ws) {

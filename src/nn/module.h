@@ -108,19 +108,6 @@ class Module {
   /// point; it handles plan invalidation.
   Tensor& forward_ws(const Tensor& input, InferenceWorkspace& ws);
 
-  /// Differential inference entry point (DESIGN.md §11): one workspace
-  /// pass that replays every leaf executing before `first_recomputed_leaf`
-  /// from the workspace's prefix baseline and recomputes the rest.
-  /// Equivalent to ws.set_prefix_boundary(first_recomputed_leaf) followed
-  /// by ws.run(*this, input); 0 is a plain full recompute and
-  /// InferenceWorkspace::kSkipAllLeaves replays the whole pass.  Output,
-  /// hook side effects and monitor/protection accounting are
-  /// bit-identical to the full recompute whenever the prefix engages
-  /// (and the workspace degrades to full recompute whenever equivalence
-  /// cannot be proven).
-  Tensor& forward_from(std::size_t first_recomputed_leaf, const Tensor& input,
-                       InferenceWorkspace& ws);
-
   // -- cloning -------------------------------------------------------------
 
   /// Architecture-only copy: a fresh module tree with the same layer
@@ -238,7 +225,7 @@ class Module {
   /// Fault-cone replay (DESIGN.md §12): computes one row of this leaf's
   /// output — the view slot() returns, which already holds the baseline's
   /// row — from `input_row`, a single row whose elements outside `dirty`
-  /// equal the baseline input's.  Returns false when no output element
+  /// equal the baseline input's row.  Returns false when no output element
   /// can differ, so nothing was computed.  The default recomputes the
   /// whole row (compute_ws); Conv2d computes only the output window the
   /// box reaches.
@@ -259,7 +246,8 @@ class Module {
   Module* register_child(std::string name, std::shared_ptr<Module> child);
 
  private:
-  /// forward_ws of a leaf in a broadcast pass (PrefixAction::kCone).
+  /// forward_ws of a leaf an armed pass replays
+  /// (InferenceWorkspace::cone_baseline).
   Tensor& forward_cone(const Tensor& input, const Tensor& baseline,
                        InferenceWorkspace& ws);
 

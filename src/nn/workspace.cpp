@@ -10,12 +10,12 @@ namespace alfi::nn {
 
 namespace {
 
-// True when `base` is a batch-1 shape and `target` packs N > 1 rows of
-// the same per-row geometry along dim 0 (same-image unit packs,
-// DESIGN.md §12).  Equal shapes are NOT broadcast — plain replay wins.
-bool broadcast_compatible(const Shape& base, const Shape& target) {
+// True when an armed pass on `target` can replay a baseline that ran on
+// `base`: the same per-row shape, and 1 row or as many rows as `target`
+// (a same-image pack, a gather pack, a one-unit pass).
+bool rows_compatible(const Shape& base, const Shape& target) {
   if (base.rank() == 0 || base.rank() != target.rank()) return false;
-  if (base[0] != 1 || target[0] <= 1) return false;
+  if (base[0] != 1 && base[0] != target[0]) return false;
   for (std::size_t axis = 1; axis < base.rank(); ++axis) {
     if (base[axis] != target[axis]) return false;
   }
@@ -65,13 +65,15 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
     invalidate();
     root_ = &root;
     input_shape_ = input.shape();
+    input_ = Tensor(input.shape());
   }
+  input_.copy_from(input);
+  input_current_ = true;
 
-  // The boundary is one-shot: consume it now so a plain run() after a
-  // forward_from() never inherits a stale prefix.
-  const bool armed = armed_boundary_.has_value();
-  run_boundary_ = armed ? *armed_boundary_ : 0;
-  armed_boundary_.reset();
+  // arm() is one-shot: consume it now so a plain run() after an armed
+  // one never inherits it.
+  const bool armed = armed_;
+  armed_ = false;
   row_module_ = nullptr;
 
   recording_exec_ = !planned();
@@ -80,32 +82,26 @@ Tensor& InferenceWorkspace::run(Module& root, const Tensor& input) {
     exec_valid_ = true;
   }
 
-  // Replay only activates when it is provably equivalent to recompute:
-  // the baseline ran this exact root, completed a planning pass (slots
-  // exist), and its execution order is unambiguous.  A same-shape replay
-  // then needs the same input shape; a broadcast pass (opt-in,
-  // set_prefix_broadcast) a batch-1 baseline under a K-row pass, whose
-  // rows the caller promised equal to the baseline's row (DESIGN.md
-  // §12).  Anything else degrades to full recompute.
+  // Replay needs a baseline whose slots describe the pass: a run() of
+  // this root (not a root-child start), planned, with an unambiguous leaf
+  // order, on 1 row or this pass's rows of the same per-row shape.  Its
+  // input need not equal this one: the comparison below finds the rows
+  // that differ, and they recompute.
   const InferenceWorkspace* base = prefix_baseline_;
-  const bool baseline_ok = armed && base != nullptr && base->root_ == &root &&
-                           base->planned() && base->exec_valid_;
-  cone_ = baseline_ok && prefix_broadcast_allowed_ &&
-          broadcast_compatible(base->input_shape_, input.shape());
-  prefix_active_ = !cone_ && baseline_ok && run_boundary_ > 0 &&
-                   base->input_shape_ == input.shape();
+  cone_ = armed && base != nullptr && base->root_ == &root && base->planned() &&
+          base->exec_valid_ && base->input_current_ &&
+          rows_compatible(base->input_shape_, input.shape());
   if (cone_) {
     ++cone_pass_;
     cone_input_ = &input;
-    cone_clean_.assign(input.shape()[0], ops::Rect{});
+    cone_input_rows_.resize(input.shape()[0]);
+    diff_rows(input, &base->input_, cone_input_rows_);
   }
-  prefix_cursor_ = 0;
   prefix_reused_last_run_ = 0;
   prefix_rows_reused_last_run_ = 0;
 
   Tensor& out = root.forward_ws(input, *this);
   recording_exec_ = false;
-  prefix_active_ = false;
   cone_ = false;
   cone_input_ = nullptr;
   return out;
@@ -121,10 +117,10 @@ Tensor& InferenceWorkspace::run_from_child(Module& root, std::size_t child,
   ALFI_CHECK(child < root_child_inputs_.size(), "run_from_child: no such root child");
   ALFI_CHECK(live.shape() == root_child_inputs_[child],
              "run_from_child: the live tensor's shape differs from the planned pass");
-  // Nothing replays: a boundary armed for the next run() is consumed.
-  armed_boundary_.reset();
+  // Nothing replays: an arm() for the next run() is consumed.
+  armed_ = false;
+  input_current_ = false;
   row_module_ = nullptr;
-  prefix_active_ = false;
   cone_ = false;
   prefix_reused_last_run_ = 0;
   prefix_rows_reused_last_run_ = 0;
@@ -151,8 +147,21 @@ void InferenceWorkspace::invalidate() {
   exec_valid_ = true;
   root_child_inputs_.clear();
   root_child_outputs_.clear();
-  prefix_active_ = false;
+  input_ = Tensor();
+  input_current_ = false;
   cone_ = false;
+}
+
+void InferenceWorkspace::set_prefix_baseline(const InferenceWorkspace* baseline) {
+  ALFI_CHECK(baseline != this,
+             "a workspace cannot be its own baseline: an armed run overwrites "
+             "the slots it would replay");
+  prefix_baseline_ = baseline;
+}
+
+void InferenceWorkspace::arm(std::span<const Module* const> weight_changed) {
+  armed_ = true;
+  armed_weights_.assign(weight_changed.begin(), weight_changed.end());
 }
 
 void InferenceWorkspace::add_prefix_observer(PrefixObserver* observer) {
@@ -224,50 +233,21 @@ InferenceWorkspace::RowViews& InferenceWorkspace::row_views(const Module& m,
   return it->second;
 }
 
-InferenceWorkspace::PrefixAction InferenceWorkspace::prefix_action(const Module& m,
-                                                                   const Tensor& input,
-                                                                   Tensor** cached) {
-  if (cone_) {
-    // Every leaf of a broadcast pass replays through the cone when the
-    // baseline holds its batch-1 output and its input has one row per
-    // row of the pass; otherwise it computes every row, and a reader of
-    // its output sees whatever a comparison finds.
-    const auto it = prefix_baseline_->slots_.find(&m);
-    if (it == prefix_baseline_->slots_.end() || it->second.rank() == 0 ||
-        it->second.dim(0) != 1 || input.rank() == 0 ||
-        input.dim(0) != cone_row_count()) {
-      return PrefixAction::kCompute;
-    }
-    *cached = const_cast<Tensor*>(&it->second);
-    return PrefixAction::kCone;
-  }
-  if (!prefix_active_) return PrefixAction::kCompute;
-  const std::size_t index = prefix_cursor_++;
-  if (index >= run_boundary_) {
-    prefix_active_ = false;  // reached the boundary: recompute from here on
-    return PrefixAction::kCompute;
-  }
+const Tensor* InferenceWorkspace::cone_baseline(const Module& m,
+                                               const Tensor& input) const {
+  if (!cone_) return nullptr;
   const auto it = prefix_baseline_->slots_.find(&m);
-  if (it == prefix_baseline_->slots_.end()) {
-    // The baseline never planned a slot for this leaf (custom execution
-    // path); without cached data the whole remaining pass recomputes.
-    prefix_active_ = false;
-    return PrefixAction::kCompute;
+  if (it == prefix_baseline_->slots_.end()) return nullptr;
+  const Tensor& baseline = it->second;
+  const std::size_t rows = cone_row_count();
+  if (baseline.rank() == 0 || (baseline.dim(0) != 1 && baseline.dim(0) != rows) ||
+      input.rank() == 0 || input.dim(0) != rows) {
+    return nullptr;
   }
-  Tensor& slot = const_cast<Tensor&>(it->second);
-  *cached = &slot;
-  for (PrefixObserver* observer : prefix_observers_) {
-    if (!observer->can_replay(m, slot)) {
-      // Replay would diverge (e.g. protection would clamp): run the
-      // real hooks on the cached data and recompute everything after.
-      prefix_active_ = false;
-      return PrefixAction::kMaterialize;
-    }
+  if (std::find(armed_weights_.begin(), armed_weights_.end(), &m) != armed_weights_.end()) {
+    return nullptr;  // changed weights change every row
   }
-  for (PrefixObserver* observer : prefix_observers_) observer->on_replay(m, slot);
-  ++prefix_reused_last_run_;
-  prefix_rows_reused_last_run_ += input_shape_.rank() > 0 ? input_shape_[0] : 1;
-  return PrefixAction::kSkip;
+  return &baseline;
 }
 
 InferenceWorkspace::Role InferenceWorkspace::role_of(const Tensor& t) const {
@@ -297,19 +277,22 @@ void InferenceWorkspace::diff_rows(const Tensor& t, const Tensor* baseline,
   rows.resize(count);
   const RowGeometry g = row_geometry(t);
   bool comparable = baseline != nullptr && baseline->rank() == t.rank() &&
-                    baseline->dim(0) == 1 && t.dim(0) == count;
+                    (baseline->dim(0) == 1 || baseline->dim(0) == count) &&
+                    t.dim(0) == count;
   for (std::size_t axis = 1; comparable && axis < t.rank(); ++axis) {
     comparable = baseline->dim(axis) == t.dim(axis);
   }
   const std::size_t per_row = g.planes * g.height * g.width;
   for (std::size_t r = 0; r < count; ++r) {
-    rows[r] = comparable ? diff_box(t.raw() + r * per_row, baseline->raw(), g)
+    rows[r] = comparable ? diff_box(t.raw() + r * per_row,
+                                    baseline->raw() + (baseline->dim(0) == 1 ? 0 : r * per_row),
+                                    g)
                          : ops::Rect{0, g.height, 0, g.width};
   }
 }
 
 std::span<const ops::Rect> InferenceWorkspace::cone_boxes(const Tensor& t) {
-  if (&t == cone_input_) return cone_clean_;  // the caller's promise
+  if (&t == cone_input_) return cone_input_rows_;
   auto it = cones_.find(&t);
   if (it == cones_.end()) {
     const Role role = role_of(t);

@@ -17,27 +17,19 @@
 //     compares fault-free / faulty / mitigated outputs keeps one
 //     workspace per pass so the three outputs coexist.
 //
-// Differential inference (DESIGN.md §11): a workspace can additionally
-// replay a *prefix* of leaf layers from a baseline workspace holding the
-// fault-free pass.  Module::forward_from(k, input, ws) arms a one-shot
-// boundary — every leaf whose execution index is < k returns the
-// baseline's cached slot by reference instead of recomputing, provided
-// all registered PrefixObservers agree the replay is side-effect
-// equivalent to re-running the leaf's hooks on identical data.
-//
-// Fault-cone replay (DESIGN.md §12): when the baseline ran a batch-1
-// pass and the current pass packs K identical copies of that input
-// along dim 0 (a same-image unit pack), every row starts from the
-// baseline and recomputes only what its fault can reach.  The workspace
-// keeps, per row, the bounding box of the elements of each tensor a leaf
-// reads that differ bit-wise from the baseline's tensor in the same role
-// (module slot, aux slot; the pass input is clean).  A leaf copies the
-// baseline's row into every row, recomputes the rows whose input box is
-// not empty (Conv2d only the output window the box reaches), runs its
-// REAL hooks on all K rows and records each row's new box by comparing
-// it with the baseline.  The mode is opt-in (set_prefix_broadcast): the
-// shapes alone cannot prove the data contract — every row of the pass
-// input must equal the baseline's row — so the caller must promise it.
+// Differential inference (DESIGN.md §11, §12): an *armed* run replays
+// the pass of a baseline workspace holding the fault-free pass of the
+// same root, with 1 row or as many rows as the armed pass.  Row r of the
+// pass reads baseline row r, or row 0 of a 1-row baseline.  The
+// workspace keeps, per row, the bounding box of the elements of each
+// tensor a leaf reads that differ bit-wise from the baseline's tensor in
+// the same role (module slot, aux slot, or the pass input, which every
+// run() keeps a copy of, so the input's boxes come from comparing it with
+// the baseline's copy).  A leaf copies the baseline's rows, recomputes
+// the rows whose input box is not empty (Conv2d only the output window
+// the box reaches), runs its REAL hooks on every row and records each
+// row's new box by comparing it with the baseline.  A leaf whose weights
+// the armed faults changed (named by arm()) computes every row.
 //
 // Root-child start (DESIGN.md §11.1): when the root is a Sequential, a
 // pass records the tensor each root child returned, and
@@ -60,34 +52,12 @@ namespace alfi::nn {
 
 class Module;
 
-/// Validates/replays hook side effects for leaves skipped by the
-/// differential-inference prefix.  One observer per hook-owning
-/// component (monitor, protection); registration order must match the
-/// hook registration order on the leaves so replayed side effects land
-/// in the same sequence a full recompute would produce.
+/// Vouches for the hooks of leaves a root-child start drops
+/// (InferenceWorkspace::run_from_child).  One observer per hook-owning
+/// component (monitor, protection).
 class PrefixObserver {
  public:
   virtual ~PrefixObserver() = default;
-
-  /// Called before a leaf is skipped.  Return false when replaying the
-  /// cached output would NOT reproduce this component's hook behaviour
-  /// (e.g. an enabled Ranger whose clamp would alter the values) — the
-  /// workspace then materializes the leaf and runs the real hooks.
-  /// Must be side-effect free.
-  virtual bool can_replay(const Module& module, const Tensor& cached) {
-    (void)module;
-    (void)cached;
-    return true;
-  }
-
-  /// Called once per skipped leaf, in execution order, after every
-  /// observer approved the skip.  Reproduce the component's hook side
-  /// effects here (e.g. ModelMonitor NaN/Inf accounting) from the
-  /// cached fault-free output.
-  virtual void on_replay(const Module& module, const Tensor& cached) {
-    (void)module;
-    (void)cached;
-  }
 
   /// Asked ahead of an armed pass about a leaf's fault-free output:
   /// true when this component's hooks on `module` would leave
@@ -105,21 +75,12 @@ class PrefixObserver {
 
 class InferenceWorkspace {
  public:
-  /// What forward_ws should do with a leaf under an armed prefix.
-  /// kCone replays the leaf in a broadcast pass: baseline rows, the rows
-  /// its input's dirty boxes reach recomputed through row_views(), the
-  /// real hooks on all K rows, then cone_finish() (DESIGN.md §12).
-  enum class PrefixAction { kCompute, kSkip, kMaterialize, kCone };
-
   /// Single-row views of one leaf's input and of its own slot, walked
-  /// over the rows of a broadcast pass with Tensor::rebind.
+  /// over the rows of an armed pass with Tensor::rebind.
   struct RowViews {
     Tensor input;
     Tensor output;
   };
-
-  /// set_prefix_boundary() value meaning "replay every leaf".
-  static constexpr std::size_t kSkipAllLeaves = static_cast<std::size_t>(-1);
 
   InferenceWorkspace() = default;
 
@@ -138,7 +99,7 @@ class InferenceWorkspace {
   /// free of Shape construction (which heap-allocates).
   template <typename ShapeFn>
   Tensor& slot(const Module& m, ShapeFn&& make_shape) {
-    if (&m == row_module_) return *row_slot_;  // one row of a kCone leaf
+    if (&m == row_module_) return *row_slot_;  // one row of a replayed leaf
     const auto it = slots_.find(&m);
     if (it != slots_.end()) return it->second;
     return slots_.emplace(&m, arena_.make(make_shape())).first->second;
@@ -168,10 +129,11 @@ class InferenceWorkspace {
   /// the caller must know their hooks to be no-ops
   /// (PrefixObserver::skippable).  Needs a workspace that run() planned
   /// for this root and input shape, and `live` shaped like that pass's
-  /// input of the child.  Consumes any armed prefix boundary (nothing is
-  /// replayed) and allocates nothing.  Throws Error on an unplanned
-  /// workspace, another root, a non-Sequential root, a child index past
-  /// the end or a mismatched `live`.
+  /// input of the child.  Consumes any arm() (nothing is replayed) and
+  /// allocates nothing; the workspace cannot serve as a baseline until
+  /// its next run().  Throws Error on an unplanned workspace, another
+  /// root, a non-Sequential root, a child index past the end or a
+  /// mismatched `live`.
   Tensor& run_from_child(Module& root, std::size_t child, const Tensor& live);
 
   /// Drops every slot and rewinds the arena; the next run() replans.
@@ -186,9 +148,8 @@ class InferenceWorkspace {
   }
 
   /// The tensor root child `child` returned in this workspace's latest
-  /// pass of a Sequential root — its own slot, or a prefix baseline's
-  /// slot it replayed — valid until either workspace runs again; nullptr
-  /// past the root's children or before planning.
+  /// pass of a Sequential root (its own slot), valid until the workspace
+  /// runs again; nullptr past the root's children or before planning.
   const Tensor* root_child_output(std::size_t child) const {
     return child < root_child_outputs_.size() ? root_child_outputs_[child] : nullptr;
   }
@@ -197,44 +158,27 @@ class InferenceWorkspace {
   /// pass needs (exported to the campaign metrics registry).
   std::size_t high_water_bytes() const { return arena_.high_water_bytes(); }
 
-  // -- differential inference (prefix reuse) -------------------------------
+  // -- differential inference (fault-cone replay) -------------------------
 
-  /// Declares the workspace whose slots hold the fault-free outputs the
-  /// prefix replays from.  May be `this` (a single workspace replaying
-  /// its own previous full pass — valid because a differential run only
-  /// overwrites suffix slots, leaving prefix slots at their fault-free
-  /// values).  The baseline must outlive this workspace's runs; pass
-  /// nullptr to detach.
-  void set_prefix_baseline(const InferenceWorkspace* baseline) {
-    prefix_baseline_ = baseline;
-  }
+  /// Declares the workspace whose latest run() holds the fault-free pass
+  /// an armed run replays.  It must outlive this workspace's runs; pass
+  /// nullptr to detach.  Throws Error for `this`: an armed run overwrites
+  /// the slots it would read.
+  void set_prefix_baseline(const InferenceWorkspace* baseline);
 
-  /// Registers an observer consulted for every skipped leaf, in
+  /// Registers an observer that first_unskippable_leaf() asks, in
   /// registration order.  Observers must outlive the workspace's runs.
   void add_prefix_observer(PrefixObserver* observer);
-  void clear_prefix_observers() { prefix_observers_.clear(); }
 
-  /// Opts into fault-cone replay: when an armed run finds a batch-1
-  /// baseline under a K-row pass (other dims equal), every row replays
-  /// the baseline wherever it is bit-identical to it, instead of the
-  /// pass degrading to full recompute.  CALLER PROMISE: every row of the
-  /// pass input equals the baseline's single input row — the workspace
-  /// can only check shapes, and replaying unequal data would silently
-  /// corrupt the pass.  Off (the default) never broadcasts.
-  void set_prefix_broadcast(bool allow) { prefix_broadcast_allowed_ = allow; }
-
-  /// Arms the prefix for the NEXT run() only (consumed and reset): leaves
-  /// with execution index < `first_recomputed_leaf` replay the baseline's
-  /// cached outputs; everything from that leaf on recomputes.  0 disarms
-  /// (full recompute); kSkipAllLeaves replays the whole pass.  The run
-  /// silently degrades to full recompute whenever replay cannot be proven
-  /// equivalent (unplanned or mismatched baseline, a leaf missing from
-  /// the baseline, an observer veto).  A broadcast pass takes any armed
-  /// value, 0 included, as its cue: the cone finds each row's clean
-  /// leaves itself.
-  void set_prefix_boundary(std::size_t first_recomputed_leaf) {
-    armed_boundary_ = first_recomputed_leaf;
-  }
+  /// Arms the NEXT run() only (consumed and reset) to replay the
+  /// baseline wherever a row is bit-identical to it.  `weight_changed`
+  /// names the leaves whose weights differ from the baseline pass's (the
+  /// armed weight faults): they compute every row.  The run recomputes
+  /// in full when the baseline is missing, unplanned, of another root,
+  /// its latest pass was a root-child start, its leaf order is
+  /// ambiguous, or its input is not 1 row or the pass's rows of the same
+  /// per-row shape.
+  void arm(std::span<const Module* const> weight_changed = {});
 
   /// Execution index of `m` among this workspace's leaves, recorded on
   /// the planning pass; nullopt for modules this workspace never ran
@@ -252,15 +196,12 @@ class InferenceWorkspace {
   /// order ambiguous.
   std::size_t first_unskippable_leaf(const InferenceWorkspace& baseline) const;
 
-  /// Leaves replayed from the baseline during the most recent run():
-  /// leaves no row of the pass computed.
+  /// Leaves no row of the most recent run() computed.
   std::size_t prefix_reused_last_run() const { return prefix_reused_last_run_; }
 
-  /// (row, leaf) pairs served from the baseline with nothing computed
-  /// during the most recent run(): prefix_reused_last_run() times the
-  /// batch size for a same-shape replay; in a broadcast pass, every row
-  /// whose input was bit-identical to the baseline's (or whose dirty box
-  /// reaches no output) at every leaf.
+  /// (row, leaf) pairs of the most recent run() served from the baseline
+  /// with nothing computed: every row whose input was bit-identical to
+  /// the baseline's (or whose dirty box reaches no output) at every leaf.
   std::size_t prefix_rows_reused_last_run() const {
     return prefix_rows_reused_last_run_;
   }
@@ -276,24 +217,28 @@ class InferenceWorkspace {
   bool is_root(const Module& m) const { return &m == root_; }
   void record_root_child(std::size_t index, const Tensor& input, const Tensor& output);
 
-  /// Decides the fate of the next leaf in execution order.  On kSkip,
-  /// kMaterialize and kCone, `*cached` points at the baseline's slot for
-  /// `m`.  kCone needs `input` to hold one row per row of the pass.
-  PrefixAction prefix_action(const Module& m, const Tensor& input, Tensor** cached);
+  /// In an armed run, the baseline's output of leaf `m` when the leaf
+  /// replays it (Module::forward_cone): the baseline holds it with 1 row
+  /// or one per row of the pass, `input` has one row per row of the
+  /// pass, and the armed faults left `m`'s weights alone.  Otherwise
+  /// nullptr: the leaf computes every row, and a reader of its output
+  /// sees whatever a comparison finds.
+  const Tensor* cone_baseline(const Module& m, const Tensor& input) const;
 
-  /// Rows of the current broadcast pass: its dim 0.
-  std::size_t cone_row_count() const { return cone_clean_.size(); }
+  /// Rows of the current armed pass: its dim 0.
+  std::size_t cone_row_count() const { return cone_input_rows_.size(); }
 
-  /// Per row of the current broadcast pass, the box of `t`'s elements
-  /// that differ bit-wise from the baseline's tensor in the same role:
-  /// empty for the pass input, the whole row for a tensor the workspace
-  /// cannot map.  Compared on the first read of each pass, unless the
-  /// leaf that wrote `t` recorded it (cone_finish).
+  /// Per row of the current armed pass, the box of `t`'s elements that
+  /// differ bit-wise from the baseline's tensor in the same role (the
+  /// pass input against the baseline's copy of its input); the whole row
+  /// for a tensor the workspace cannot map.  Compared on the first read
+  /// of each pass, unless the leaf that wrote `t` recorded it
+  /// (cone_finish).
   std::span<const ops::Rect> cone_boxes(const Tensor& t);
 
-  /// After a kCone leaf's hooks ran on `slot`: records each row's box
-  /// against the leaf's baseline output and counts the rows of
-  /// `computed_rows` that computed nothing as replayed.
+  /// After a replayed leaf's hooks ran on `slot`: records each row's box
+  /// against the leaf's baseline output and counts the rows that
+  /// computed nothing (all but `computed_rows`) as replayed.
   void cone_finish(const Module& m, const Tensor& slot, const Tensor& baseline,
                    std::size_t computed_rows);
 
@@ -301,11 +246,11 @@ class InferenceWorkspace {
   /// its next read compares again.
   void cone_forget(const Tensor& t);
 
-  /// True while a broadcast pass runs.
+  /// True while an armed pass replays a baseline.
   bool cone_active() const { return cone_; }
 
   /// The single-row views of leaf `m`'s input and slot, created on the
-  /// first broadcast pass that reaches `m` (so later passes allocate
+  /// first armed pass that reaches `m` (so later passes allocate
   /// nothing) and pointed at row `row`.
   RowViews& row_views(const Module& m, const Tensor& input, Tensor& slot,
                       std::size_t row);
@@ -337,7 +282,7 @@ class InferenceWorkspace {
     std::size_t aux = 0;
   };
   static constexpr std::size_t kSlotRole = static_cast<std::size_t>(-1);
-  /// One tensor's per-row boxes and the broadcast pass they describe.
+  /// One tensor's per-row boxes and the armed pass they describe.
   struct Cone {
     Role role;
     std::vector<ops::Rect> rows;
@@ -347,8 +292,9 @@ class InferenceWorkspace {
   Role role_of(const Tensor& t) const;
   /// The baseline's tensor in `role`, or nullptr.
   const Tensor* baseline_in(const Role& role) const;
-  /// Compares every row of `t` with `baseline`'s single row into `rows`;
-  /// the whole row when the baseline is missing or shaped otherwise.
+  /// Compares every row of `t` with `baseline`'s matching row (row r, or
+  /// row 0 of a 1-row baseline) into `rows`; the whole row when the
+  /// baseline is missing or shaped otherwise.
   void diff_rows(const Tensor& t, const Tensor* baseline, std::vector<ops::Rect>& rows) const;
 
   TensorArena arena_;
@@ -359,12 +305,15 @@ class InferenceWorkspace {
   Tensor* row_slot_ = nullptr;
   const Module* root_ = nullptr;
   Shape input_shape_;
+  // A copy of the latest run()'s input, which an armed run against this
+  // workspace compares its own input with; stale after run_from_child.
+  Tensor input_;
+  bool input_current_ = false;
 
-  // Differential-inference state.  leaf_exec_ maps each leaf to its
-  // execution index, captured once on the planning pass; exec_valid_
-  // drops to false if a leaf runs twice in one pass (shared module —
-  // the cursor-based prefix would misattribute it, and the baseline's
-  // slot would hold only its last output, so neither replay activates).
+  // Leaf bookkeeping.  leaf_exec_ maps each leaf to its execution index,
+  // captured once on the planning pass; exec_valid_ drops to false if a
+  // leaf runs twice in one pass (a shared module: its slot would hold
+  // only its last output, so no pass replays this workspace).
   std::unordered_map<const Module*, std::size_t> leaf_exec_;
   std::vector<const Module*> leaf_order_;  // the same leaves, by index
   bool exec_valid_ = true;
@@ -375,22 +324,19 @@ class InferenceWorkspace {
   bool recording_exec_ = false;
   const InferenceWorkspace* prefix_baseline_ = nullptr;
   std::vector<PrefixObserver*> prefix_observers_;
-  std::optional<std::size_t> armed_boundary_;  // for the next run (one-shot)
-  std::size_t run_boundary_ = 0;               // of the run in flight
-  bool prefix_active_ = false;
-  bool prefix_broadcast_allowed_ = false;  // caller opted in (set_prefix_broadcast)
-  std::size_t prefix_cursor_ = 0;
+  bool armed_ = false;                        // for the next run (one-shot)
+  std::vector<const Module*> armed_weights_;  // arm()'s weight_changed
   std::size_t prefix_reused_last_run_ = 0;
   std::size_t prefix_rows_reused_last_run_ = 0;
 
-  // Fault-cone replay state (broadcast passes).  Entries and views are
-  // created on the first broadcast pass and reused after, so a steady
-  // state pass allocates nothing.
-  bool cone_ = false;                    // a broadcast pass is running
-  std::uint64_t cone_pass_ = 0;          // counts broadcast passes
-  const Tensor* cone_input_ = nullptr;   // the pass input: clean in every row
-  std::vector<ops::Rect> cone_clean_;    // one empty box per row
-  std::vector<ops::Rect> cone_dirty_;    // whole rows, for an unmapped tensor
+  // Fault-cone replay state (armed passes).  Entries and views are
+  // created on the first armed pass and reused after, so a steady-state
+  // pass allocates nothing.
+  bool cone_ = false;                      // an armed pass is replaying
+  std::uint64_t cone_pass_ = 0;            // counts armed passes
+  const Tensor* cone_input_ = nullptr;     // the pass input
+  std::vector<ops::Rect> cone_input_rows_;  // its boxes, one per row
+  std::vector<ops::Rect> cone_dirty_;       // whole rows, for an unmapped tensor
   std::unordered_map<const Tensor*, Cone> cones_;
   std::unordered_map<const Module*, RowViews> row_views_;
   ops::Conv2dWindowScratch conv_window_;

@@ -12,10 +12,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <new>
+#include <span>
 
 #include "data/synthetic.h"
 #include "io/binary.h"
@@ -209,12 +211,11 @@ TEST(AllocRegression, SameImagePackPassesAreHeapFree) {
   InferenceWorkspace base;
   InferenceWorkspace pack;
   pack.set_prefix_baseline(&base);
-  pack.set_prefix_broadcast(true);
   const auto alternate = [&] {
     armed = false;
     volatile float sink = base.run(*net, one).flat(0);
     armed = true;
-    pack.set_prefix_boundary(0);
+    pack.arm();
     sink = sink + pack.run(*net, packed).flat(0);
     armed = false;
     (void)sink;
@@ -230,6 +231,85 @@ TEST(AllocRegression, SameImagePackPassesAreHeapFree) {
   EXPECT_EQ(pack.prefix_rows_reused_last_run(), cone.rows);
   EXPECT_EQ(pack.prefix_reused_last_run(), cone.leaves);
   EXPECT_GE(cone.rows, 1u + 4 + 8 + 13);  // each row clean through its injecting leaf
+}
+
+TEST(AllocRegression, OneUnitAndGatherConePassesAreHeapFree) {
+  // The cone's other shapes (DESIGN.md §12): a one-unit pass against the
+  // batch-1 fault-free pass of its image, and a gather pack against a
+  // fault-free pass of the same four images.  Hooks dirty row 0 at leaf 3
+  // and the last row at leaf 7; every third alternation also corrupts a
+  // weight of the conv at leaf 6 and names it to arm(), so that leaf
+  // computes every row (DESIGN.md §10's guarantee covers weight faults).
+  auto net = models::make_mini_alexnet();
+  Rng rng(17);
+  kaiming_init(*net, rng);
+  const Tensor one = probe_image(1);
+  const Tensor gather = probe_image(4);
+  bool armed = false;
+  std::vector<std::pair<nn::Module*, nn::HookHandle>> handles;
+  for (const std::size_t leaf : {3, 7}) {
+    nn::Module* module = net->children()[leaf].second.get();
+    handles.emplace_back(module, module->register_forward_hook(
+                                     [&armed, leaf](nn::Module&, const Tensor&, Tensor& output) {
+                                       if (!armed) return;
+                                       const std::size_t rows = output.dim(0);
+                                       const std::size_t per_row = output.numel() / rows;
+                                       const std::size_t row = leaf == 3 ? 0 : rows - 1;
+                                       output.raw()[row * per_row + per_row / 3] += 2.0f;
+                                     }));
+  }
+  nn::Module* conv = net->children()[6].second.get();
+  float& weight = conv->weight_param()->value.flat(5);
+  const float original = weight;
+  const nn::Module* const changed[] = {conv};
+
+  InferenceWorkspace base1, pass1, base4, pass4;
+  pass1.set_prefix_baseline(&base1);
+  pass4.set_prefix_baseline(&base4);
+  const Tensor* outs[2] = {nullptr, nullptr};
+  std::size_t step = 0;
+  const auto alternate = [&] {
+    const bool corrupt = step++ % 3 == 2;
+    armed = false;
+    volatile float sink = base1.run(*net, one).flat(0);
+    sink = sink + base4.run(*net, gather).flat(0);
+    armed = true;
+    if (corrupt) weight = -4.0f * original;
+    const std::span<const nn::Module* const> weights =
+        corrupt ? std::span<const nn::Module* const>(changed)
+                : std::span<const nn::Module* const>();
+    pass1.arm(weights);
+    outs[0] = &pass1.run(*net, one);
+    pass4.arm(weights);
+    outs[1] = &pass4.run(*net, gather);
+    sink = sink + outs[0]->flat(0) + outs[1]->flat(0);
+    weight = original;
+    armed = false;
+    (void)sink;
+  };
+  for (int i = 0; i < 3; ++i) alternate();  // planning passes, warmup, a weight fault
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (int i = 0; i < 9; ++i) alternate();
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u);
+
+  // The last alternation armed the weight fault; both passes equal the
+  // allocating forward under it, and the cone served something.
+  ASSERT_EQ(step % 3, 0u);
+  armed = true;
+  weight = -4.0f * original;
+  const Tensor expected1 = net->forward(one);
+  const Tensor expected4 = net->forward(gather);
+  weight = original;
+  armed = false;
+  for (const auto& [module, handle] : handles) module->remove_forward_hook(handle);
+  ASSERT_EQ(outs[0]->numel(), expected1.numel());
+  ASSERT_EQ(outs[1]->numel(), expected4.numel());
+  EXPECT_EQ(std::memcmp(outs[0]->raw(), expected1.raw(), expected1.numel() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(outs[1]->raw(), expected4.raw(), expected4.numel() * sizeof(float)), 0);
+  EXPECT_GE(pass1.prefix_reused_last_run(), 3u);   // the leaves before leaf 3
+  EXPECT_GE(pass4.prefix_rows_reused_last_run(), 4u * 3 + 3);  // rows 1-3 through leaf 3
 }
 
 TEST(AllocRegression, RootChildStartIsHeapFree) {

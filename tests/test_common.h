@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -52,38 +53,44 @@ inline void expect_close(float a, float b, float atol = 1e-4f, float rtol = 1e-3
                                                           << " b=" << b;
 }
 
-/// What fault-cone replay serves from the baseline (DESIGN.md §12) in a
-/// K-row pass of the flat Sequential `net` on `packed`, all of whose rows
-/// equal `one`: the (row, leaf) pairs whose leaf input is bit-identical to
-/// that leaf's input in the batch-1 pass on `one`, and the leaves where
-/// every row's is.  Computed with the allocating forward, hooks armed by
-/// `arm(true)` for the K-row pass only.
+/// What fault-cone replay serves from the baseline (DESIGN.md §12) in an
+/// armed pass of the flat Sequential `net` on `input`, against a baseline
+/// pass on `baseline_input` (1 row, or as many rows as `input`): the (row,
+/// leaf) pairs whose leaf input is bit-identical to that leaf's input in
+/// the baseline pass's matching row (row r, or row 0), and the leaves
+/// where every row's is.  Leaves in `computed` (those whose weights the
+/// armed faults changed) serve no row.  Computed with the allocating
+/// forward, hooks armed by `arm(true)` for the armed pass only.
 struct ConeCounts {
   std::size_t rows = 0;
   std::size_t leaves = 0;
 };
 
-inline ConeCounts cone_counts(nn::Sequential& net, const Tensor& one, const Tensor& packed,
-                              const std::function<void(bool)>& arm) {
+inline ConeCounts cone_counts(nn::Sequential& net, const Tensor& baseline_input,
+                              const Tensor& input, const std::function<void(bool)>& arm,
+                              const std::vector<const nn::Module*>& computed = {}) {
   std::vector<Tensor> clean_inputs;
   arm(false);
-  Tensor x = one;
+  Tensor x = baseline_input;
   for (const auto& [name, leaf] : net.children()) {
     clean_inputs.push_back(x);
     x = leaf->forward(x);
   }
   arm(true);
   ConeCounts counts;
-  x = packed;
+  x = input;
   for (std::size_t leaf = 0; leaf < net.size(); ++leaf) {
     const Tensor& base = clean_inputs[leaf];
+    const std::size_t per_row = base.numel() / base.dim(0);
+    const bool served = std::find(computed.begin(), computed.end(),
+                                  net.children()[leaf].second.get()) == computed.end();
     std::size_t clean = 0;
-    for (std::size_t r = 0; r < packed.dim(0); ++r) {
-      clean += std::memcmp(x.raw() + r * base.numel(), base.raw(),
-                           base.numel() * sizeof(float)) == 0;
+    for (std::size_t r = 0; served && r < input.dim(0); ++r) {
+      const float* base_row = base.raw() + (base.dim(0) == 1 ? 0 : r * per_row);
+      clean += std::memcmp(x.raw() + r * per_row, base_row, per_row * sizeof(float)) == 0;
     }
     counts.rows += clean;
-    counts.leaves += clean == packed.dim(0);
+    counts.leaves += clean == input.dim(0);
     x = net.children()[leaf].second->forward(x);
   }
   arm(false);

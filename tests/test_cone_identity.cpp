@@ -1,18 +1,21 @@
-// Fault-cone replay (DESIGN.md §12) at campaign scale: same-image packs
-// recompute only what each row's faults reach of the shared fault-free
-// pass, and must still match the plain full recompute (`diff = false`,
-// the CLI's --no-diff) byte for byte — results and fault-free CSVs,
-// fault and trace bins, journals, KPIs and every counter outside the
+// Fault-cone replay (DESIGN.md §12) at campaign scale: armed passes
+// recompute only what each row's faults reach of the fault-free pass,
+// and must still match the plain full recompute (`diff = false`, the
+// CLI's --no-diff) byte for byte — results and fault-free CSVs, fault
+// and trace bins, journals, KPIs and every counter outside the
 // `campaign.diff.*` bookkeeping — at --unit-batch 1, 4 and 16 under
 // --jobs 1 and 4, and across an interrupt and resume.
 //
-// The campaigns flip any of the 32 bits of two neurons per image, so
-// some faults wash out (a low mantissa bit a ReLU or a max-pool drops),
-// some spread and some end as NaN/Inf DUEs.  Ranger is calibrated on the
-// first batch only, so its hooks also clamp rows no fault reached.
-// MiniResNet joins a main path and a skip whose cones differ (one may
-// be clean while the other is dirty); MiniAlexNet runs max-pools, a
-// flatten and linear layers behind its convs.
+// The neuron campaigns flip any of the 32 bits of two neurons per image,
+// so some faults wash out (a low mantissa bit a ReLU or a max-pool
+// drops), some spread and some end as NaN/Inf DUEs.  Ranger is
+// calibrated on the first batch only, so its hooks also clamp rows no
+// fault reached.  MiniResNet joins a main path and a skip whose cones
+// differ (one may be clean while the other is dirty); MiniAlexNet runs
+// max-pools, a flatten and linear layers behind its convs.  The weight
+// campaign flips any bit of two LeNet weights per image: one-unit passes
+// whose corrupted leaves compute in full while the leaves before them
+// are served, and the fault-free cache serves later epochs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "core/campaign.h"
 #include "core/test_img_class.h"
@@ -144,11 +148,14 @@ void expect_identical(const Outcome& run, const Outcome& reference) {
   EXPECT_EQ(run.result.kpis.faulty_correct, reference.result.kpis.faulty_correct);
 }
 
-/// Every execution of the grid against the serial --no-diff reference.
-/// A resumed campaign counts only what its second process computed, so
-/// its counters are compared with a --no-diff run interrupted alike.
+/// Every execution of the grid (`unit_batches` × --jobs 1/4, and an
+/// interrupt + resume at the first and last unit batch, --jobs 1) against
+/// the serial --no-diff reference.  A resumed campaign counts only what
+/// its second process computed, so its counters are compared with a
+/// --no-diff run interrupted alike.
 void check_grid(nn::Module& model, const data::ClassificationDataset& dataset,
-                const Scenario& scenario) {
+                const Scenario& scenario,
+                const std::vector<std::size_t>& unit_batches = {1, 4, 16}) {
   const Outcome reference = execute(model, dataset, scenario, {1, 1, false, false});
   // The campaign must exercise what the cone has to get right.
   EXPECT_GT(reference.result.kpis.due, 0u) << "no fault ended as a NaN/Inf DUE";
@@ -157,11 +164,11 @@ void check_grid(nn::Module& model, const data::ClassificationDataset& dataset,
       << "no fault washed out";
 
   std::vector<Execution> grid;
-  for (const std::size_t unit_batch : {1, 4, 16}) {
+  for (const std::size_t unit_batch : unit_batches) {
     for (const std::size_t jobs : {1, 4}) grid.push_back({unit_batch, jobs, true, false});
   }
-  grid.push_back({16, 1, true, true});
-  grid.push_back({4, 1, true, true});
+  grid.push_back({unit_batches.back(), 1, true, true});
+  if (unit_batches.size() > 1) grid.push_back({unit_batches[1], 1, true, true});
   for (const Execution& e : grid) {
     SCOPED_TRACE(describe(e));
     const Outcome run = execute(model, dataset, scenario, e);
@@ -177,9 +184,7 @@ void check_grid(nn::Module& model, const data::ClassificationDataset& dataset,
       EXPECT_EQ(run.counters, reference.counters);
     }
     expect_identical(artifacts, reference);
-    if (e.unit_batch > 1) {
-      EXPECT_GT(run.rows_skipped, 0) << "the cone served no row";
-    }
+    EXPECT_GT(run.rows_skipped, 0) << "the cone served no row";
   }
 }
 
@@ -201,6 +206,20 @@ TEST(ConeIdentity, MiniAlexNetSameImagePacksMatchFullRecompute) {
       {.size = 8, .num_classes = 10, .seed = 17});
   const auto net = initialized(models::make_mini_alexnet());
   check_grid(*net, images, all_bits_scenario(2810));
+}
+
+TEST(ConeIdentity, LeNetWeightFaultsMatchFullRecompute) {
+  // Weight faults pin every pack to one unit, so --unit-batch 1 is the
+  // whole grid.  fc1's weights are scaled by 16 so that some lie in
+  // [1, 2), where a flip of bit 30 makes an Inf: freshly initialized
+  // weights are too small for any flip to end as a DUE.
+  const data::SyntheticShapesClassification images(
+      {.size = 8, .num_classes = 10, .seed = 17});
+  const auto net = initialized(models::make_lenet());
+  for (float& v : net->children()[7].second->weight_param()->value.data()) v *= 16.0f;
+  Scenario scenario = all_bits_scenario(2814);
+  scenario.target = FaultTarget::kWeights;
+  check_grid(*net, images, scenario, {1});
 }
 
 }  // namespace

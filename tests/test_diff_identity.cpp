@@ -40,6 +40,7 @@ std::string file_bytes(const std::string& path) {
 struct CounterView {
   std::string comparable_json;
   std::int64_t layers_skipped = 0;
+  std::int64_t rows_skipped = 0;
   std::int64_t golden_hits = 0;
 };
 
@@ -49,6 +50,7 @@ CounterView read_counters(const std::string& metrics_path) {
   io::Json filtered = io::Json::object();
   for (const auto& [key, value] : counters.as_object()) {
     if (key == "campaign.diff.layers_skipped") view.layers_skipped = value.as_int();
+    if (key == "campaign.diff.rows_skipped") view.rows_skipped = value.as_int();
     if (key == "campaign.diff.golden_hits") view.golden_hits = value.as_int();
     if (key.starts_with("campaign.diff.")) continue;
     filtered.as_object()[key] = value;
@@ -258,11 +260,13 @@ class ObjDetDiffIdentity : public ::testing::Test {
 
   static DetRun run_campaign(bool diff, std::size_t jobs,
                              const std::string& dir,
-                             std::optional<MitigationKind> mitigation) {
+                             std::optional<MitigationKind> mitigation,
+                             std::size_t unit_batch = 1) {
     ObjDetCampaignConfig config;
     config.model_name = "yolo";
     config.output_dir = dir;
     config.jobs = jobs;
+    config.unit_batch = unit_batch;
     config.workspace = true;
     config.diff = diff;
     config.mitigation = mitigation;
@@ -299,8 +303,8 @@ data::SyntheticShapesDetection* ObjDetDiffIdentity::dataset_ = nullptr;
 models::YoloLite* ObjDetDiffIdentity::detector_ = nullptr;
 
 TEST_F(ObjDetDiffIdentity, SerialDetectionCampaignMatchesFullRecompute) {
-  // The detection harness replays through ONE workspace used as its own
-  // baseline (self-baseline): pass 2/3 only overwrite suffix slots.
+  // The detection harness runs its fault-free pass in one workspace and
+  // both armed passes in another, which replays the first.
   test::TempDir diff_dir("diffid_det_on");
   test::TempDir full_dir("diffid_det_off");
   const auto diff = run_campaign(true, 1, diff_dir.str(), std::nullopt);
@@ -316,6 +320,23 @@ TEST_F(ObjDetDiffIdentity, ParallelMitigatedDetectionMatchesFullRecompute) {
   const auto full =
       run_campaign(false, 4, full_dir.str(), MitigationKind::kRanger);
   expect_identical(diff, full);
+}
+
+TEST_F(ObjDetDiffIdentity, GatherPacksMatchFullRecompute) {
+  // --unit-batch 4 packs neighbouring images: the armed passes replay a
+  // fault-free pass of the same rows, row r against row r (DESIGN.md
+  // §12), at --jobs 1 and 4 with Ranger, against the serial --no-diff
+  // run.
+  test::TempDir full_dir("diffid_det_gather_off");
+  const auto full = run_campaign(false, 1, full_dir.str(), MitigationKind::kRanger);
+  for (const std::size_t jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    test::TempDir diff_dir("diffid_det_gather_on" + std::to_string(jobs));
+    const auto diff =
+        run_campaign(true, jobs, diff_dir.str(), MitigationKind::kRanger, /*unit_batch=*/4);
+    expect_identical(diff, full);
+    EXPECT_GT(diff.counters.rows_skipped, diff.counters.layers_skipped);
+  }
 }
 
 }  // namespace

@@ -35,6 +35,21 @@ TEST(JsonParse, AsIntRejectsNumbersNoIntegerHolds) {
   }
 }
 
+TEST(JsonParse, RefusesIntegerTokensANumberCannotHold) {
+  // An integer token (no fraction, no exponent) is held exactly or
+  // refused: 2^53 + 1 would otherwise read as 2^53.
+  EXPECT_EQ(Json::parse("9007199254740992").as_int(), 9007199254740992LL);
+  EXPECT_EQ(Json::parse("-9007199254740992").as_int(), -9007199254740992LL);
+  for (const char* text : {"9007199254740993", "-9007199254740993", "+9007199254740993",
+                           "18446744073709551616", "[1, 9007199254740993]",
+                           "{\"dataset_size\": 9007199254740993}"}) {
+    EXPECT_THROW(Json::parse(text), ParseError) << text;
+  }
+  EXPECT_DOUBLE_EQ(Json::parse("9007199254740993.0").as_number(), 9007199254740992.0);
+  EXPECT_DOUBLE_EQ(Json::parse("9.007199254740993e15").as_number(), 9007199254740992.0);
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
+}
+
 TEST(JsonParse, NestedStructure) {
   const Json doc = Json::parse(R"({"a": [1, 2, {"b": true}], "c": null})");
   EXPECT_EQ(doc.at("a").as_array().size(), 3u);
@@ -161,7 +176,9 @@ TEST(JsonNumbers, DoublesRoundTripBitExact) {
                            std::numeric_limits<double>::max(),
                            std::numeric_limits<double>::min(),
                            -2.5e-12,
-                           123456789.123456789};
+                           123456789.123456789,
+                           0x1p53 + 2.0,
+                           -0x1p54};
   for (const double v : values) {
     const Json doc{v};
     const double back = Json::parse(doc.dump()).as_number();

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -240,22 +244,19 @@ TEST(InferenceWorkspace, CustomLayerFallsBackToAllocatingCompute) {
   EXPECT_EQ(storage[0], storage[1]);  // fallback parks results in one slot
 }
 
-// ---- differential inference (prefix reuse, DESIGN.md §11) ---------------
+// ---- differential inference (fault-cone replay, DESIGN.md §11-§12) ------
 
-/// Observer that vetoes replay at one chosen leaf and records every
-/// replay callback, in order.
-class ProbeObserver : public PrefixObserver {
- public:
-  bool can_replay(const Module& m, const Tensor&) override {
-    return &m != veto_at;
+/// Concatenates batch-1 tensors along dim 0.
+Tensor pack_rows(const std::vector<const Tensor*>& rows) {
+  std::vector<std::size_t> dims = rows[0]->shape().dims();
+  dims[0] = rows.size();
+  Tensor packed{Shape(std::move(dims))};
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::copy(rows[r]->data().begin(), rows[r]->data().end(),
+              packed.data().begin() + static_cast<std::ptrdiff_t>(r * rows[r]->numel()));
   }
-  void on_replay(const Module& m, const Tensor&) override {
-    replayed.push_back(&m);
-  }
-
-  const Module* veto_at = nullptr;
-  std::vector<const Module*> replayed;
-};
+  return packed;
+}
 
 class DifferentialPrefix : public ::testing::Test {
  protected:
@@ -267,21 +268,77 @@ class DifferentialPrefix : public ::testing::Test {
     full_ = net_->forward(input_);
   }
 
+  void TearDown() override {
+    for (std::size_t leaf = 0; leaf < handles_.size(); ++leaf) {
+      net_->children()[leaf].second->remove_forward_hook(handles_[leaf]);
+    }
+  }
+
+  /// Hooks every leaf of the flat net with `hook(leaf, output)`, which
+  /// runs only while `armed_` is set (so baselines stay fault-free).
+  void hook_leaves(std::function<void(std::size_t, Tensor&)> hook) {
+    hook_ = std::move(hook);
+    for (std::size_t leaf = 0; leaf < net_->size(); ++leaf) {
+      handles_.push_back(net_->children()[leaf].second->register_forward_hook(
+          [this, leaf](Module&, const Tensor&, Tensor& output) {
+            if (armed_) hook_(leaf, output);
+          }));
+    }
+  }
+
+  /// The allocating forward of `input` with the hooks armed, and the
+  /// cone's exact counts for an armed pass on it against a baseline pass
+  /// on `baseline_input` (test::cone_counts).
+  std::pair<Tensor, test::ConeCounts> armed_reference(const Tensor& baseline_input,
+                                                      const Tensor& input) {
+    const test::ConeCounts counts =
+        test::cone_counts(*net_, baseline_input, input, [this](bool on) { armed_ = on; });
+    armed_ = true;
+    Tensor expected = net_->forward(input);
+    armed_ = false;
+    return {std::move(expected), counts};
+  }
+
+  /// One armed pass of `input` through `ws`, hooks armed.
+  const Tensor& armed_run(InferenceWorkspace& ws, const Tensor& input) {
+    ws.arm();
+    armed_ = true;
+    const Tensor& out = ws.run(*net_, input);
+    armed_ = false;
+    return out;
+  }
+
   std::shared_ptr<Sequential> net_;
   Tensor input_;
   Tensor full_;
+  bool armed_ = false;
+  std::function<void(std::size_t, Tensor&)> hook_;
+  std::vector<HookHandle> handles_;
 };
 
 TEST_F(DifferentialPrefix, ReplayedPrefixIsBitIdenticalToFullRecompute) {
+  // A hook perturbs row 1 at leaf k: every leaf up to k reads the
+  // fault-free pass's input in both rows and is served from the
+  // baseline, and the pass still equals a full recompute bit for bit —
+  // for every k (k == the leaf count: no fault at all).
   InferenceWorkspace base;
   base.run(*net_, input_);
-  ASSERT_GT(base.leaf_count(), 3u);
+  const std::size_t leaves = base.leaf_count();
+  ASSERT_EQ(leaves, net_->size());
+  std::size_t fault_leaf = 0;
+  hook_leaves([&fault_leaf](std::size_t leaf, Tensor& output) {
+    const std::size_t per_row = output.numel() / output.dim(0);
+    if (leaf == fault_leaf) output.raw()[per_row + per_row / 2] += 3.0f;
+  });
 
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  for (std::size_t boundary = 0; boundary <= base.leaf_count(); ++boundary) {
-    expect_bitwise_equal(net_->forward_from(boundary, input_, diff), full_);
-    EXPECT_EQ(diff.prefix_reused_last_run(), boundary) << boundary;
+  for (fault_leaf = 0; fault_leaf <= leaves; ++fault_leaf) {
+    const auto [expected, cone] = armed_reference(input_, input_);
+    expect_bitwise_equal(armed_run(diff, input_), expected);
+    EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows) << fault_leaf;
+    EXPECT_EQ(diff.prefix_reused_last_run(), cone.leaves) << fault_leaf;
+    EXPECT_GE(diff.prefix_reused_last_run(), std::min(fault_leaf + 1, leaves)) << fault_leaf;
   }
 }
 
@@ -290,67 +347,174 @@ TEST_F(DifferentialPrefix, BoundaryIsConsumedByOneRun) {
   base.run(*net_, input_);
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  net_->forward_from(3, input_, diff);
-  EXPECT_EQ(diff.prefix_reused_last_run(), 3u);
-  // A plain run() right after must fully recompute: the boundary is
-  // one-shot, not sticky.
+  diff.arm();
+  expect_bitwise_equal(diff.run(*net_, input_), full_);
+  EXPECT_EQ(diff.prefix_reused_last_run(), base.leaf_count());
+  // A plain run() right after must fully recompute: arm() is one-shot,
+  // not sticky.
   expect_bitwise_equal(diff.run(*net_, input_), full_);
   EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), 0u);
 }
 
 TEST_F(DifferentialPrefix, SkipAllLeavesReturnsTheBaselineSlot) {
+  // A pass no fault reaches serves every (row, leaf) pair from the
+  // baseline — by copy into its own slots, so the two passes' outputs
+  // coexist.
   InferenceWorkspace base;
   const Tensor& base_out = base.run(*net_, input_);
   InferenceWorkspace diff;
-  diff.run(*net_, input_);  // plan first so exec indices exist
   diff.set_prefix_baseline(&base);
-  const Tensor& out =
-      net_->forward_from(InferenceWorkspace::kSkipAllLeaves, input_, diff);
+  diff.arm();
+  const Tensor& out = diff.run(*net_, input_);
   EXPECT_EQ(diff.prefix_reused_last_run(), diff.leaf_count());
-  EXPECT_EQ(out.raw(), base_out.raw());  // replayed by reference, no copy
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), 2 * diff.leaf_count());
+  EXPECT_NE(out.raw(), base_out.raw());
   expect_bitwise_equal(out, full_);
+  expect_bitwise_equal(base_out, full_);
 }
 
 TEST_F(DifferentialPrefix, SelfBaselineReplaysOwnPreviousPass) {
-  // The object-detection harness uses one workspace as its own
-  // baseline: a differential run only overwrites suffix slots, so the
-  // prefix slots still hold the previous full pass's values.
+  // The object-detection harness's pattern, a fault-free workspace plus
+  // an armed one: armed passes in a row (corrupted, then hardened) replay
+  // the one fault-free pass, and each reads nothing the one before wrote.
+  InferenceWorkspace base;
+  base.run(*net_, input_);
+  std::size_t fault_leaf = 4;
+  hook_leaves([&fault_leaf](std::size_t leaf, Tensor& output) {
+    if (leaf == fault_leaf) output.raw()[7] += 3.0f;
+  });
+  InferenceWorkspace armed;
+  armed.set_prefix_baseline(&base);
+  for (const std::size_t leaf : {4, 6, 4}) {
+    fault_leaf = leaf;
+    const auto [expected, cone] = armed_reference(input_, input_);
+    expect_bitwise_equal(armed_run(armed, input_), expected);
+    EXPECT_EQ(armed.prefix_rows_reused_last_run(), cone.rows) << leaf;
+    EXPECT_GE(armed.prefix_reused_last_run(), leaf + 1) << leaf;
+  }
+}
+
+TEST_F(DifferentialPrefix, WorkspaceCannotBeItsOwnBaseline) {
+  // An armed run overwrites the slots it would replay.
   InferenceWorkspace ws;
+  EXPECT_THROW(ws.set_prefix_baseline(&ws), Error);
   ws.run(*net_, input_);
-  ws.set_prefix_baseline(&ws);
-  expect_bitwise_equal(net_->forward_from(4, input_, ws), full_);
-  EXPECT_EQ(ws.prefix_reused_last_run(), 4u);
-  expect_bitwise_equal(net_->forward_from(4, input_, ws), full_);
-  EXPECT_EQ(ws.prefix_reused_last_run(), 4u);
+  EXPECT_THROW(ws.set_prefix_baseline(&ws), Error);
+  EXPECT_NO_THROW(ws.set_prefix_baseline(nullptr));
+}
+
+TEST_F(DifferentialPrefix, ArmedPassOnAnotherImageRecomputesWhatDiffers) {
+  // The baseline ran image A.  An armed pass on image B compares its
+  // input with the baseline's copy of A and recomputes what differs: a
+  // batch-1 pass on B equals a full pass on B, and in a pack [A, B, A]
+  // only row 1 computes.  A gather baseline [A, B] under the pass
+  // [A, C] reads its own row r, so only row 1 computes there too.
+  const Tensor a = probe_image(1);
+  const Tensor b = probe_image(1, 41);
+  const Tensor c = probe_image(1, 43);
+  ASSERT_NE(std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)), 0);
+  const auto no_hooks = [](bool) {};
+
+  InferenceWorkspace base;
+  base.run(*net_, a);
+  InferenceWorkspace diff;
+  diff.set_prefix_baseline(&base);
+  diff.arm();
+  expect_bitwise_equal(diff.run(*net_, b), net_->forward(b));
+  const test::ConeCounts whole = test::cone_counts(*net_, a, b, no_hooks);
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), whole.rows);
+  EXPECT_EQ(diff.prefix_reused_last_run(), whole.leaves);
+  EXPECT_LT(whole.leaves, net_->size());
+
+  const Tensor pack = pack_rows({&a, &b, &a});
+  diff.arm();
+  expect_bitwise_equal(diff.run(*net_, pack), net_->forward(pack));
+  const test::ConeCounts one_row = test::cone_counts(*net_, a, pack, no_hooks);
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), one_row.rows);
+  EXPECT_EQ(one_row.rows, 2 * net_->size() + whole.rows);
+
+  const Tensor gather_base = pack_rows({&a, &b});
+  const Tensor gather = pack_rows({&a, &c});
+  InferenceWorkspace base2;
+  base2.run(*net_, gather_base);
+  InferenceWorkspace diff2;
+  diff2.set_prefix_baseline(&base2);
+  diff2.arm();
+  expect_bitwise_equal(diff2.run(*net_, gather), net_->forward(gather));
+  const test::ConeCounts gathered = test::cone_counts(*net_, gather_base, gather, no_hooks);
+  EXPECT_EQ(diff2.prefix_rows_reused_last_run(), gathered.rows);
+  EXPECT_GE(gathered.rows, net_->size());  // row 0 at every leaf
+}
+
+TEST_F(DifferentialPrefix, ArmedWeightLeavesComputeEveryRow) {
+  // A corrupted weight changes rows whose input is clean: the leaf that
+  // owns it, named by arm(), computes every row, and the comparison after
+  // it finds what changed.
+  const Tensor one = probe_image(1);
+  const Tensor packed = pack_rows({&one, &one, &one});
+  Module* conv = net_->children()[3].second.get();
+  float& weight = conv->weight_param()->value.flat(11);
+  const float original = weight;
+  InferenceWorkspace base;
+  base.run(*net_, one);
+  InferenceWorkspace diff;
+  diff.set_prefix_baseline(&base);
+  const Module* const changed[] = {conv};
+  const std::vector<const Module*> computed(std::begin(changed), std::end(changed));
+  for (const Tensor* input : {&one, &packed}) {
+    const test::ConeCounts cone = test::cone_counts(
+        *net_, one, *input, [&](bool on) { weight = on ? original * -8.0f : original; },
+        computed);
+    weight = original * -8.0f;
+    const Tensor expected = net_->forward(*input);
+    diff.arm(changed);
+    expect_bitwise_equal(diff.run(*net_, *input), expected);
+    weight = original;
+    EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows);
+    EXPECT_EQ(diff.prefix_reused_last_run(), cone.leaves);
+    EXPECT_GE(cone.leaves, 3u);  // the leaves before the conv
+    EXPECT_LT(cone.leaves, net_->size());
+  }
 }
 
 TEST_F(DifferentialPrefix, UnplannedBaselineDegradesToFullRecompute) {
   InferenceWorkspace never_ran;
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&never_ran);
-  expect_bitwise_equal(net_->forward_from(3, input_, diff), full_);
+  diff.arm();
+  expect_bitwise_equal(diff.run(*net_, input_), full_);
+  EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
+
+  // Nor is a baseline whose latest pass was a root-child start: its input
+  // copy does not describe its slots.
+  InferenceWorkspace started;
+  started.run(*net_, input_);
+  started.run_from_child(*net_, 3, *started.root_child_output(2));
+  diff.set_prefix_baseline(&started);
+  diff.arm();
+  expect_bitwise_equal(diff.run(*net_, input_), full_);
   EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
 }
 
 TEST_F(DifferentialPrefix, BaselineShapeMismatchDegradesToFullRecompute) {
+  // A baseline of neither 1 row nor the pass's rows cannot be replayed.
   InferenceWorkspace base;
-  base.run(*net_, probe_image(1));  // planned for a different batch size
+  base.run(*net_, probe_image(3));
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  expect_bitwise_equal(net_->forward_from(3, input_, diff), full_);
+  diff.arm();
+  expect_bitwise_equal(diff.run(*net_, input_), full_);
   EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), 0u);
 }
 
 TEST_F(DifferentialPrefix, BroadcastReplayIsOptInAndBitIdentical) {
   // Same-image unit packs (DESIGN.md §12): the baseline runs at batch 1
-  // and the differential pass packs N copies of that exact row.
+  // and the pass packs N copies of that exact row.
   const Tensor one = probe_image(1);
   const std::size_t rows = 3;
-  Tensor packed(Shape{rows, 3, 32, 32});
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::copy(one.data().begin(), one.data().end(),
-              packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
-  }
+  const Tensor packed = pack_rows({&one, &one, &one});
   const Tensor packed_full = net_->forward(packed);
 
   InferenceWorkspace base;
@@ -358,17 +522,15 @@ TEST_F(DifferentialPrefix, BroadcastReplayIsOptInAndBitIdentical) {
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
 
-  // Without the opt-in, a batch-1 baseline under a batch-N pass must
-  // degrade to full recompute: shapes alone cannot prove row equality.
-  expect_bitwise_equal(net_->forward_from(3, packed, diff), packed_full);
+  // Unarmed, the pass recomputes everything.
+  expect_bitwise_equal(diff.run(*net_, packed), packed_full);
   EXPECT_EQ(diff.prefix_reused_last_run(), 0u);
 
-  // With the caller's row-equality promise, the cone replicates the
-  // baseline rows and still matches the full pass bit for bit.  No hook
-  // injects, so every row of every leaf stays clean: all 13 leaves are
-  // served from the baseline, whatever the armed boundary.
-  diff.set_prefix_broadcast(true);
-  expect_bitwise_equal(net_->forward_from(3, packed, diff), packed_full);
+  // Armed, the cone replicates the baseline rows and still matches the
+  // full pass bit for bit.  No hook injects, so every row of every leaf
+  // stays clean: all 13 leaves are served from the baseline.
+  diff.arm();
+  expect_bitwise_equal(diff.run(*net_, packed), packed_full);
   EXPECT_EQ(diff.prefix_reused_last_run(), 13u);
   EXPECT_EQ(diff.prefix_reused_last_run(), base.leaf_count());
   EXPECT_EQ(diff.prefix_rows_reused_last_run(), 13u * rows);
@@ -376,85 +538,49 @@ TEST_F(DifferentialPrefix, BroadcastReplayIsOptInAndBitIdentical) {
 
 TEST_F(DifferentialPrefix, RaggedRowsMatchFullRecompute) {
   // A same-image pack under fault-cone replay (DESIGN.md §12): a hook
-  // injects into row r alone at leaf boundaries[r], in pack order, and
-  // the last row is never injected.  Every pass, with or without an
-  // observer veto, must match a full recompute bit for bit, and every
-  // hook call must see the whole pack.
+  // injects into row r alone at leaf injecting[r], in pack order, and the
+  // last row is never injected.  Every pass must match a full recompute
+  // bit for bit, and every hook call must see the whole pack.
   const Tensor one = probe_image(1);
   constexpr std::size_t kRows = 5;
-  Tensor packed(Shape{kRows, 3, 32, 32});
-  for (std::size_t r = 0; r < kRows; ++r) {
-    std::copy(one.data().begin(), one.data().end(),
-              packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
-  }
-  const std::vector<std::size_t> boundaries = {6, 0, 10, 3,
-                                               InferenceWorkspace::kSkipAllLeaves};
+  const Tensor packed = pack_rows({&one, &one, &one, &one, &one});
+  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+  const std::vector<std::size_t> injecting = {6, 0, 10, 3, kNever};
 
-  // Leaf i of the flat MiniAlexNet is child i.  The hooks inject only
-  // while armed, so the baseline stays fault-free.
-  const auto& leaves = net_->children();
-  bool armed = false;
+  // Leaf i of the flat MiniAlexNet is child i.
   std::size_t hook_calls = 0;
   std::size_t short_calls = 0;  // hook calls that saw fewer than kRows rows
-  std::vector<HookHandle> handles;
-  for (std::size_t leaf = 0; leaf < leaves.size(); ++leaf) {
-    handles.push_back(leaves[leaf].second->register_forward_hook(
-        [&, leaf](Module&, const Tensor&, Tensor& output) {
-          if (!armed) return;
-          ++hook_calls;
-          if (output.dim(0) != kRows) {
-            ++short_calls;
-            return;
-          }
-          const std::size_t per_row = output.numel() / kRows;
-          for (std::size_t r = 0; r + 1 < kRows; ++r) {
-            if (boundaries[r] == leaf) output.raw()[r * per_row + per_row / 2] += 3.0f;
-          }
-        }));
-  }
+  hook_leaves([&](std::size_t leaf, Tensor& output) {
+    ++hook_calls;
+    if (output.dim(0) != kRows) {
+      ++short_calls;
+      return;
+    }
+    const std::size_t per_row = output.numel() / kRows;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      if (injecting[r] == leaf) output.raw()[r * per_row + per_row / 2] += 3.0f;
+    }
+  });
   // The cone's exact counts: the (row, leaf) pairs whose leaf input the
   // faults left bit-identical to the batch-1 pass.  A row's input is
   // clean up to and including its injecting leaf, so the cone serves at
   // least 7 + 1 + 11 + 4 + 13 pairs and leaf 0 outright.
-  const test::ConeCounts cone =
-      test::cone_counts(*net_, one, packed, [&](bool on) { armed = on; });
+  const auto [packed_full, cone] = armed_reference(one, packed);
   EXPECT_GE(cone.rows, 7u + 1 + 11 + 4 + 13);
   EXPECT_GE(cone.leaves, 1u);
-  armed = true;
-  const Tensor packed_full = net_->forward(packed);
-  armed = false;
 
   InferenceWorkspace base;
   base.run(*net_, one);
-  ProbeObserver observer;
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  diff.set_prefix_broadcast(true);
-  diff.add_prefix_observer(&observer);
-  armed = true;
   for (int pass = 0; pass < 2; ++pass) {  // planning pass, then steady state
     hook_calls = 0;
-    diff.set_prefix_boundary(0);  // a broadcast pass takes any armed value
-    expect_bitwise_equal(diff.run(*net_, packed), packed_full);
-    EXPECT_EQ(hook_calls, leaves.size());
+    expect_bitwise_equal(armed_run(diff, packed), packed_full);
+    EXPECT_EQ(hook_calls, net_->size());
     EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows);
     EXPECT_EQ(diff.prefix_reused_last_run(), cone.leaves);
   }
-
-  // Broadcast leaves run their real hooks, so an observer veto changes
-  // nothing: the rows a clamp would alter show up in the comparison.
-  observer.veto_at = leaves[4].second.get();
-  hook_calls = 0;
-  diff.set_prefix_boundary(0);
-  expect_bitwise_equal(diff.run(*net_, packed), packed_full);
-  EXPECT_EQ(hook_calls, leaves.size());
-  EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows);
-  armed = false;
-  for (std::size_t leaf = 0; leaf < leaves.size(); ++leaf) {
-    leaves[leaf].second->remove_forward_hook(handles[leaf]);
-  }
   EXPECT_EQ(short_calls, 0u);
-  EXPECT_TRUE(observer.replayed.empty());  // broadcast leaves run real hooks
 }
 
 TEST_F(DifferentialPrefix, ConeComparesAgainWhereAContainerHookRewroteALeafSlot) {
@@ -474,11 +600,7 @@ TEST_F(DifferentialPrefix, ConeComparesAgainWhereAContainerHookRewroteALeafSlot)
 
   const Tensor one = probe_image(1);
   constexpr std::size_t kRows = 3;
-  Tensor packed(Shape{kRows, 3, 32, 32});
-  for (std::size_t r = 0; r < kRows; ++r) {
-    std::copy(one.data().begin(), one.data().end(),
-              packed.data().begin() + static_cast<std::ptrdiff_t>(r * one.numel()));
-  }
+  const Tensor packed = pack_rows({&one, &one, &one});
   bool armed = false;
   const HookHandle handle = inner->register_forward_hook(
       [&armed](Module&, const Tensor&, Tensor& output) {
@@ -492,10 +614,9 @@ TEST_F(DifferentialPrefix, ConeComparesAgainWhereAContainerHookRewroteALeafSlot)
   base.run(*net, one);
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  diff.set_prefix_broadcast(true);
   armed = true;
   for (int pass = 0; pass < 2; ++pass) {
-    diff.set_prefix_boundary(0);
+    diff.arm();
     expect_bitwise_equal(diff.run(*net, packed), expected);
     // Rows 0 and 2 stay clean through all five leaves; row 1 through
     // the container's two.
@@ -505,43 +626,46 @@ TEST_F(DifferentialPrefix, ConeComparesAgainWhereAContainerHookRewroteALeafSlot)
 }
 
 TEST_F(DifferentialPrefix, ObserverVetoMaterializesAndRunsRealHooks) {
+  // Armed passes run every leaf's real hooks, served or not: a
+  // Ranger-style clamp on leaf 2 alters the copied baseline values, the
+  // comparison finds what it changed, and the leaves after it recompute
+  // those elements — bit-identical to a full recompute.
   InferenceWorkspace base;
   base.run(*net_, input_);
+  const float bound = 0.5f * base.root_child_output(2)->max();
+  std::size_t clamp_calls = 0;
+  hook_leaves([&](std::size_t leaf, Tensor& output) {
+    if (leaf != 2) return;
+    ++clamp_calls;
+    for (float& v : output.data()) v = std::min(v, bound);
+  });
+  const auto [expected, cone] = armed_reference(input_, input_);
+  clamp_calls = 0;
 
-  // Veto replay at leaf 2: leaves 0-1 replay, leaf 2 materializes (its
-  // real hooks run on the copied baseline values), and the prefix
-  // breaks — everything after recomputes even though the boundary was 5.
-  Module* veto_leaf = net_->children()[2].second.get();
-  int hook_calls = 0;
-  const HookHandle handle = veto_leaf->register_forward_hook(
-      [&hook_calls](Module&, const Tensor&, Tensor&) { ++hook_calls; });
-
-  ProbeObserver observer;
-  observer.veto_at = veto_leaf;
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  diff.add_prefix_observer(&observer);
-  expect_bitwise_equal(net_->forward_from(5, input_, diff), full_);
-  veto_leaf->remove_forward_hook(handle);
-
-  EXPECT_EQ(diff.prefix_reused_last_run(), 2u);  // only leaves 0 and 1
-  EXPECT_EQ(hook_calls, 1);  // the vetoed leaf's hooks really ran
-  ASSERT_EQ(observer.replayed.size(), 2u);
-  EXPECT_EQ(observer.replayed[0], net_->children()[0].second.get());
-  EXPECT_EQ(observer.replayed[1], net_->children()[1].second.get());
+  expect_bitwise_equal(armed_run(diff, input_), expected);
+  EXPECT_EQ(clamp_calls, 1u);  // the served leaf's hooks really ran
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows);
+  EXPECT_EQ(diff.prefix_reused_last_run(), cone.leaves);
+  EXPECT_GE(diff.prefix_reused_last_run(), 3u);  // leaves 0-2
+  EXPECT_LT(diff.prefix_reused_last_run(), diff.leaf_count());
 }
 
 TEST_F(DifferentialPrefix, ObserversSeeSkippedLeavesInExecutionOrder) {
+  // Served leaves run their real hooks in execution order, as a full
+  // pass does.
   InferenceWorkspace base;
   base.run(*net_, input_);
-  ProbeObserver observer;
+  std::vector<std::size_t> seen;
+  hook_leaves([&seen](std::size_t leaf, Tensor&) { seen.push_back(leaf); });
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  diff.add_prefix_observer(&observer);
-  net_->forward_from(4, input_, diff);
-  ASSERT_EQ(observer.replayed.size(), 4u);
-  for (std::size_t i = 0; i < observer.replayed.size(); ++i) {
-    EXPECT_EQ(diff.leaf_exec_index(*observer.replayed[i]), i);
+  armed_run(diff, input_);
+  EXPECT_EQ(diff.prefix_reused_last_run(), diff.leaf_count());
+  ASSERT_EQ(seen.size(), diff.leaf_count());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(diff.leaf_exec_index(*net_->children()[seen[i]].second), i);
   }
 }
 
@@ -560,20 +684,20 @@ TEST_F(DifferentialPrefix, SuffixHooksStillFireUnderAnArmedPrefix) {
   InferenceWorkspace base;
   base.run(*net_, input_);
 
-  // A mutating hook on a suffix leaf must behave exactly as on the
-  // allocating path even when the leaves before it were replayed.
-  Module* suffix_leaf = net_->children()[3].second.get();
-  const HookHandle handle = suffix_leaf->register_forward_hook(
-      [](Module&, const Tensor&, Tensor& output) {
-        for (float& v : output.data()) v *= 0.5f;
-      });
-  const Tensor hooked_full = net_->forward(input_);
+  // A mutating hook on leaf 3 must behave exactly as on the allocating
+  // path even when the leaves up to it were served from the baseline.
+  hook_leaves([](std::size_t leaf, Tensor& output) {
+    if (leaf != 3) return;
+    for (float& v : output.data()) v *= 0.5f;
+  });
+  const auto [hooked_full, cone] = armed_reference(input_, input_);
 
   InferenceWorkspace diff;
   diff.set_prefix_baseline(&base);
-  expect_bitwise_equal(net_->forward_from(3, input_, diff), hooked_full);
-  EXPECT_EQ(diff.prefix_reused_last_run(), 3u);
-  suffix_leaf->remove_forward_hook(handle);
+  expect_bitwise_equal(armed_run(diff, input_), hooked_full);
+  EXPECT_EQ(diff.prefix_reused_last_run(), cone.leaves);
+  EXPECT_EQ(diff.prefix_rows_reused_last_run(), cone.rows);
+  EXPECT_GE(diff.prefix_reused_last_run(), 4u);  // leaves 0-3
 }
 
 TEST_F(DifferentialPrefix, RootChildStartMatchesFullPass) {
@@ -612,13 +736,13 @@ TEST_F(DifferentialPrefix, RootChildStartMatchesFullPass) {
         [&root_calls](Module&, const Tensor&, Tensor&) { ++root_calls; });
 
     InferenceWorkspace ws;
-    ws.set_prefix_baseline(&full);  // a leaked boundary would replay from it
+    ws.set_prefix_baseline(&full);  // a leaked arm() would replay from it
     ws.run(*net, input);
     for (std::size_t c = 0; c < net->size(); ++c) {
       const Tensor live = c == 0 ? input : *full.root_child_output(c - 1);
       std::fill(calls.begin(), calls.end(), std::size_t{0});
       root_calls = 0;
-      ws.set_prefix_boundary(InferenceWorkspace::kSkipAllLeaves);  // consumed, not used
+      ws.arm();  // consumed, not used
       expect_bitwise_equal(ws.run_from_child(*net, c, live), expected);
       EXPECT_EQ(ws.prefix_reused_last_run(), 0u);
       EXPECT_EQ(root_calls, 1u) << c;
@@ -626,7 +750,7 @@ TEST_F(DifferentialPrefix, RootChildStartMatchesFullPass) {
         EXPECT_EQ(calls[before], 0u) << "child " << before << " ran for a start at " << c;
       }
       EXPECT_GT(calls[c], 0u) << c;
-      // The boundary armed before the start did not outlive it.
+      // The arm() before the start did not outlive it.
       expect_bitwise_equal(ws.run(*net, input), expected);
       EXPECT_EQ(ws.prefix_reused_last_run(), 0u);
     }

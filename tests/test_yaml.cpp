@@ -108,6 +108,27 @@ TEST(YamlParse, ScenarioShapedDocument) {
   EXPECT_EQ(doc.at("run").at("rnd_seed").as_int(), 42);
 }
 
+TEST(YamlParse, RefusesIntegerTextANumberCannotHold) {
+  // Integer text is held exactly or refused, never rounded: 2^53 + 1
+  // would otherwise load as 2^53 with no error.
+  EXPECT_EQ(parse_yaml("n: 9007199254740992\n").at("n").as_int(), 9007199254740992LL);
+  EXPECT_EQ(parse_yaml("n: -9007199254740992\n").at("n").as_int(), -9007199254740992LL);
+  EXPECT_EQ(parse_yaml("n: +42\n").at("n").as_int(), 42);
+  for (const char* text :
+       {"n: 9007199254740993\n", "n: -9007199254740993\n", "n: +9007199254740993\n",
+        "n: 99999999999999999999\n", "n: [1, 9007199254740993]\n",
+        "run:\n  dataset_size: 9007199254740993\n"}) {
+    EXPECT_THROW(parse_yaml(text), ParseError) << text;
+  }
+  // A fraction or an exponent says the text is not an integer; quotes
+  // keep it a string.
+  EXPECT_DOUBLE_EQ(parse_yaml("n: 9007199254740993.0\n").at("n").as_number(),
+                   9007199254740992.0);
+  EXPECT_DOUBLE_EQ(parse_yaml("n: 1e20\n").at("n").as_number(), 1e20);
+  EXPECT_EQ(parse_yaml("n: \"9007199254740993\"\n").at("n").as_string(),
+            "9007199254740993");
+}
+
 TEST(YamlDump, RoundTripsTree) {
   Json doc = Json::object();
   doc["top"]["count"] = Json(5);

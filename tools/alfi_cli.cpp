@@ -130,9 +130,9 @@ void apply_telemetry_flags(core::CampaignConfigBase& config, const Args& args) {
 /// --no-workspace: fall back to the allocating forward() path instead
 /// of arena-backed workspace inference (same outputs, for A/B timing).
 /// --no-diff: full recompute of every campaign pass instead of
-/// differential inference replaying the fault-free prefix, no
-/// fault-free cache and no fault-cone replay of same-image packs
-/// (DESIGN.md §11, §11.1 and §12; same outputs, for A/B verification).
+/// differential inference (fault-cone replay of the fault-free pass),
+/// and no fault-free cache (DESIGN.md §11, §11.1 and §12; same outputs,
+/// for A/B verification).
 /// --unit-batch K: pack up to K campaign units into one batched forward
 /// pass, arming each unit's faults on its own batch slot (DESIGN.md
 /// §12; same outputs, clamped to what the workload supports).
@@ -630,10 +630,10 @@ void usage(std::FILE* out) {
                "                  (DESIGN.md §9); --progress: live stderr line;\n"
                "                  --no-workspace: allocating inference path\n"
                "                  instead of arena-backed buffers, same outputs;\n"
-               "                  --no-diff: full recompute instead of replaying\n"
-               "                  the fault-free prefix, reusing an image's\n"
-               "                  cached fault-free pass or recomputing only\n"
-               "                  the fault's cone in a pack, same outputs;\n"
+               "                  --no-diff: full recompute instead of\n"
+               "                  recomputing only what the faults reach of the\n"
+               "                  fault-free pass or reusing an image's cached\n"
+               "                  fault-free pass, same outputs;\n"
                "                  --backend: kernel backend, a pure speed choice\n"
                "                  (every backend gives bit-identical results) —\n"
                "                  auto (default unless the scenario names one)\n"
